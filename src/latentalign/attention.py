@@ -8,17 +8,13 @@ token ever sees text.  Two flags expose the ablation variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 CONTEXT = "context"
 TARGET = "target"
 TEXT = "text"
-
-# test hook: when set, build_mask flips one cell (negative control)
-_TAMPER = False
-
 
 @dataclass(frozen=True)
 class TokenRole:
@@ -85,8 +81,6 @@ def build_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
     for a, qi in enumerate(x_idx):            # causal text
         allow[qi, x_idx[: a + 1]] = True
 
-    if _TAMPER and s:
-        allow[0, 0] = not allow[0, 0]
     return AttentionMask(allow)
 
 

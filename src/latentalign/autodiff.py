@@ -220,9 +220,6 @@ def tanh(a: Tensor) -> Tensor:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# negative-control hook: scales one vjp so gradient checks must fail
-_FAULT_SCALE = 1.0
-
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error formulation x * Phi(x)."""
@@ -230,8 +227,7 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     data = x * cdf
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return _from_op(data, (a,),
-                    lambda g: (g * (cdf + x * pdf) * _FAULT_SCALE,))
+    return _from_op(data, (a,), lambda g: (g * (cdf + x * pdf),))
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

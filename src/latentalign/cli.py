@@ -15,11 +15,12 @@ import sys
 
 import numpy as np
 
-from . import attention, autodiff, config, verify
+from . import autodiff, config, verify
 from .attention import AttnVariant, build_mask, dump_mask, roles_for_mask
 from .data import generate
 from .encoders import EmbeddingFile, write_embedding_file
-from .masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
+from .masking import (MaskSpec, PatchGrid, ResampleExhausted, SamplerConfig,
+                      sample_mask)
 from .training import run_stage
 from .verify import run_gradcheck
 
@@ -42,8 +43,9 @@ def _interval(text: str):
 def cmd_mask_sample(args) -> int:
     cfg = SamplerConfig(k=args.k, target_scale=args.target_scale,
                         context_scale=args.context_scale,
-                        allow_overlap=not args.no_overlap, seed=args.seed)
-    _print_resolved({"rows": args.rows, "cols": args.cols, **vars(cfg)})
+                        allow_overlap=not args.no_overlap)
+    _print_resolved({"rows": args.rows, "cols": args.cols, "seed": args.seed,
+                     **vars(cfg)})
     grid = PatchGrid(args.rows, args.cols)
     spec = sample_mask(grid, cfg, random.Random(args.seed))
     text = json.dumps(spec.to_json_obj(), indent=2, sort_keys=True)
@@ -125,12 +127,7 @@ def cmd_gradcheck(args) -> int:
     cfg = verify.gradcheck_config() if args.config is None \
         else config.load_config(args.config)
     _print_resolved(cfg)
-    if args.negative_control:
-        autodiff._FAULT_SCALE = 1.01
-    try:
-        results = run_gradcheck(cfg)
-    finally:
-        autodiff._FAULT_SCALE = 1.0
+    results = run_gradcheck(cfg, negative_control=args.negative_control)
     ok = True
     for dist, err in results.items():
         passed = err < args.tolerance
@@ -143,12 +140,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_verify(args) -> int:
     _print_resolved({"checks": args.checks or "all",
                      "negative_control": args.negative_control})
-    if args.negative_control:
-        attention._TAMPER = True
-    try:
-        results = verify.run_checks(args.checks)
-    finally:
-        attention._TAMPER = False
+    results = verify.run_checks(args.checks, args.negative_control)
     ok = True
     for name, passed, detail in results:
         ok = ok and passed
@@ -226,6 +218,9 @@ def main(argv=None) -> int:
     except autodiff.NonFiniteError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ResampleExhausted, json.JSONDecodeError) as e:
+        print(f"bad input: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ def default_config() -> dict:
                     "target_aspect": [0.75, 1.5],
                     "context_scale": [0.85, 1.0],
                     "context_aspect": [0.75, 1.5],
-                    "allow_overlap": True, "seed": 0},
+                    "allow_overlap": True},
         "loss": {"distance": "cosine", "lam": 0.2, "jepa_weight": 1.0},
         "attn": {"tgt_cross_block": False, "text_sees_targets": True},
         "train": {"stage": "align", "lr": None, "warmup_ratio": 0.03,
@@ -73,7 +73,7 @@ def sampler_from(cfg: dict) -> SamplerConfig:
                          target_aspect=tuple(s["target_aspect"]),
                          context_scale=tuple(s["context_scale"]),
                          context_aspect=tuple(s["context_aspect"]),
-                         allow_overlap=s["allow_overlap"], seed=s["seed"])
+                         allow_overlap=s["allow_overlap"])
 
 
 def bundle_from(cfg: dict) -> ModelBundle:

@@ -91,14 +91,3 @@ class StubEncoder:
 
     def state(self) -> dict:
         return {"weight": self.weight.copy(), "bias": self.bias.copy()}
-
-
-class FileEncoder:
-    """Serves precomputed embeddings by image index."""
-
-    def __init__(self, ef: EmbeddingFile):
-        self.file = ef
-        self.out_dim = ef.dim
-
-    def encode_index(self, index: int) -> np.ndarray:
-        return self.file.payload[index].astype(np.float64)

@@ -51,7 +51,6 @@ class SamplerConfig:
     context_scale: tuple = (0.85, 1.0)
     context_aspect: tuple = (0.75, 1.5)
     allow_overlap: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import CONTEXT, TARGET, TEXT, TokenRole
+from .attention import CONTEXT, TARGET, TEXT, roles_for_mask
 from .autodiff import Tensor
 
 # trainable modules start near zero; the frozen predictor needs fan-in
@@ -237,53 +237,31 @@ def pack(mask_spec, ctx_emb: np.ndarray, grid, caption, proj: Projector,
          lat: LatentTarget | None, tok_emb: Tensor) -> PackedSequence:
     """Assemble [projected context, latent targets, text] in raster order.
 
-    ``mask_spec`` may be None for the unmasked path: every patch is context
-    and no latent tokens are inserted.
+    The unmasked path passes an all-context spec,
+    ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens.
     """
-    n = grid.n
-    if ctx_emb.shape[0] != n:
+    if ctx_emb.shape[0] != grid.n:
         raise ValueError("context embeddings must cover every patch")
+    if not mask_spec.context:
+        raise ValueError("empty context")
     caption = np.asarray(caption, dtype=np.int64)
+    roles = roles_for_mask(mask_spec, grid, caption.size)
 
-    if mask_spec is None:
-        ctx_sorted = list(range(n))
-        tgt_sorted: list[int] = []
-        block_of: dict[int, frozenset] = {}
-    else:
-        if not mask_spec.context:
-            raise ValueError("empty context")
-        ctx_sorted = sorted(mask_spec.context)
-        tgt_sorted = sorted(mask_spec.target_union)
-        block_of = {}
-        for bid, tset in enumerate(mask_spec.targets):
-            for i in tset:
-                block_of[i] = block_of.get(i, frozenset()) | {bid}
-
-    parts = [proj(Tensor(ctx_emb[ctx_sorted]))]
-    if tgt_sorted:
-        parts.append(lat.tokens(tgt_sorted))
+    ctx = [r.patch_index for r in roles if r.kind == CONTEXT]
+    tgt = [r.patch_index for r in roles if r.kind == TARGET]
+    parts = [proj(Tensor(ctx_emb[ctx]))]
+    if tgt:
+        parts.append(lat.tokens(tgt))
     if caption.size:
         parts.append(ad.gather_rows(tok_emb, caption))
     source = ad.concat(parts, axis=0)
 
-    # map packed position -> row in [context rows, target rows, text rows]
-    roles: list[TokenRole] = []
-    perm: list[int] = []
-    ctx_row = {p: r for r, p in enumerate(ctx_sorted)}
-    tgt_row = {p: len(ctx_sorted) + r for r, p in enumerate(tgt_sorted)}
-    for i in range(n):
-        if i in ctx_row:
-            perm.append(ctx_row[i])
-            roles.append(TokenRole(CONTEXT, patch_index=i))
-        elif i in tgt_row:
-            perm.append(tgt_row[i])
-            roles.append(TokenRole(TARGET, patch_index=i, blocks=block_of[i]))
-    base = len(ctx_sorted) + len(tgt_sorted)
-    for t in range(caption.size):
-        perm.append(base + t)
-        roles.append(TokenRole(TEXT, text_position=t))
-    return PackedSequence(tokens=ad.gather_rows(source, np.array(perm)),
-                          roles=roles)
+    # source rows are grouped [context, targets, text], each group in packed
+    # order; perm maps packed position -> source row
+    rank = {CONTEXT: 0, TARGET: 1, TEXT: 2}
+    perm = np.argsort(np.argsort([rank[r.kind] for r in roles],
+                                 kind="stable"))
+    return PackedSequence(tokens=ad.gather_rows(source, perm), roles=roles)
 
 
 def project_tap(proj_tgt: Projector, tap: Tensor, positions, roles) -> Tensor:

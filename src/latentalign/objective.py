@@ -40,21 +40,6 @@ class LossReport:
                 "total": self.total, "skipped": self.skipped}
 
 
-def cosine_distance(p: Tensor, t: Tensor) -> Tensor:
-    """Negative cosine similarity of two vectors; -1 when aligned."""
-    np_p = float(np.linalg.norm(p.data))
-    np_t = float(np.linalg.norm(t.data))
-    if np_p < NORM_FLOOR or np_t < NORM_FLOOR:
-        raise ValueError("near-zero norm in cosine distance")
-    dot = ad.tsum(p * t)
-    inv = (ad.tsum(p * p) ** 0.5 * ad.tsum(t * t) ** 0.5) ** -1.0
-    return -1.0 * dot * inv
-
-
-def smooth_l1(p: Tensor, t: Tensor) -> Tensor:
-    return ad.smooth_l1(p, t)
-
-
 def jepa_loss(pred: Tensor, tgt: Tensor, cfg: LossConfig) -> Tensor:
     """Mean distance between predicted and reference target embeddings,
     one row per unique masked patch."""

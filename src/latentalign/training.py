@@ -19,7 +19,7 @@ from .attention import AttnVariant, build_mask
 from .autodiff import NonFiniteError, Tensor
 from .data import PATCH_PIXELS, SyntheticVocab
 from .encoders import StubEncoder
-from .masking import PatchGrid, SamplerConfig, sample_mask
+from .masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
 from .model import (LatentTarget, Predictor, PredictorConfig, Projector,
                     load_checkpoint, load_into, pack, project_tap,
                     save_checkpoint)
@@ -168,32 +168,29 @@ class Trainer:
                           for n in bundle.trainable_names(cfg.stage)}
         self.all_params = all_params
         self.opt = AdamW(self.trainable, cfg)
+        # plain captioning: every patch is context, no latent targets
+        self.unmasked = MaskSpec(context=frozenset(range(bundle.grid.n)))
 
-    def _caption_forward(self, sample):
-        """Unmasked path: every patch is context, caption loss only."""
-        b = self.bundle
-        ctx = b.ctx_encoder.encode(sample.pixels)
-        seq = pack(None, ctx, b.grid, sample.caption, b.proj, None,
-                   b.predictor.tok_emb)
-        allow = build_mask(seq.roles, b.attn).allow
-        logits, _ = b.predictor.forward(seq, allow)
-        return ntp_loss(logits, sample.caption, seq.text_positions)
-
-    def _masked_forward(self, index: int, sample):
-        b = self.bundle
+    def mask_for(self, index: int) -> MaskSpec:
+        """The mask of dataset item ``index``, drawn from train.seed."""
         mrng = random.Random(derive_seed(self.cfg.seed, 0x3A5C, index))
-        mask = sample_mask(b.grid, b.sampler, mrng)
+        return sample_mask(self.bundle.grid, self.bundle.sampler, mrng)
+
+    def _forward(self, sample, mask: MaskSpec):
+        """Returns (caption loss, latent loss); the latent loss is None when
+        ``mask`` has no targets."""
+        b = self.bundle
         ctx = b.ctx_encoder.encode(sample.pixels)
         seq = pack(mask, ctx, b.grid, sample.caption, b.proj, b.latent,
                    b.predictor.tok_emb)
         allow = build_mask(seq.roles, b.attn).allow
         logits, tap = b.predictor.forward(seq, allow)
         ntp = ntp_loss(logits, sample.caption, seq.text_positions)
-        tpos = seq.target_positions
-        pred = project_tap(b.proj_tgt, tap, tpos, seq.roles)
+        if not mask.target_union:
+            return ntp, None
+        pred = project_tap(b.proj_tgt, tap, seq.target_positions, seq.roles)
         tgt_rows = b.tgt_encoder.encode(sample.pixels)[sorted(mask.target_union)]
-        jepa = jepa_loss(pred, Tensor(tgt_rows), b.loss)
-        return ntp, jepa, len(tpos)
+        return ntp, jepa_loss(pred, Tensor(tgt_rows), b.loss)
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""
@@ -203,13 +200,12 @@ class Trainer:
         try:
             ntp_terms, jepa_terms, n_tgt = [], [], 0
             for index, sample in batch:
-                if masked:
-                    ntp, jepa, m = self._masked_forward(index, sample)
-                    jepa_terms.append(jepa)
-                    n_tgt += m
-                else:
-                    ntp = self._caption_forward(sample)
+                mask = self.mask_for(index) if masked else self.unmasked
+                ntp, jepa = self._forward(sample, mask)
                 ntp_terms.append(ntp)
+                if jepa is not None:
+                    jepa_terms.append(jepa)
+                    n_tgt += len(mask.target_union)
             ntp = _mean_terms(ntp_terms)
             jepa = _mean_terms(jepa_terms) if jepa_terms else None
             total, report = combine(ntp, jepa, b.loss, n_tgt)

@@ -14,14 +14,12 @@ import numpy as np
 
 from . import attention, autodiff, config
 from .attention import AttnVariant, TokenRole, build_mask, oracle_mask
-from .autodiff import fd_check
+from .autodiff import Tensor, fd_check
 from .data import generate
 from .encoders import EmbeddingFile, read_embedding_file, write_embedding_file
-from .masking import (PatchGrid, SamplerConfig, block_indices, sample_mask,
-                      _round_half_up)
-from .model import load_checkpoint, save_checkpoint
-from .objective import jepa_loss, ntp_loss
-from .training import ModelBundle, TrainConfig, Trainer, run_stage
+from .masking import PatchGrid, SamplerConfig, sample_mask, _round_half_up
+from .model import load_checkpoint, pack, save_checkpoint
+from .training import TrainConfig, Trainer, run_stage
 
 
 def _random_roles(rng: random.Random):
@@ -43,7 +41,10 @@ def _random_roles(rng: random.Random):
     return roles
 
 
-def check_mask_oracle(n_configs: int = 200, seed: int = 0):
+def check_mask_oracle(n_configs: int = 200, seed: int = 0,
+                      negative_control: bool = False):
+    """``negative_control`` flips one cell of every built mask, so the
+    check must fail."""
     rng = random.Random(seed)
     for i in range(n_configs):
         roles = _random_roles(rng)
@@ -52,6 +53,8 @@ def check_mask_oracle(n_configs: int = 200, seed: int = 0):
         variant = AttnVariant(tgt_cross_block=rng.random() < 0.5,
                               text_sees_targets=rng.random() < 0.5)
         a = build_mask(roles, variant).allow
+        if negative_control:
+            a[0, 0] = not a[0, 0]
         b = oracle_mask(roles, variant).allow
         if not np.array_equal(a, b):
             return False, f"mismatch at config {i}"
@@ -89,16 +92,13 @@ def check_sampler(n_draws: int = 2000, seed: int = 0):
 
 
 def check_text_leakage(n_models: int = 5, seed: int = 0):
-    from .masking import sample_mask as _sm
-    from .model import pack, PredictorConfig
-
     for trial in range(n_models):
         cfg = config.default_config()
         cfg["model_seed"] = seed + trial
         bundle = config.bundle_from(cfg)
         samples = generate(seed + trial, 2, bundle.grid, bundle.vocab)
         mrng = random.Random(seed + trial)
-        mask = _sm(bundle.grid, bundle.sampler, mrng)
+        mask = sample_mask(bundle.grid, bundle.sampler, mrng)
         ctx = bundle.ctx_encoder.encode(samples[0].pixels)
         taps = []
         rng = np.random.default_rng(seed + trial)
@@ -177,12 +177,17 @@ CHECKS = {
 }
 
 
-def run_checks(names=None):
+def run_checks(names=None, negative_control: bool = False):
+    """Runs the named checks (all by default).  ``negative_control`` injects
+    a fault into the mask-oracle check, which must then fail."""
     results = []
     for name, fn in CHECKS.items():
         if names and name not in names:
             continue
-        ok, detail = fn()
+        if negative_control and fn is check_mask_oracle:
+            ok, detail = fn(negative_control=True)
+        else:
+            ok, detail = fn()
         results.append((name, ok, detail))
     return results
 
@@ -199,10 +204,18 @@ def gradcheck_config() -> dict:
     return cfg
 
 
+def _skewed_identity(x: Tensor) -> Tensor:
+    """Identity whose vjp is 1% off: a fault gradcheck must catch."""
+    return autodiff._from_op(x.data, (x,), lambda g: (1.01 * g,))
+
+
 def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
-                  distances=("cosine", "smooth_l1")) -> dict:
+                  distances=("cosine", "smooth_l1"),
+                  negative_control: bool = False) -> dict:
     """fd_check over every stage-1 trainable parameter of a tiny model,
-    for the combined caption + latent objective, per distance kind."""
+    for the combined caption + latent objective, per distance kind.
+    ``negative_control`` ends the loss in a skewed identity node, so every
+    distance must fail."""
     cfg = cfg or gradcheck_config()
     if cfg["predictor"]["d"] > 16 or cfg["predictor"]["L"] > 2:
         raise ValueError("gradcheck wants a tiny config (d <= 16, L <= 2)")
@@ -216,8 +229,9 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
                                               batch_size=1, seed=0))
 
         def loss_fn():
-            ntp, jepa, _ = trainer._masked_forward(0, sample)
-            return ntp + bundle.loss.jepa_weight * jepa
+            ntp, jepa = trainer._forward(sample, trainer.mask_for(0))
+            loss = ntp + bundle.loss.jepa_weight * jepa
+            return _skewed_identity(loss) if negative_control else loss
 
         params = list(trainer.trainable.values())
         results[dist] = fd_check(loss_fn, params, eps=eps)

@@ -94,6 +94,13 @@ def test_gradcheck_negative_control_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_negative_control_leaves_no_state_behind(capsys):
+    assert main(["gradcheck", "--negative-control"]) == EXIT_CHECK_FAILED
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["gradcheck"]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 2
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--checks", "checkpoint", "embedfile"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -112,6 +119,31 @@ def test_usage_error_exit_code():
     assert proc.returncode == EXIT_USAGE
     proc = _run(["no-such-command"])
     assert proc.returncode == EXIT_USAGE
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("bad input: ")
+
+
+def test_impossible_sampler_settings_exit_code():
+    _assert_input_error(_run(["mask", "sample", "--rows", "2", "--cols", "2",
+                              "--no-overlap", "--target-scale", "0.5,0.5"]))
+
+
+def test_truncated_mask_spec_exit_code(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"context": [0, 1], "targ')
+    _assert_input_error(_run(["mask", "attn", "--spec", str(spec),
+                              "--caption-len", "3"]))
+
+
+def test_truncated_config_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"train": {"epochs": ')
+    _assert_input_error(_run(["train", "align", "--config", str(cfg),
+                              "--out", str(tmp_path / "run")]))
 
 
 def test_resolved_config_echoed_to_stderr():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentalign.encoders import (MAGIC, VERSION, BadMagic, EmbeddingFile,
-                                  FileEncoder, StubEncoder, TruncatedPayload,
+                                  StubEncoder, TruncatedPayload,
                                   VersionMismatch, read_embedding_file,
                                   write_embedding_file)
 
@@ -94,11 +94,3 @@ def test_nonlinear_stub_is_not_affine():
     lhs = enc.encode(0.5 * x + 0.5 * y)
     rhs = 0.5 * enc.encode(x) + 0.5 * enc.encode(y)
     assert not np.allclose(lhs, rhs, atol=1e-6)
-
-
-def test_file_encoder_lookup(tmp_path):
-    ef = _sample_file(np.random.default_rng(4))
-    fe = FileEncoder(ef)
-    assert np.array_equal(fe.encode_index(2), ef.payload[2].astype(np.float64))
-    with pytest.raises(IndexError):
-        fe.encode_index(3)

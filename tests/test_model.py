@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from latentalign import autodiff as ad
-from latentalign.attention import TARGET, TEXT, AttnVariant, build_mask
+from latentalign.attention import (TARGET, TEXT, AttnVariant, build_mask,
+                                   roles_for_mask)
 from latentalign.autodiff import Tensor
 from latentalign.data import SyntheticVocab, make_sample
 from latentalign.encoders import StubEncoder
-from latentalign.masking import PatchGrid, SamplerConfig, sample_mask
+from latentalign.masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
 from latentalign.model import (LatentTarget, PackedSequence, Predictor,
                                PredictorConfig, Projector, load_checkpoint,
                                load_into, pack, project_tap, save_checkpoint,
@@ -27,7 +28,7 @@ def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
     lat = LatentTarget(CFG.d, grid.rows, grid.cols, seed=3)
     pred = Predictor(CFG, seed=4)
     mask = (sample_mask(grid, SamplerConfig(k=2), random.Random(seed))
-            if masked else None)
+            if masked else MaskSpec(context=frozenset(range(grid.n))))
     seq = pack(mask, enc.encode(sample.pixels), grid, sample.caption,
                proj, lat if masked else None, pred.tok_emb)
     return seq, pred, proj, lat, mask, sample
@@ -67,6 +68,24 @@ def test_pack_orders_tokens_by_raster_position():
     assert {r.patch_index for r in visual} == set(mask.context) | set(mask.target_union)
     text = [r for r in seq.roles if r.kind == TEXT]
     assert [r.text_position for r in text] == list(range(len(text)))
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_pack_follows_roles_for_mask(masked):
+    """Roles come from roles_for_mask, and each packed row holds the token
+    its role names."""
+    seq, pred, proj, lat, mask, sample = _packed(masked=masked)
+    assert seq.roles == roles_for_mask(mask, PatchGrid(3, 3),
+                                       len(sample.caption))
+    ctx = StubEncoder(1, sample.pixels.shape[1], 8).encode(sample.pixels)
+    for row, r in zip(seq.tokens.data, seq.roles):
+        if r.kind == TEXT:
+            want = pred.tok_emb.data[sample.caption[r.text_position]]
+        elif r.kind == TARGET:
+            want = lat.tokens([r.patch_index]).data[0]
+        else:
+            want = proj(Tensor(ctx[[r.patch_index]])).data[0]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 def test_pack_unmasked_covers_every_patch():

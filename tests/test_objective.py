@@ -9,30 +9,35 @@ import pytest
 from latentalign import autodiff as ad
 from latentalign.autodiff import Tensor
 from latentalign.objective import (LossConfig, LossReport, combine,
-                                   cosine_distance, jepa_loss, lambda_gate,
-                                   ntp_loss, smooth_l1)
+                                   jepa_loss, lambda_gate, ntp_loss)
+
+COSINE = LossConfig(distance="cosine")
+
+
+def _cosine(p, t):
+    """jepa_loss of a single (p, t) row pair: their negative cosine."""
+    return jepa_loss(Tensor(np.atleast_2d(p)), Tensor(np.atleast_2d(t)),
+                     COSINE).data
 
 
 def test_cosine_distance_anchors():
-    u = Tensor(np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(cosine_distance(u, u).data, -1.0, atol=1e-12)
-    np.testing.assert_allclose(
-        cosine_distance(u, Tensor(-2.0 * u.data)).data, 1.0, atol=1e-12)
-    w = Tensor(np.array([3.0, 0.0, -1.0]))     # dot = 3 + 0 - 3 = 0
-    np.testing.assert_allclose(cosine_distance(u, w).data, 0.0, atol=1e-12)
+    u = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(_cosine(u, u), -1.0, atol=1e-12)
+    np.testing.assert_allclose(_cosine(u, -2.0 * u), 1.0, atol=1e-12)
+    w = np.array([3.0, 0.0, -1.0])             # dot = 3 + 0 - 3 = 0
+    np.testing.assert_allclose(_cosine(u, w), 0.0, atol=1e-12)
 
 
 def test_cosine_distance_scale_invariant():
     rng = np.random.default_rng(0)
     p, t = rng.normal(size=5), rng.normal(size=5)
-    a = cosine_distance(Tensor(p), Tensor(t)).data
-    b = cosine_distance(Tensor(7.0 * p), Tensor(0.3 * t)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    np.testing.assert_allclose(_cosine(p, t), _cosine(7.0 * p, 0.3 * t),
+                               atol=1e-12)
 
 
 def test_cosine_distance_rejects_zero_norm():
     with pytest.raises(ValueError):
-        cosine_distance(Tensor(np.zeros(3)), Tensor(np.ones(3)))
+        _cosine(np.zeros(3), np.ones(3))
 
 
 def test_jepa_loss_mixed_rows_average():
