@@ -40,10 +40,6 @@ class AttnVariant:
 class AttentionMask:
     allow: np.ndarray  # S x S bool, row = query, column = key
 
-    @property
-    def s(self) -> int:
-        return self.allow.shape[0]
-
 
 def _validate_order(roles) -> None:
     seen_text = False

@@ -58,9 +58,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -198,12 +195,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def texp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    _check_finite(data, "exp")
-    return _from_op(data, (a,), lambda g: (g * data,))
 
 
 def tlog(a: Tensor) -> Tensor:

@@ -19,8 +19,8 @@ from . import autodiff, config, verify
 from .attention import AttnVariant, build_mask, dump_mask, roles_for_mask
 from .data import generate
 from .encoders import EmbeddingFile, write_embedding_file
-from .masking import (MaskSpec, PatchGrid, ResampleExhausted, SamplerConfig,
-                      sample_mask)
+from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
+                      SamplerConfig, sample_mask)
 from .training import run_stage
 from .verify import run_gradcheck
 
@@ -58,12 +58,7 @@ def cmd_mask_sample(args) -> int:
 
 
 def cmd_mask_attn(args) -> int:
-    with open(args.spec) as fh:
-        doc = json.load(fh)
-    spec = MaskSpec(context=frozenset(doc["context"]),
-                    targets=[frozenset(t) for t in doc["targets"]],
-                    target_union=frozenset().union(*doc["targets"])
-                    if doc["targets"] else frozenset())
+    spec = MaskSpec.from_json_obj(config.read_json(args.spec, "mask spec"))
     variant = AttnVariant(tgt_cross_block=args.tgt_cross_block,
                           text_sees_targets=not args.no_text_sees_targets)
     _print_resolved({"spec": args.spec, "caption_len": args.caption_len,
@@ -107,12 +102,13 @@ def _run_train(args, stage: str) -> int:
     cfg = config.load_config(args.config, overrides)
     _print_resolved(cfg)
     bundle = config.bundle_from(cfg)
+    train_cfg = config.train_config_from(cfg)
     dataset = generate(cfg["data"]["seed"], cfg["data"]["n"], bundle.grid,
                        bundle.vocab)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     reports = run_stage(
-        bundle, config.train_config_from(cfg), dataset,
+        bundle, train_cfg, dataset,
         log_path=os.path.join(out, f"{stage}_log.jsonl"),
         ckpt_path=os.path.join(out, f"{stage}_ckpt.bin"),
         init_ckpt=args.init if stage == "sft" else None,
@@ -159,9 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--rows", type=int, required=True)
     ms.add_argument("--cols", type=int, required=True)
     ms.add_argument("--seed", type=int, default=0)
-    ms.add_argument("--k", type=int, default=4)
-    ms.add_argument("--target-scale", type=_interval, default=(0.15, 0.20))
-    ms.add_argument("--context-scale", type=_interval, default=(0.85, 1.0))
+    ms.add_argument("--k", type=int, default=SamplerConfig.k)
+    ms.add_argument("--target-scale", type=_interval,
+                    default=SamplerConfig.target_scale)
+    ms.add_argument("--context-scale", type=_interval,
+                    default=SamplerConfig.context_scale)
     ms.add_argument("--no-overlap", action="store_true")
     ms.add_argument("--out")
     ms.set_defaults(fn=cmd_mask_sample)
@@ -179,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     dg = dsub.add_parser("gen", help="generate image-caption samples")
     dg.add_argument("--seed", type=int, default=0)
     dg.add_argument("--n", type=int, required=True)
-    dg.add_argument("--rows", type=int, default=4)
-    dg.add_argument("--cols", type=int, default=4)
+    dg.add_argument("--rows", type=int, default=PatchGrid.rows)
+    dg.add_argument("--cols", type=int, default=PatchGrid.cols)
     dg.add_argument("--out", required=True)
     dg.set_defaults(fn=cmd_data_gen)
 
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
     except autodiff.NonFiniteError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ResampleExhausted, json.JSONDecodeError) as e:
+    except (InputError, ResampleExhausted) as e:
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,103 +1,92 @@
-"""JSON run configuration: defaults, file merging, and bundle construction."""
+"""JSON run configuration: defaults, file merging, and bundle construction.
+
+Each section configures one dataclass and its defaults are that class's
+field defaults; the top-level keys are the keyword defaults of
+``ModelBundle``.  Only ``data`` has no class: the CLI reads it directly.
+"""
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
+from dataclasses import fields
 
 from .attention import AttnVariant
-from .data import PATCH_PIXELS
-from .masking import PatchGrid, SamplerConfig
+from .masking import InputError, PatchGrid, SamplerConfig
 from .model import PredictorConfig
 from .objective import LossConfig
 from .training import ModelBundle, TrainConfig
 
+# the ModelBundle arguments that take a whole section
+BUNDLE_SECTIONS = {"grid": PatchGrid, "predictor": PredictorConfig,
+                   "sampler": SamplerConfig, "loss": LossConfig,
+                   "attn": AttnVariant}
+BUNDLE_KEYWORDS = {name: p.default for name, p
+                   in inspect.signature(ModelBundle).parameters.items()
+                   if name not in BUNDLE_SECTIONS}
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: list(f.default) if isinstance(f.default, tuple)
+            else f.default for f in fields(cls)}
+
 
 def default_config() -> dict:
-    return {
-        "grid": {"rows": 4, "cols": 4},
-        "patch_pixels": PATCH_PIXELS,
-        "predictor": {"d": 32, "L": 4, "H": 4, "V": 64, "max_seq": 256,
-                      "tap_layer": None},
-        "proj_kind": "mlp",
-        "ctx_dim": 16,
-        "tgt_dim": 8,
-        "ctx_seed": 11,
-        "tgt_seed": 22,
-        "tgt_nonlinear": True,
-        "model_seed": 0,
-        "jepa": True,
-        "sampler": {"k": 4, "target_scale": [0.15, 0.20],
-                    "target_aspect": [0.75, 1.5],
-                    "context_scale": [0.85, 1.0],
-                    "context_aspect": [0.75, 1.5],
-                    "allow_overlap": True},
-        "loss": {"distance": "cosine", "lam": 0.2, "jepa_weight": 1.0},
-        "attn": {"tgt_cross_block": False, "text_sees_targets": True},
-        "train": {"stage": "align", "lr": None, "warmup_ratio": 0.03,
-                  "weight_decay": 0.0, "epochs": 1, "batch_size": 8,
-                  "seed": 0},
-        "data": {"seed": 0, "n": 64},
-    }
+    return {**{name: _field_defaults(cls)
+               for name, cls in BUNDLE_SECTIONS.items()},
+            **BUNDLE_KEYWORDS,
+            "train": _field_defaults(TrainConfig),
+            "data": {"seed": 0, "n": 64}}
 
 
 def merge(base: dict, override: dict) -> dict:
+    if not isinstance(override, dict):
+        raise InputError("a config must be a JSON object")
     out = copy.deepcopy(base)
     for key, val in override.items():
         if key not in out:
-            raise ValueError(f"unknown config key: {key}")
-        if isinstance(val, dict) and isinstance(out[key], dict):
-            out[key] = merge(out[key], val)
-        else:
-            out[key] = val
+            raise InputError(f"unknown config key: {key}")
+        section = isinstance(out[key], dict)
+        if section != isinstance(val, dict):
+            kind = "an object" if section else "a single value"
+            raise InputError(f"config key {key} takes {kind}")
+        out[key] = merge(out[key], val) if section else val
     return out
+
+
+def read_json(path, what: str):
+    """The JSON document at ``path``; ``what`` names it in the error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise InputError(f"cannot read {what}: {e}") from e
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = default_config()
     if path is not None:
-        with open(path) as fh:
-            cfg = merge(cfg, json.load(fh))
+        cfg = merge(cfg, read_json(path, "config"))
     if overrides:
         cfg = merge(cfg, overrides)
     return cfg
 
 
-def grid_from(cfg: dict) -> PatchGrid:
-    return PatchGrid(cfg["grid"]["rows"], cfg["grid"]["cols"])
-
-
-def sampler_from(cfg: dict) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(k=s["k"], target_scale=tuple(s["target_scale"]),
-                         target_aspect=tuple(s["target_aspect"]),
-                         context_scale=tuple(s["context_scale"]),
-                         context_aspect=tuple(s["context_aspect"]),
-                         allow_overlap=s["allow_overlap"])
+def _build(cls, kwargs: dict):
+    """``cls(**kwargs)``, where a value ``cls`` rejects is bad input."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"config rejected: {e}") from e
 
 
 def bundle_from(cfg: dict) -> ModelBundle:
-    p = cfg["predictor"]
-    return ModelBundle(
-        grid=grid_from(cfg),
-        predictor=PredictorConfig(d=p["d"], L=p["L"], H=p["H"], V=p["V"],
-                                  max_seq=p["max_seq"],
-                                  tap_layer=p["tap_layer"]),
-        proj_kind=cfg["proj_kind"], ctx_dim=cfg["ctx_dim"],
-        tgt_dim=cfg["tgt_dim"], ctx_seed=cfg["ctx_seed"],
-        tgt_seed=cfg["tgt_seed"], model_seed=cfg["model_seed"],
-        sampler=sampler_from(cfg),
-        loss=LossConfig(distance=cfg["loss"]["distance"],
-                        lam=cfg["loss"]["lam"],
-                        jepa_weight=cfg["loss"]["jepa_weight"]),
-        attn=AttnVariant(**cfg["attn"]),
-        jepa=cfg["jepa"], patch_pixels=cfg["patch_pixels"],
-        tgt_nonlinear=cfg["tgt_nonlinear"])
+    return _build(ModelBundle, {
+        **{name: _build(cls, cfg[name])
+           for name, cls in BUNDLE_SECTIONS.items()},
+        **{name: cfg[name] for name in BUNDLE_KEYWORDS}})
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(stage=t["stage"], lr=t["lr"],
-                       warmup_ratio=t["warmup_ratio"],
-                       weight_decay=t["weight_decay"], epochs=t["epochs"],
-                       batch_size=t["batch_size"], seed=t["seed"])
+    return _build(TrainConfig, cfg["train"])

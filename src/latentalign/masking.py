@@ -19,10 +19,15 @@ class ResampleExhausted(RuntimeError):
     """Sampling could not satisfy the constraints within the retry budget."""
 
 
+class InputError(ValueError):
+    """Input read from outside the program (a config, a mask spec, a
+    checkpoint) that cannot describe a run."""
+
+
 @dataclass(frozen=True)
 class PatchGrid:
-    rows: int
-    cols: int
+    rows: int = 4
+    cols: int = 4
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -60,6 +65,7 @@ class SamplerConfig:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must be a nonempty positive interval")
+            setattr(self, name, (lo, hi))
 
 
 @dataclass
@@ -77,6 +83,31 @@ class MaskSpec:
             "context_block": vars(self.context_block),
             "target_blocks": [vars(b) for b in self.target_blocks],
         }
+
+    @classmethod
+    def from_json_obj(cls, doc) -> MaskSpec:
+        """Reads ``context`` and ``targets`` of a ``to_json_obj`` document;
+        the block records are not read back."""
+        if not isinstance(doc, dict) or not {"context", "targets"} <= set(doc):
+            raise InputError("a mask spec is an object with context and "
+                             "targets")
+        targets = doc["targets"]
+        if not (_is_index_list(doc["context"]) and isinstance(targets, list)
+                and all(map(_is_index_list, targets))):
+            raise InputError("mask spec context and targets must be lists "
+                             "of patch indices")
+        context = frozenset(doc["context"])
+        tsets = [frozenset(t) for t in targets]
+        union = frozenset().union(*tsets)
+        if not context or context & union:
+            raise InputError("mask spec context must be nonempty and "
+                             "disjoint from the targets")
+        return cls(context=context, targets=tsets, target_union=union)
+
+
+def _is_index_list(x) -> bool:
+    return isinstance(x, list) and all(
+        type(i) is int and i >= 0 for i in x)
 
 
 def _round_half_up(x: float) -> int:
@@ -147,15 +178,6 @@ def _sample_targets(grid: PatchGrid, cfg: SamplerConfig, tscale: float,
         if len(blocks) == cfg.k:
             return blocks, [block_indices(b, grid) for b in blocks]
     raise ResampleExhausted("could not sample pairwise-disjoint target blocks")
-
-
-def _pairwise_disjoint(sets) -> bool:
-    total = 0
-    union: set = set()
-    for s in sets:
-        total += len(s)
-        union |= s
-    return len(union) == total
 
 
 def sample_mask(grid: PatchGrid, cfg: SamplerConfig,

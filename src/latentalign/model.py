@@ -50,10 +50,6 @@ class PredictorConfig:
         if not 1 <= self.tap_layer <= self.L:
             raise ValueError("tap layer out of range")
 
-    def to_json_obj(self) -> dict:
-        return {"d": self.d, "L": self.L, "H": self.H, "V": self.V,
-                "max_seq": self.max_seq, "tap_layer": self.tap_layer}
-
 
 def sincos_1d(n: int, d: int) -> np.ndarray:
     if d % 2:

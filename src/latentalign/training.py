@@ -19,7 +19,8 @@ from .attention import AttnVariant, build_mask
 from .autodiff import NonFiniteError, Tensor
 from .data import PATCH_PIXELS, SyntheticVocab
 from .encoders import StubEncoder
-from .masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
+from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
+                      sample_mask)
 from .model import (LatentTarget, Predictor, PredictorConfig, Projector,
                     load_checkpoint, load_into, pack, project_tap,
                     save_checkpoint)
@@ -27,6 +28,8 @@ from .objective import (LossConfig, LossReport, combine, jepa_loss,
                         lambda_gate, ntp_loss)
 
 STAGE_LR = {"align": 1e-3, "sft": 2e-5}
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def derive_seed(*parts: int) -> int:
@@ -45,8 +48,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 8
     seed: int = 0
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.stage not in STAGE_LR:
@@ -57,6 +58,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must be in [0, 1)")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -77,8 +80,8 @@ class AdamW:
 
     def __init__(self, params: dict, cfg: TrainConfig):
         self.params = params
-        self.b1, self.b2 = cfg.betas
-        self.eps = cfg.adam_eps
+        self.b1, self.b2 = ADAM_BETAS
+        self.eps = ADAM_EPS
         self.weight_decay = cfg.weight_decay
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -111,8 +114,7 @@ class ModelBundle:
                  sampler: SamplerConfig | None = None,
                  loss: LossConfig | None = None,
                  attn: AttnVariant | None = None,
-                 jepa: bool = True, patch_pixels: int = PATCH_PIXELS,
-                 tgt_nonlinear: bool = True):
+                 jepa: bool = True, tgt_nonlinear: bool = True):
         self.grid = grid
         self.predictor_cfg = predictor
         self.sampler = sampler or SamplerConfig()
@@ -120,13 +122,13 @@ class ModelBundle:
         self.attn = attn or AttnVariant()
         self.jepa = jepa
         self.vocab = SyntheticVocab(size=predictor.V)
-        self.ctx_encoder = StubEncoder(ctx_seed, patch_pixels, ctx_dim,
+        self.ctx_encoder = StubEncoder(ctx_seed, PATCH_PIXELS, ctx_dim,
                                        nonlinear=False)
         self.predictor = Predictor(predictor, seed=model_seed)
         self.proj = Projector(proj_kind, ctx_dim, predictor.d,
                               seed=model_seed * 4 + 1)
         if jepa:
-            self.tgt_encoder = StubEncoder(tgt_seed, patch_pixels, tgt_dim,
+            self.tgt_encoder = StubEncoder(tgt_seed, PATCH_PIXELS, tgt_dim,
                                            nonlinear=tgt_nonlinear)
             self.proj_tgt = Projector(proj_kind, predictor.d, tgt_dim,
                                       seed=model_seed * 4 + 2)
@@ -230,8 +232,11 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
               config_header: dict | None = None):
     """One or more epochs over the dataset; returns the per-step reports."""
     if init_ckpt is not None:
-        _, loaded = load_checkpoint(init_ckpt)
-        load_into(bundle.named_parameters(), loaded)
+        try:
+            _, loaded = load_checkpoint(init_ckpt)
+            load_into(bundle.named_parameters(), loaded)
+        except (OSError, ValueError) as e:
+            raise InputError(f"init checkpoint {init_ckpt}: {e}") from e
     trainer = Trainer(bundle, cfg)
     n = len(dataset)
     steps_per_epoch = math.ceil(n / cfg.batch_size)

@@ -17,7 +17,8 @@ from .attention import AttnVariant, TokenRole, build_mask, oracle_mask
 from .autodiff import Tensor, fd_check
 from .data import generate
 from .encoders import EmbeddingFile, read_embedding_file, write_embedding_file
-from .masking import PatchGrid, SamplerConfig, sample_mask, _round_half_up
+from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
+                      _round_half_up)
 from .model import load_checkpoint, pack, save_checkpoint
 from .training import TrainConfig, Trainer, run_stage
 
@@ -218,7 +219,7 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
     distance must fail."""
     cfg = cfg or gradcheck_config()
     if cfg["predictor"]["d"] > 16 or cfg["predictor"]["L"] > 2:
-        raise ValueError("gradcheck wants a tiny config (d <= 16, L <= 2)")
+        raise InputError("gradcheck wants a tiny config (d <= 16, L <= 2)")
     results = {}
     for dist in distances:
         c = dict(cfg)

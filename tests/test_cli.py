@@ -12,6 +12,16 @@ import pytest
 from latentalign.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
+TINY_CONFIG = {
+    "grid": {"rows": 3, "cols": 3},
+    "predictor": {"d": 16, "L": 1, "H": 2, "V": 16, "max_seq": 64},
+    "ctx_dim": 8, "tgt_dim": 8,
+    "sampler": {"k": 2},
+    "data": {"n": 8},
+    "train": {"batch_size": 4},
+}
+
+
 def _run(argv):
     return subprocess.run([sys.executable, "-m", "latentalign.cli", *argv],
                           capture_output=True, text=True)
@@ -65,14 +75,7 @@ def test_data_gen_writes_artifacts(tmp_path):
 
 def test_train_align_then_sft(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "grid": {"rows": 3, "cols": 3},
-        "predictor": {"d": 16, "L": 1, "H": 2, "V": 16, "max_seq": 64},
-        "ctx_dim": 8, "tgt_dim": 8,
-        "sampler": {"k": 2},
-        "data": {"n": 8},
-        "train": {"batch_size": 4},
-    }))
+    cfg.write_text(json.dumps(TINY_CONFIG))
     out = tmp_path / "run"
     assert main(["train", "align", "--config", str(cfg),
                  "--out", str(out)]) == EXIT_OK
@@ -144,6 +147,59 @@ def test_truncated_config_exit_code(tmp_path):
     cfg.write_text('{"train": {"epochs": ')
     _assert_input_error(_run(["train", "align", "--config", str(cfg),
                               "--out", str(tmp_path / "run")]))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(None, id="missing-file"),
+    pytest.param("[1, 2]", id="json-list"),
+    pytest.param('{"predictor": 5}', id="section-not-object"),
+    pytest.param('{"patch_pixels": 48}', id="removed-key"),
+    pytest.param('{"sampler": {"seed": 1}}', id="removed-section-key"),
+    pytest.param('{"predictor": {"H": 3}}', id="rejected-value"),
+    pytest.param('{"train": {"batch_size": 0}}', id="rejected-batch-size"),
+])
+def test_bad_config_exit_code(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    _assert_input_error(_run(["train", "align", "--config", str(cfg),
+                              "--out", str(tmp_path / "run")]))
+
+
+def test_oversized_gradcheck_config_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"predictor": {"d": 32}}')
+    _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"targets": [[0]]}, id="no-context"),
+    pytest.param({"context": [0, 1]}, id="no-targets"),
+    pytest.param({"context": [0], "targets": 3}, id="targets-not-a-list"),
+    pytest.param([0, 1], id="not-an-object"),
+    pytest.param({"context": [0, 1], "targets": [[1]]},
+                 id="context-overlaps-targets"),
+])
+def test_malformed_mask_spec_exit_code(tmp_path, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    _assert_input_error(_run(["mask", "attn", "--spec", str(spec),
+                              "--caption-len", "3"]))
+
+
+@pytest.mark.parametrize("init", ["missing-file", "other-config"])
+def test_bad_init_checkpoint_exit_code(tmp_path, init):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "run"
+    if init == "other-config":
+        assert main(["train", "align", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        other = {**TINY_CONFIG["predictor"], "d": 8}
+        cfg.write_text(json.dumps({**TINY_CONFIG, "predictor": other}))
+    _assert_input_error(_run(["train", "sft", "--config", str(cfg),
+                              "--init", str(out / "align_ckpt.bin"),
+                              "--out", str(out)]))
 
 
 def test_resolved_config_echoed_to_stderr():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentalign.masking import (RETRY_BUDGET, BlockSpec, PatchGrid,
+from latentalign.masking import (RETRY_BUDGET, BlockSpec, MaskSpec, PatchGrid,
                                  ResampleExhausted, SamplerConfig,
                                  _block_dims, block_indices, sample_block,
                                  sample_mask)
@@ -112,6 +112,9 @@ def test_mask_spec_json_round_shape():
     assert sorted(m.context) == obj["context"]
     assert [sorted(t) for t in m.targets] == obj["targets"]
     assert len(obj["target_blocks"]) == len(m.targets)
+    back = MaskSpec.from_json_obj(obj)
+    assert (back.context, back.targets, back.target_union) == \
+        (m.context, m.targets, m.target_union)
 
 
 def test_sampler_config_validation():
