@@ -150,7 +150,8 @@ def _from_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
     return _from_op(data, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+        _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -173,7 +174,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
-    return _from_op(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return _from_op(data, (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, bit-identical to ``matmul`` then ``add``."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear expects a 2-D input and weight")
+    if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ "
+                         f"{w.data.shape} + {b.data.shape}")
+    data = x.data @ w.data + b.data
+    return _from_op(data, (x, w, b), lambda g: (
+        g @ w.data.T if x.requires_grad else None,
+        x.data.T @ g if w.requires_grad else None,
+        g.sum(axis=0) if b.requires_grad else None))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -233,36 +250,92 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     data = xhat * gain.data + bias.data
 
     def vjp(g):
-        dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = None
+        if x.requires_grad:
+            dxhat = g * gain.data
+            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
-        return (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        return (dx,
+                (g * xhat).sum(axis=axes) if gain.requires_grad else None,
+                g.sum(axis=axes) if bias.requires_grad else None)
 
     return _from_op(data, (x, gain, bias), vjp)
 
 
-def softmax_masked(logits: Tensor, allow: np.ndarray) -> Tensor:
-    """Row softmax over permitted columns; denied columns get exactly 0.
+def _masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to the columns ``allow``
+    permits; denied columns get exactly 0.  ``allow`` may broadcast over
+    leading axes of ``logits``.
 
     Equivalent to adding -inf to denied logits before normalizing, but
-    implemented without materializing infinities.
+    implemented without materializing infinities in the result.
     """
+    if not allow.any(axis=-1).all():
+        raise ValueError("attention row with zero permitted columns")
+    shifted = np.where(allow, logits, -np.inf)
+    m = shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _masked_softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+def softmax_masked(logits: Tensor, allow: np.ndarray) -> Tensor:
+    """Row softmax over permitted columns; denied columns get exactly 0."""
     allow = np.asarray(allow, dtype=bool)
     if allow.shape != logits.data.shape:
         raise ValueError("mask shape must match logits")
-    if not allow.any(axis=-1).all():
-        raise ValueError("attention row with zero permitted columns")
-    shifted = np.where(allow, logits.data, -np.inf)
-    m = shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _masked_softmax(logits.data, allow)
+    return _from_op(y, (logits,), lambda g: (_masked_softmax_vjp(y, g),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
+              heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k`` and ``v`` are S x d, head i owning columns
+    ``i*dh:(i+1)*dh`` with ``dh = d // heads``; query row i may read key
+    row j only where ``allow[i, j]``.  Matches the per-head composition
+    slice_cols / transpose / matmul / softmax_masked / matmul / concat to
+    within rtol 1e-12 (float sums may be reassociated by BLAS).
+    """
+    s, d = q.data.shape
+    if k.data.shape != (s, d) or v.data.shape != (s, d):
+        raise ValueError("attention q, k and v must share one S x d shape")
+    if heads < 1 or d % heads:
+        raise ValueError("attention width must be divisible by the heads")
+    allow = np.asarray(allow, dtype=bool)
+    if allow.shape != (s, s):
+        raise ValueError("mask shape must be S x S")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):       # S x d -> H x S x dh
+        return a.reshape(s, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):       # H x S x dh -> S x d
+        return a.transpose(1, 0, 2).reshape(s, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # a contiguous K^T keeps QK^T bit-identical to the per-head composition
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    probs = _masked_softmax((qh @ kt) * scale, allow)
+    data = merge(probs @ vh)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        gh = split(g)
+        gs = _masked_softmax_vjp(probs, gh @ vh.transpose(0, 2, 1)) * scale
+        return (merge(gs @ kt.transpose(0, 2, 1)) if q.requires_grad else None,
+                merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1))
+                if k.requires_grad else None,
+                merge(probs.transpose(0, 2, 1) @ gh) if v.requires_grad
+                else None)
 
-    return _from_op(y, (logits,), vjp)
+    return _from_op(data, (q, k, v), vjp)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -95,6 +95,17 @@ def cmd_data_gen(args) -> int:
     return EXIT_OK
 
 
+def _data_section(cfg: dict) -> tuple[int, int]:
+    """(seed, n) of the config's ``data`` section, checked as outside input."""
+    seed, n = cfg["data"]["seed"], cfg["data"]["n"]
+    for key, val in (("seed", seed), ("n", n)):
+        if type(val) is not int:
+            raise InputError(f"config key data.{key} takes an integer")
+    if seed < 0 or n < 1:
+        raise InputError("config wants data.seed >= 0 and data.n >= 1")
+    return seed, n
+
+
 def _run_train(args, stage: str) -> int:
     overrides = {"train": {"stage": stage}}
     if args.seed is not None:
@@ -103,8 +114,8 @@ def _run_train(args, stage: str) -> int:
     _print_resolved(cfg)
     bundle = config.bundle_from(cfg)
     train_cfg = config.train_config_from(cfg)
-    dataset = generate(cfg["data"]["seed"], cfg["data"]["n"], bundle.grid,
-                       bundle.vocab)
+    seed, n = _data_section(cfg)
+    dataset = generate(seed, n, bundle.grid, bundle.vocab)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     reports = run_stage(

@@ -111,8 +111,9 @@ class Projector:
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "linear":
-            return x @ self.w + self.b
-        return ad.gelu(x @ self.w1 + self.b1) @ self.w2 + self.b2
+            return ad.linear(x, self.w, self.b)
+        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)),
+                         self.w2, self.b2)
 
     def named_parameters(self) -> dict:
         if self.kind == "linear":
@@ -176,20 +177,11 @@ class Predictor:
         return params
 
     def _attend(self, x: Tensor, blk: dict, allow: np.ndarray) -> Tensor:
-        d, h = self.cfg.d, self.cfg.H
-        dh = d // h
-        q = x @ blk["wq"] + blk["bq"]
-        k = x @ blk["wk"] + blk["bk"]
-        v = x @ blk["wv"] + blk["bv"]
-        heads = []
-        for i in range(h):
-            qh = ad.slice_cols(q, i * dh, (i + 1) * dh)
-            kh = ad.slice_cols(k, i * dh, (i + 1) * dh)
-            vh = ad.slice_cols(v, i * dh, (i + 1) * dh)
-            scores = (qh @ ad.transpose(kh)) * (1.0 / math.sqrt(dh))
-            probs = ad.softmax_masked(scores, allow)
-            heads.append(probs @ vh)
-        return ad.concat(heads, axis=1) @ blk["wo"] + blk["bo"]
+        q = ad.linear(x, blk["wq"], blk["bq"])
+        k = ad.linear(x, blk["wk"], blk["bk"])
+        v = ad.linear(x, blk["wv"], blk["bv"])
+        return ad.linear(ad.attention(q, k, v, allow, self.cfg.H),
+                         blk["wo"], blk["bo"])
 
     def forward(self, seq, allow: np.ndarray):
         """Returns (logits over all positions, hidden states after the tap)."""
@@ -202,12 +194,14 @@ class Predictor:
             a = self._attend(ad.layernorm(x, blk["ln1_g"], blk["ln1_b"]),
                              blk, allow)
             x = x + a
-            m = ad.gelu(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"])
-                        @ blk["w_up"] + blk["b_up"]) @ blk["w_down"] + blk["b_down"]
+            up = ad.linear(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
+                           blk["w_up"], blk["b_up"])
+            m = ad.linear(ad.gelu(up), blk["w_down"], blk["b_down"])
             x = x + m
             if i + 1 == self.cfg.tap_layer:
                 tap = x
-        logits = ad.layernorm(x, self.lnf_g, self.lnf_b) @ self.head_w + self.head_b
+        logits = ad.linear(ad.layernorm(x, self.lnf_g, self.lnf_b),
+                           self.head_w, self.head_b)
         return logits, tap
 
 
@@ -285,11 +279,23 @@ def save_checkpoint(path, step: int, config: dict, named_params: dict) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _is_header(header) -> bool:
+    """A JSON object of our format whose params are [name, shape] pairs."""
+    if not (isinstance(header, dict)
+            and header.get("format") == "latentalign-ckpt"
+            and isinstance(header.get("params"), list)):
+        return False
+    return all(isinstance(entry, list) and len(entry) == 2
+               and isinstance(entry[0], str) and isinstance(entry[1], list)
+               and all(type(n) is int and n >= 0 for n in entry[1])
+               for entry in header["params"])
+
+
 def load_checkpoint(path):
     """Returns (header dict, {name: float64 array})."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        if header.get("format") != "latentalign-ckpt":
+        if not _is_header(header):
             raise ValueError("not a checkpoint file")
         params = {}
         for name, shape in header["params"]:

@@ -169,9 +169,18 @@ class Trainer:
         self.trainable = {n: all_params[n]
                           for n in bundle.trainable_names(cfg.stage)}
         self.all_params = all_params
+        self.freeze()
         self.opt = AdamW(self.trainable, cfg)
         # plain captioning: every patch is context, no latent targets
         self.unmasked = MaskSpec(context=frozenset(range(bundle.grid.n)))
+
+    def freeze(self) -> None:
+        """Frozen in the graph: only this stage's trainable parameters
+        require grad, so backward computes no gradient for the others.
+        ``step`` applies it again, because another Trainer on the same
+        bundle may have set the flags for its own stage since."""
+        for name, p in self.all_params.items():
+            p.requires_grad = name in self.trainable
 
     def mask_for(self, index: int) -> MaskSpec:
         """The mask of dataset item ``index``, drawn from train.seed."""
@@ -197,6 +206,7 @@ class Trainer:
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""
         b = self.bundle
+        self.freeze()
         masked = (self.cfg.stage == "align" and b.jepa
                   and not lambda_gate(b.loss, self.gate_rng))
         try:

@@ -216,3 +216,129 @@ def test_masked_softmax_grad_matches_fd():
                        * Tensor(np.arange(8.0).reshape(2, 4)))
 
     assert ad.fd_check(f, params) < 1e-6
+
+
+# -- fused ops: linear and multi-head attention ------------------------
+
+
+def _allow(rng, s):
+    """A random permission matrix that keeps one permitted column per row."""
+    allow = rng.random((s, s)) < 0.5
+    allow[np.arange(s), rng.integers(0, s, size=s)] = True
+    return allow
+
+
+def _operands(rng, shapes):
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in shapes]
+
+
+def _reference_attention(q, k, v, allow, heads):
+    """The per-head composition ``attention`` replaces."""
+    dh = q.shape[1] // heads
+    outs = []
+    for i in range(heads):
+        qh, kh, vh = (ad.slice_cols(t, i * dh, (i + 1) * dh)
+                      for t in (q, k, v))
+        scores = (qh @ ad.transpose(kh)) * (1.0 / math.sqrt(dh))
+        outs.append(ad.softmax_masked(scores, allow) @ vh)
+    return ad.concat(outs, axis=1)
+
+
+def test_linear_grad_matches_fd():
+    rng = np.random.default_rng(5)
+    x, w, b = _operands(rng, [(4, 3), (3, 5), (5,)])
+    weight = Tensor(rng.normal(size=(4, 5)))
+
+    def f():
+        return ad.tsum(ad.linear(x, w, b) * weight)
+
+    assert ad.fd_check(f, [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_grad_matches_fd(heads):
+    rng = np.random.default_rng(heads)
+    s, d = 5, 8
+    q, k, v = _operands(rng, [(s, d)] * 3)
+    allow = _allow(rng, s)
+    weight = Tensor(rng.normal(size=(s, d)))
+
+    def f():
+        return ad.tsum(ad.attention(q, k, v, allow, heads) * weight)
+
+    assert ad.fd_check(f, [q, k, v]) < 1e-6
+
+
+def _value_and_grads(build, shapes, seed):
+    """Forward value of ``build(*operands)`` and the grads of a fixed random
+    projection of it with respect to every operand."""
+    rng = np.random.default_rng(seed)
+    ops = _operands(rng, shapes)
+    out = build(*ops)
+    ad.tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+    return [out.data] + [t.grad for t in ops]
+
+
+def _assert_equivalent(fused, reference):
+    for got, want in zip(fused, reference):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 6))
+def test_linear_matches_matmul_then_add(seed, n, k, m):
+    shapes = [(n, k), (k, m), (m,)]
+    _assert_equivalent(
+        _value_and_grads(ad.linear, shapes, seed),
+        _value_and_grads(lambda x, w, b: x @ w + b, shapes, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4, 8]))
+def test_attention_matches_per_head_composition(seed, s, heads, dh):
+    allow = _allow(np.random.default_rng([seed, 1]), s)
+    shapes = [(s, heads * dh)] * 3
+    _assert_equivalent(
+        _value_and_grads(
+            lambda q, k, v: ad.attention(q, k, v, allow, heads), shapes, seed),
+        _value_and_grads(
+            lambda q, k, v: _reference_attention(q, k, v, allow, heads),
+            shapes, seed))
+
+
+def test_attention_all_denied_row_rejected():
+    q = Tensor(np.zeros((2, 4)))
+    allow = np.array([[True, False], [False, False]])
+    with pytest.raises(ValueError, match="zero permitted columns"):
+        ad.attention(q, q, q, allow, 2)
+
+
+_FREEZABLE = {
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "add": (ad.add, [(3, 4), (4,)]),
+    "linear": (ad.linear, [(3, 4), (4, 2), (2,)]),
+    "layernorm": (ad.layernorm, [(3, 4), (4,), (4,)]),
+    "attention": (lambda q, k, v: ad.attention(
+        q, k, v, np.ones((3, 3), bool), 2), [(3, 4)] * 3),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_FREEZABLE))
+def test_frozen_operand_gets_no_grad(op):
+    fn, shapes = _FREEZABLE[op]
+    rng = np.random.default_rng(7)
+    ops = _operands(rng, shapes)
+    out = fn(*ops)
+    g = rng.normal(size=out.shape)
+    unfrozen = out._vjp(g)
+    for i, frozen in enumerate(ops):
+        frozen.requires_grad = False
+        grads = out._vjp(g)
+        frozen.requires_grad = True
+        assert grads[i] is None
+        for j, (got, want) in enumerate(zip(grads, unfrozen)):
+            if j != i:
+                assert np.array_equal(got, want)

@@ -157,6 +157,9 @@ def test_truncated_config_exit_code(tmp_path):
     pytest.param('{"sampler": {"seed": 1}}', id="removed-section-key"),
     pytest.param('{"predictor": {"H": 3}}', id="rejected-value"),
     pytest.param('{"train": {"batch_size": 0}}', id="rejected-batch-size"),
+    pytest.param('{"data": {"n": 0}}', id="data-n-zero"),
+    pytest.param('{"data": {"n": "x"}}', id="data-n-not-int"),
+    pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
 ])
 def test_bad_config_exit_code(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -187,11 +190,19 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc):
                               "--caption-len", "3"]))
 
 
-@pytest.mark.parametrize("init", ["missing-file", "other-config"])
+@pytest.mark.parametrize("init", ["missing-file", "other-config",
+                                  "header-not-object", "params-not-pairs"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
     out = tmp_path / "run"
+    headers = {"header-not-object": [1],
+               "params-not-pairs": {"format": "latentalign-ckpt",
+                                    "params": 5}}
+    if init in headers:
+        out.mkdir()
+        (out / "align_ckpt.bin").write_bytes(
+            json.dumps(headers[init]).encode() + b"\n")
     if init == "other-config":
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK

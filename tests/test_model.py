@@ -1,5 +1,6 @@
 """Predictor, projectors, latent tokens, packing, checkpoints."""
 
+import json
 import math
 import random
 
@@ -111,6 +112,24 @@ def test_forward_shapes_and_tap_position():
     s = len(seq.roles)
     assert logits.shape == (s, CFG.V)
     assert tap.shape == (s, CFG.d)
+
+
+def test_forward_builds_twelve_nodes_per_block(monkeypatch):
+    """Position add, then per block two layernorms, four attention linears,
+    one attention node, two residual adds, two MLP linears and a GELU, then
+    the final layernorm and the head."""
+    seq, pred, *_ = _packed()
+    allow = build_mask(seq.roles).allow
+    nodes = []
+    from_op = ad._from_op
+
+    def counting(data, parents, vjp):
+        nodes.append(data.shape)
+        return from_op(data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_from_op", counting)
+    pred.forward(seq, allow)
+    assert len(nodes) == 1 + 12 * CFG.L + 2
 
 
 def test_tap_equals_final_stream_when_tapping_last_layer():
@@ -231,6 +250,26 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
                                       tap_layer=1), seed=0)
     with pytest.raises(ValueError):
         load_into(small.named_parameters(), loaded)
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param([1], id="not-an-object"),
+    pytest.param({"params": []}, id="no-format"),
+    pytest.param({"format": "latentalign-ckpt"}, id="no-params"),
+    pytest.param({"format": "latentalign-ckpt", "params": 5},
+                 id="params-not-a-list"),
+    pytest.param({"format": "latentalign-ckpt", "params": [["w"]]},
+                 id="entry-not-a-pair"),
+    pytest.param({"format": "latentalign-ckpt", "params": [[1, [2]]]},
+                 id="name-not-a-string"),
+    pytest.param({"format": "latentalign-ckpt", "params": [["w", [-1]]]},
+                 id="negative-extent"),
+])
+def test_checkpoint_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(ValueError, match="not a checkpoint file"):
+        load_checkpoint(path)
 
 
 def test_sequence_beyond_max_seq_rejected():

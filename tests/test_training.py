@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from latentalign.autodiff import Tensor
+from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import PatchGrid, SamplerConfig
 from latentalign.model import PredictorConfig, load_checkpoint
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
-                                  derive_seed, lr_at, run_stage)
+                                  Trainer, derive_seed, lr_at, run_stage)
 
 GRID = PatchGrid(3, 3)
 SMALL = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
@@ -96,6 +97,29 @@ def test_align_stage_leaves_frozen_parts_untouched():
     for k in ("weight", "bias"):
         assert np.array_equal(enc_before[0][k], b.ctx_encoder.state()[k])
         assert np.array_equal(enc_before[1][k], b.tgt_encoder.state()[k])
+
+
+def test_align_step_freezes_the_predictor_in_the_graph():
+    b = bundle_from(default_config())
+    batch = list(enumerate(generate(0, 8, b.grid, b.vocab)))
+    align = Trainer(b, TrainConfig(stage="align"))
+    report = align.step(batch, 0, 1)
+    assert not report.skipped      # the latent path, too, reached backward
+    for name, p in b.named_parameters().items():
+        if name.startswith("predictor."):
+            assert not p.requires_grad and p.grad is None, name
+    for name, p in align.trainable.items():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
+
+    Trainer(b, TrainConfig(stage="sft")).step(batch, 0, 1)
+    for name, p in b.named_parameters().items():
+        if name.startswith("predictor."):
+            assert p.requires_grad and p.grad is not None, name
+
+    # a step follows its own Trainer's stage, whichever Trainer came last
+    align.step(batch, 0, 1)
+    assert all(p.grad is None for name, p in b.named_parameters().items()
+               if name.startswith("predictor."))
 
 
 def test_identical_seeds_replay_bit_identically(tmp_path):
