@@ -3,7 +3,9 @@
 The default pattern: visual tokens attend bidirectionally with two carve-outs
 (context never sees targets; targets from different blocks never see each
 other), text is causal and may look back at all visual tokens, and no visual
-token ever sees text.  Two flags expose the ablation variants.
+token ever sees text.  Two flags expose the ablation variants.  A sequence
+padded to the length of a longer one in its batch ends in pad tokens: a pad
+token sees only itself and no other token sees it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 CONTEXT = "context"
 TARGET = "target"
 TEXT = "text"
+PAD = "pad"
+
 
 @dataclass(frozen=True)
 class TokenRole:
@@ -26,8 +30,11 @@ class TokenRole:
     def __post_init__(self):
         if self.kind == TARGET and not self.blocks:
             raise ValueError("target tokens need block membership")
-        if self.kind in (CONTEXT, TEXT) and self.blocks:
+        if self.kind != TARGET and self.blocks:
             raise ValueError("only target tokens carry block membership")
+
+
+PAD_ROLE = TokenRole(PAD)
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,13 @@ class AttentionMask:
     allow: np.ndarray  # S x S bool, row = query, column = key
 
 
+_ORDER = {CONTEXT: 0, TARGET: 0, TEXT: 1, PAD: 2}
+
+
 def _validate_order(roles) -> None:
-    seen_text = False
-    for r in roles:
-        if r.kind == TEXT:
-            seen_text = True
-        elif seen_text:
-            raise ValueError("visual token after a text token")
+    ranks = [_ORDER[r.kind] for r in roles]
+    if ranks != sorted(ranks):
+        raise ValueError("tokens out of order: visual, then text, then pad")
 
 
 def build_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
@@ -77,6 +84,10 @@ def build_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
     for a, qi in enumerate(x_idx):            # causal text
         allow[qi, x_idx[: a + 1]] = True
 
+    p_idx = np.array([i for i, r in enumerate(roles) if r.kind == PAD],
+                     dtype=np.int64)
+    allow[p_idx, p_idx] = True                # a pad sees only itself
+
     return AttentionMask(allow)
 
 
@@ -89,7 +100,9 @@ def oracle_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
     for q in range(s):
         for k in range(s):
             rq, rk = roles[q], roles[k]
-            if rq.kind == CONTEXT and rk.kind == CONTEXT:
+            if rq.kind == PAD or rk.kind == PAD:
+                ok = q == k
+            elif rq.kind == CONTEXT and rk.kind == CONTEXT:
                 ok = True
             elif rq.kind == CONTEXT and rk.kind == TARGET:
                 ok = False

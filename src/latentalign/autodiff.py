@@ -157,8 +157,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     return _from_op(data, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape)))
+        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def pow_const(a: Tensor, n: float) -> Tensor:
@@ -207,22 +207,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _from_op(data, (a,), vjp)
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def tlog(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    _check_finite(data, "log")
-    return _from_op(data, (a,), lambda g: (g / a.data,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-    return _from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -295,85 +279,139 @@ def softmax_masked(logits: Tensor, allow: np.ndarray) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
               heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+    """Multi-head scaled dot-product attention over a batch of sequences
+    padded to one length S, as one node.
 
-    ``q``, ``k`` and ``v`` are S x d, head i owning columns
-    ``i*dh:(i+1)*dh`` with ``dh = d // heads``; query row i may read key
-    row j only where ``allow[i, j]``.  Matches the per-head composition
-    slice_cols / transpose / matmul / softmax_masked / matmul / concat to
-    within rtol 1e-12 (float sums may be reassociated by BLAS).
+    ``allow`` is B x S x S.  ``q``, ``k`` and ``v`` are (B*S) x d:
+    sequence b owns rows ``b*S:(b+1)*S`` and head i columns
+    ``i*dh:(i+1)*dh`` with ``dh = d // heads``.  Query row i of sequence b
+    may read key row j of the same sequence only where ``allow[b, i, j]``;
+    no row reads another sequence.  Per sequence it matches the per-head
+    composition slice_cols / transpose / matmul / softmax_masked / matmul /
+    concat to within rtol 1e-12 (float sums may be reassociated by BLAS).
     """
-    s, d = q.data.shape
-    if k.data.shape != (s, d) or v.data.shape != (s, d):
-        raise ValueError("attention q, k and v must share one S x d shape")
+    allow = np.asarray(allow, dtype=bool)
+    if allow.ndim != 3 or allow.shape[1] != allow.shape[2]:
+        raise ValueError("mask shape must be B x S x S")
+    bsz, s, _ = allow.shape
+    n, d = q.data.shape
+    if n != bsz * s:
+        raise ValueError("attention rows must be B*S for a B x S x S mask")
+    if k.data.shape != (n, d) or v.data.shape != (n, d):
+        raise ValueError("attention q, k and v must share one shape")
     if heads < 1 or d % heads:
         raise ValueError("attention width must be divisible by the heads")
-    allow = np.asarray(allow, dtype=bool)
-    if allow.shape != (s, s):
-        raise ValueError("mask shape must be S x S")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(a):       # S x d -> H x S x dh
-        return a.reshape(s, heads, dh).transpose(1, 0, 2)
+    def split(a):       # (B*S) x d -> B x H x S x dh
+        return a.reshape(bsz, s, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):       # H x S x dh -> S x d
-        return a.transpose(1, 0, 2).reshape(s, d)
+    def merge(a):       # B x H x S x dh -> (B*S) x d
+        return a.transpose(0, 2, 1, 3).reshape(n, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # a contiguous K^T keeps QK^T bit-identical to the per-head composition
-    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
-    probs = _masked_softmax((qh @ kt) * scale, allow)
+    kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
+    probs = _masked_softmax((qh @ kt) * scale, allow[:, None])
     data = merge(probs @ vh)
 
     def vjp(g):
         gh = split(g)
-        gs = _masked_softmax_vjp(probs, gh @ vh.transpose(0, 2, 1)) * scale
-        return (merge(gs @ kt.transpose(0, 2, 1)) if q.requires_grad else None,
-                merge((qh.transpose(0, 2, 1) @ gs).transpose(0, 2, 1))
-                if k.requires_grad else None,
-                merge(probs.transpose(0, 2, 1) @ gh) if v.requires_grad
+        gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2)) * scale
+        return (merge(gs @ kh) if q.requires_grad else None,
+                merge(gs.swapaxes(-1, -2) @ qh) if k.requires_grad else None,
+                merge(probs.swapaxes(-1, -2) @ gh) if v.requires_grad
                 else None)
 
     return _from_op(data, (q, k, v), vjp)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean of -log softmax(logits)[target] over rows."""
+def _row_weights(weights, n: int) -> np.ndarray:
+    """Per-row loss weights; None gives every row 1/n, i.e. the mean."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError("one weight per row expected")
+    return w
+
+
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+    """Weighted sum over rows of -log softmax(logits)[target]; the default
+    weights make it the mean."""
     t = np.asarray(targets, dtype=np.int64)
     n, v = logits.data.shape
     if t.shape != (n,):
         raise ValueError("targets must have one id per logits row")
     if t.min(initial=0) < 0 or (t.size and t.max() >= v):
         raise ValueError("target id out of vocabulary range")
+    w = _row_weights(weights, n)
     rows = logits.data
     m = rows.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
-    data = np.mean(lse - rows[np.arange(n), t])
+    data = w @ (lse - rows[np.arange(n), t])
 
     def vjp(g):
         p = np.exp(rows - m)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), t] -= 1.0
-        return (p * (float(g) / n),)
+        return (p * (float(g) * w)[:, None],)
 
     return _from_op(data, (logits,), vjp)
 
 
-def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean Huber penalty: quadratic below unit error, linear above."""
+def smooth_l1(pred: Tensor, target: Tensor, weights=None) -> Tensor:
+    """Weighted sum over rows of each row's mean Huber penalty, quadratic
+    below unit error and linear above; the default weights make it the
+    mean over every element."""
     if pred.data.shape != target.data.shape:
         raise ValueError("smooth_l1 operands must share a shape")
     e = pred.data - target.data
+    n = e.shape[0]
+    w = _row_weights(weights, n)
     a = np.abs(e)
-    per = np.where(a < 1.0, 0.5 * e * e, a - 0.5)
-    data = per.mean()
+    per = np.where(a < 1.0, 0.5 * e * e, a - 0.5).reshape(n, -1)
+    data = w @ per.mean(axis=1)
 
     def vjp(g):
-        ge = np.clip(e, -1.0, 1.0) * (float(g) / e.size)
-        return (ge, -ge)
+        row = (float(g) / per.shape[1]) * w
+        ge = np.clip(e, -1.0, 1.0) * row.reshape((n,) + (1,) * (e.ndim - 1))
+        return (ge if pred.requires_grad else None,
+                -ge if target.requires_grad else None)
 
     return _from_op(data, (pred, target), vjp)
+
+
+NORM_FLOOR = 1e-12
+
+
+def cosine_distance(pred: Tensor, tgt: Tensor, weights=None) -> Tensor:
+    """Weighted sum over rows of the negative cosine similarity between
+    ``pred`` and ``tgt`` rows; the default weights make it the mean.  A row
+    whose norm is below NORM_FLOOR raises ValueError."""
+    if pred.data.ndim != 2 or pred.data.shape != tgt.data.shape:
+        raise ValueError("cosine_distance operands must share an n x d shape")
+    p, t = pred.data, tgt.data
+    w = _row_weights(weights, p.shape[0])
+    norm_p = np.sqrt((p * p).sum(axis=1))
+    norm_t = np.sqrt((t * t).sum(axis=1))
+    if norm_p.min() < NORM_FLOOR or norm_t.min() < NORM_FLOOR:
+        raise ValueError("near-zero norm in cosine distance")
+    inv = 1.0 / (norm_p * norm_t)
+    cos = (p * t).sum(axis=1) * inv
+    data = -(w @ cos)
+
+    def vjp(g):
+        dcos = -float(g) * w        # d loss / d cos, per row
+        return ((dcos * inv)[:, None] * t
+                - (dcos * cos / (norm_p * norm_p))[:, None] * p
+                if pred.requires_grad else None,
+                (dcos * inv)[:, None] * p
+                - (dcos * cos / (norm_t * norm_t))[:, None] * t
+                if tgt.requires_grad else None)
+
+    return _from_op(data, (pred, tgt), vjp)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -406,7 +444,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
     def vjp(g):
         return tuple(np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
-                     for i in range(len(parts)))
+                     if p.requires_grad else None
+                     for i, p in enumerate(parts))
 
     return _from_op(data, tuple(parts), vjp)
 

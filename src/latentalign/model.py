@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import CONTEXT, TARGET, TEXT, roles_for_mask
+from .attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
+                        roles_for_mask)
 from .autodiff import Tensor
 
 # trainable modules start near zero; the frozen predictor needs fan-in
@@ -130,7 +131,8 @@ class LatentTarget:
         self.phi = sincos_2d(rows, cols, d)
 
     def tokens(self, patch_indices) -> Tensor:
-        idx = np.asarray(sorted(patch_indices), dtype=np.int64)
+        """One row per patch index, in the order given."""
+        idx = np.asarray(patch_indices, dtype=np.int64)
         return self.z + Tensor(self.phi[idx])
 
     def named_parameters(self) -> dict:
@@ -184,11 +186,14 @@ class Predictor:
                          blk["wo"], blk["bo"])
 
     def forward(self, seq, allow: np.ndarray):
-        """Returns (logits over all positions, hidden states after the tap)."""
-        s = len(seq.roles)
+        """Runs a PackedBatch under its B x S x S ``allow`` mask; returns
+        (logits, hidden states after the tap), one row per row of
+        ``seq.tokens``."""
+        s = seq.seq_len
         if s > self.cfg.max_seq:
             raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
-        x = seq.tokens + Tensor(self.seq_pos[:s])
+        x = seq.tokens + Tensor(np.tile(self.seq_pos[:s],
+                                        (len(seq.roles) // s, 1)))
         tap = None
         for i, blk in enumerate(self.blocks):
             a = self._attend(ad.layernorm(x, blk["ln1_g"], blk["ln1_b"]),
@@ -206,52 +211,79 @@ class Predictor:
 
 
 @dataclass
-class PackedSequence:
-    tokens: Tensor      # S x d
-    roles: list = field(default_factory=list)
+class PackedBatch:
+    """B sequences padded to one length S and stacked: sequence b owns rows
+    ``b*S:(b+1)*S`` of ``tokens``, and its rows past its own length are pad
+    rows.  Positions are row indices into ``tokens``."""
+    tokens: Tensor      # B*S x d
+    roles: list         # one TokenRole per row, PAD_ROLE on pad rows
+    seq_len: int        # S
+
+    def sequences(self) -> list:
+        """Each sequence's roles, pads included."""
+        s = self.seq_len
+        return [self.roles[i:i + s] for i in range(0, len(self.roles), s)]
+
+    def _rows(self, kinds) -> list:
+        return [i for i, r in enumerate(self.roles) if r.kind in kinds]
 
     @property
     def text_positions(self) -> list:
-        return [i for i, r in enumerate(self.roles) if r.kind == TEXT]
+        return self._rows((TEXT,))
 
     @property
     def target_positions(self) -> list:
-        return [i for i, r in enumerate(self.roles) if r.kind == TARGET]
+        return self._rows((TARGET,))
 
     @property
     def visual_positions(self) -> list:
-        return [i for i, r in enumerate(self.roles) if r.kind != TEXT]
+        return self._rows((CONTEXT, TARGET))
 
 
-def pack(mask_spec, ctx_emb: np.ndarray, grid, caption, proj: Projector,
-         lat: LatentTarget | None, tok_emb: Tensor) -> PackedSequence:
-    """Assemble [projected context, latent targets, text] in raster order.
+_GROUP = {CONTEXT: 0, TARGET: 1, TEXT: 2}
+
+
+def pack(masks, ctx_embs, grid, captions, proj: Projector,
+         lat: LatentTarget | None, tok_emb: Tensor) -> PackedBatch:
+    """Assemble each sample as [projected context, latent targets, text] in
+    raster order, pad every sequence to the longest and stack them.
 
     The unmasked path passes an all-context spec,
     ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens.
     """
-    if ctx_emb.shape[0] != grid.n:
-        raise ValueError("context embeddings must cover every patch")
-    if not mask_spec.context:
-        raise ValueError("empty context")
-    caption = np.asarray(caption, dtype=np.int64)
-    roles = roles_for_mask(mask_spec, grid, caption.size)
+    seqs = []
+    for mask, emb, caption in zip(masks, ctx_embs, captions, strict=True):
+        if emb.shape[0] != grid.n:
+            raise ValueError("context embeddings must cover every patch")
+        if not mask.context:
+            raise ValueError("empty context")
+        seqs.append(roles_for_mask(mask, grid, len(caption)))
+    if not seqs:
+        raise ValueError("empty batch")
+    flat = [r for roles in seqs for r in roles]
 
-    ctx = [r.patch_index for r in roles if r.kind == CONTEXT]
-    tgt = [r.patch_index for r in roles if r.kind == TARGET]
-    parts = [proj(Tensor(ctx_emb[ctx]))]
+    ctx = np.concatenate([emb[[r.patch_index for r in roles
+                               if r.kind == CONTEXT]]
+                          for emb, roles in zip(ctx_embs, seqs)])
+    tgt = [r.patch_index for r in flat if r.kind == TARGET]
+    ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
+    parts = [proj(Tensor(ctx))]
     if tgt:
         parts.append(lat.tokens(tgt))
-    if caption.size:
-        parts.append(ad.gather_rows(tok_emb, caption))
+    if ids.size:
+        parts.append(ad.gather_rows(tok_emb, ids))
+    parts.append(Tensor(np.zeros((1, tok_emb.shape[1]))))
     source = ad.concat(parts, axis=0)
 
-    # source rows are grouped [context, targets, text], each group in packed
-    # order; perm maps packed position -> source row
-    rank = {CONTEXT: 0, TARGET: 1, TEXT: 2}
-    perm = np.argsort(np.argsort([rank[r.kind] for r in roles],
-                                 kind="stable"))
-    return PackedSequence(tokens=ad.gather_rows(source, perm), roles=roles)
+    # source rows are grouped [context, targets, text], each group sample
+    # after sample; src maps a token of ``flat`` to its source row
+    src = np.argsort(np.argsort([_GROUP[r.kind] for r in flat],
+                                kind="stable"))
+    s = max(len(roles) for roles in seqs)
+    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
+    perm = np.full(len(roles), len(flat))       # pad rows read the zero row
+    perm[np.array([r.kind != PAD for r in roles])] = src
+    return PackedBatch(ad.gather_rows(source, perm), roles, s)
 
 
 def project_tap(proj_tgt: Projector, tap: Tensor, positions, roles) -> Tensor:

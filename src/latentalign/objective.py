@@ -11,8 +11,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-NORM_FLOOR = 1e-12
-
 
 @dataclass
 class LossConfig:
@@ -40,36 +38,49 @@ class LossReport:
                 "total": self.total, "skipped": self.skipped}
 
 
-def jepa_loss(pred: Tensor, tgt: Tensor, cfg: LossConfig) -> Tensor:
-    """Mean distance between predicted and reference target embeddings,
-    one row per unique masked patch."""
+def mean_of_means(sizes) -> np.ndarray:
+    """Row weights under which a weighted sum over rows, grouped in runs of
+    ``sizes`` rows, equals the mean over the groups of each group's mean."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return np.repeat(1.0 / (sizes.size * sizes), sizes)
+
+
+def jepa_loss(pred: Tensor, tgt: Tensor, cfg: LossConfig,
+              rows_per_seq=None) -> Tensor:
+    """Distance between predicted and reference target embeddings, one row
+    per unique masked patch: the mean over the sequences whose rows ``pred``
+    stacks, ``rows_per_seq`` rows each (None: one sequence), of each
+    sequence's mean."""
     if pred.shape != tgt.shape:
         raise ValueError("prediction/target shape mismatch")
     m = pred.shape[0]
     if m == 0:
         raise ValueError("no target rows")
+    weights = mean_of_means([m] if rows_per_seq is None else rows_per_seq)
+    if weights.size != m:
+        raise ValueError("rows_per_seq must add up to the target rows")
     if cfg.distance == "smooth_l1":
-        return ad.smooth_l1(pred, tgt)
-    norms_p = np.linalg.norm(pred.data, axis=1)
-    norms_t = np.linalg.norm(tgt.data, axis=1)
-    if norms_p.min() < NORM_FLOOR or norms_t.min() < NORM_FLOOR:
-        raise ValueError("near-zero norm in cosine distance")
-    dots = ad.tsum(pred * tgt, axis=1)
-    inv = (ad.tsum(pred * pred, axis=1) ** 0.5
-           * ad.tsum(tgt * tgt, axis=1) ** 0.5) ** -1.0
-    return ad.mean(-1.0 * dots * inv)
+        return ad.smooth_l1(pred, tgt, weights)
+    return ad.cosine_distance(pred, tgt, weights)
 
 
-def ntp_loss(logits: Tensor, caption, text_positions) -> Tensor:
-    """Mean cross-entropy over caption positions only: the logit at text
-    position i predicts caption token i+1.  Visual positions never enter."""
-    caption = np.asarray(caption, dtype=np.int64)
-    if caption.size < 2:
+def ntp_loss(logits: Tensor, captions, text_positions) -> Tensor:
+    """Next-token cross-entropy of a batch of captions: in each caption the
+    logit at text position i predicts token i+1, and each caption's mean
+    counts equally.  ``text_positions`` lists the logits rows of every
+    caption's tokens, caption after caption; no other row enters."""
+    captions = [np.asarray(c, dtype=np.int64) for c in captions]
+    sizes = np.array([c.size for c in captions], dtype=np.int64)
+    if sizes.size == 0 or sizes.min() < 2:
         raise ValueError("caption too short for next-token prediction")
-    if len(text_positions) != caption.size:
+    positions = np.asarray(text_positions, dtype=np.int64)
+    if positions.shape != (sizes.sum(),):
         raise ValueError("one text position per caption token expected")
-    rows = ad.gather_rows(logits, np.asarray(text_positions[:-1], dtype=np.int64))
-    return ad.cross_entropy(rows, caption[1:])
+    predicts = np.ones(positions.size, dtype=bool)
+    predicts[np.cumsum(sizes) - 1] = False      # a caption's last token
+    rows = ad.gather_rows(logits, positions[predicts])
+    return ad.cross_entropy(rows, np.concatenate([c[1:] for c in captions]),
+                            mean_of_means(sizes - 1))
 
 
 def lambda_gate(cfg: LossConfig, rng) -> bool:

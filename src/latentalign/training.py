@@ -139,6 +139,16 @@ class ModelBundle:
             self.proj_tgt = None
             self.latent = None
 
+    def forward(self, samples, masks):
+        """Packs a batch, one mask per sample, and runs the predictor on it:
+        (PackedBatch, logits, hidden states after the tap)."""
+        seq = pack(masks, [self.ctx_encoder.encode(s.pixels) for s in samples],
+                   self.grid, [s.caption for s in samples], self.proj,
+                   self.latent, self.predictor.tok_emb)
+        allow = np.stack([build_mask(roles, self.attn).allow
+                          for roles in seq.sequences()])
+        return (seq, *self.predictor.forward(seq, allow))
+
     def named_parameters(self) -> dict:
         params = {}
         for name, p in self.predictor.named_parameters().items():
@@ -187,21 +197,23 @@ class Trainer:
         mrng = random.Random(derive_seed(self.cfg.seed, 0x3A5C, index))
         return sample_mask(self.bundle.grid, self.bundle.sampler, mrng)
 
-    def _forward(self, sample, mask: MaskSpec):
-        """Returns (caption loss, latent loss); the latent loss is None when
-        ``mask`` has no targets."""
+    def _forward(self, samples, masks):
+        """The batch forward: (caption loss, latent loss), each the mean over
+        the samples of the sample's mean; the latent loss is None when no
+        mask has targets and otherwise averages the samples that have."""
         b = self.bundle
-        ctx = b.ctx_encoder.encode(sample.pixels)
-        seq = pack(mask, ctx, b.grid, sample.caption, b.proj, b.latent,
-                   b.predictor.tok_emb)
-        allow = build_mask(seq.roles, b.attn).allow
-        logits, tap = b.predictor.forward(seq, allow)
-        ntp = ntp_loss(logits, sample.caption, seq.text_positions)
-        if not mask.target_union:
+        seq, logits, tap = b.forward(samples, masks)
+        ntp = ntp_loss(logits, [s.caption for s in samples],
+                       seq.text_positions)
+        masked = [(s, sorted(m.target_union))
+                  for s, m in zip(samples, masks) if m.target_union]
+        if not masked:
             return ntp, None
         pred = project_tap(b.proj_tgt, tap, seq.target_positions, seq.roles)
-        tgt_rows = b.tgt_encoder.encode(sample.pixels)[sorted(mask.target_union)]
-        return ntp, jepa_loss(pred, Tensor(tgt_rows), b.loss)
+        tgt = np.concatenate([b.tgt_encoder.encode(s.pixels)[idx]
+                              for s, idx in masked])
+        return ntp, jepa_loss(pred, Tensor(tgt), b.loss,
+                              [len(idx) for _, idx in masked])
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""
@@ -209,18 +221,12 @@ class Trainer:
         self.freeze()
         masked = (self.cfg.stage == "align" and b.jepa
                   and not lambda_gate(b.loss, self.gate_rng))
+        masks = [self.mask_for(index) if masked else self.unmasked
+                 for index, _ in batch]
         try:
-            ntp_terms, jepa_terms, n_tgt = [], [], 0
-            for index, sample in batch:
-                mask = self.mask_for(index) if masked else self.unmasked
-                ntp, jepa = self._forward(sample, mask)
-                ntp_terms.append(ntp)
-                if jepa is not None:
-                    jepa_terms.append(jepa)
-                    n_tgt += len(mask.target_union)
-            ntp = _mean_terms(ntp_terms)
-            jepa = _mean_terms(jepa_terms) if jepa_terms else None
-            total, report = combine(ntp, jepa, b.loss, n_tgt)
+            ntp, jepa = self._forward([sample for _, sample in batch], masks)
+            total, report = combine(ntp, jepa, b.loss,
+                                    sum(len(m.target_union) for m in masks))
             for p in self.all_params.values():
                 p.zero_grad()
             total.backward()
@@ -228,13 +234,6 @@ class Trainer:
             return report
         except NonFiniteError as e:
             raise NonFiniteError(f"step {step_idx}: {e}") from e
-
-
-def _mean_terms(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc * (1.0 / len(terms))
 
 
 def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,

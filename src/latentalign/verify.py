@@ -6,6 +6,7 @@ Each check returns (ok, detail); the CLI maps failures to a nonzero exit.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import tempfile
@@ -19,7 +20,7 @@ from .data import generate
 from .encoders import EmbeddingFile, read_embedding_file, write_embedding_file
 from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
                       _round_half_up)
-from .model import load_checkpoint, pack, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .training import TrainConfig, Trainer, run_stage
 
 
@@ -39,7 +40,7 @@ def _random_roles(rng: random.Random):
                                    blocks=blocks))
     for t in range(rng.randint(0, 8)):
         roles.append(TokenRole(attention.TEXT, text_position=t))
-    return roles
+    return roles + [attention.PAD_ROLE] * rng.randint(0, 3)
 
 
 def check_mask_oracle(n_configs: int = 200, seed: int = 0,
@@ -100,7 +101,6 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
         samples = generate(seed + trial, 2, bundle.grid, bundle.vocab)
         mrng = random.Random(seed + trial)
         mask = sample_mask(bundle.grid, bundle.sampler, mrng)
-        ctx = bundle.ctx_encoder.encode(samples[0].pixels)
         taps = []
         rng = np.random.default_rng(seed + trial)
         for caption in (samples[0].caption,
@@ -108,12 +108,9 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
                                         rng.integers(3, bundle.vocab.size,
                                                      size=5),
                                         [bundle.vocab.eos]])):
-            seq = pack(mask, ctx, bundle.grid, caption, bundle.proj,
-                       bundle.latent, bundle.predictor.tok_emb)
-            allow = build_mask(seq.roles, bundle.attn).allow
-            _, tap = bundle.predictor.forward(seq, allow)
-            vis = seq.visual_positions
-            taps.append(tap.data[vis].copy())
+            seq, _, tap = bundle.forward(
+                [dataclasses.replace(samples[0], caption=caption)], [mask])
+            taps.append(tap.data[seq.visual_positions].copy())
         if not np.array_equal(taps[0], taps[1]):
             return False, f"caption change leaked into taps (trial {trial})"
     return True, f"{n_models} parameterizations leak-free"
@@ -230,7 +227,7 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
                                               batch_size=1, seed=0))
 
         def loss_fn():
-            ntp, jepa = trainer._forward(sample, trainer.mask_for(0))
+            ntp, jepa = trainer._forward([sample], [trainer.mask_for(0)])
             loss = ntp + bundle.loss.jepa_weight * jepa
             return _skewed_identity(loss) if negative_control else loss
 

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
-                                   TokenRole, build_mask, dump_mask,
-                                   oracle_mask, roles_for_mask)
+from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
+                                   AttnVariant, TokenRole, build_mask,
+                                   dump_mask, oracle_mask, roles_for_mask)
 from latentalign.masking import PatchGrid, SamplerConfig, sample_mask
 
 
@@ -74,6 +74,26 @@ def test_text_is_strictly_causal():
 def test_visual_after_text_rejected():
     roles = [TokenRole(TEXT, text_position=0), TokenRole(CONTEXT, patch_index=0)]
     with pytest.raises(ValueError):
+        build_mask(roles)
+
+
+def test_pad_tokens_see_only_themselves():
+    roles = _roles_cctt() + [PAD_ROLE, PAD_ROLE]
+    for variant in (AttnVariant(), AttnVariant(True, False)):
+        allow = build_mask(roles, variant).allow
+        assert np.array_equal(allow[:5, :5],
+                              build_mask(_roles_cctt(), variant).allow)
+        assert not allow[:5, 5:].any(), "no real row may see a pad"
+        assert np.array_equal(allow[5:], np.eye(7, dtype=bool)[5:])
+        assert np.array_equal(allow, oracle_mask(roles, variant).allow)
+
+
+@pytest.mark.parametrize("roles", [
+    [PAD_ROLE, TokenRole(TEXT, text_position=0)],
+    [PAD_ROLE, TokenRole(CONTEXT, patch_index=0)],
+], ids=["text-after-pad", "visual-after-pad"])
+def test_token_after_pad_rejected(roles):
+    with pytest.raises(ValueError, match="out of order"):
         build_mask(roles)
 
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from latentalign import autodiff as ad
-from latentalign.attention import (TARGET, TEXT, AttnVariant, build_mask,
-                                   roles_for_mask)
+from latentalign.attention import (PAD, PAD_ROLE, TARGET, TEXT, AttnVariant,
+                                   build_mask, roles_for_mask)
 from latentalign.autodiff import Tensor
 from latentalign.data import SyntheticVocab, make_sample
 from latentalign.encoders import StubEncoder
 from latentalign.masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
-from latentalign.model import (LatentTarget, PackedSequence, Predictor,
+from latentalign.model import (LatentTarget, PackedBatch, Predictor,
                                PredictorConfig, Projector, load_checkpoint,
                                load_into, pack, project_tap, save_checkpoint,
                                sincos_1d, sincos_2d, tap_layer_default)
@@ -22,17 +22,31 @@ from latentalign.model import (LatentTarget, PackedSequence, Predictor,
 CFG = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
 
 
-def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
-    sample = make_sample(seed, 0, grid, SyntheticVocab(size=CFG.V))
-    enc = StubEncoder(1, sample.pixels.shape[1], 8, nonlinear=False)
+def _packed_batch(seeds, grid=PatchGrid(3, 3), masked=True):
+    """A batch of one sample per seed, each with its own mask."""
+    vocab = SyntheticVocab(size=CFG.V)
+    samples = [make_sample(seed, 0, grid, vocab) for seed in seeds]
+    enc = StubEncoder(1, samples[0].pixels.shape[1], 8, nonlinear=False)
     proj = Projector("linear", 8, CFG.d, seed=2)
     lat = LatentTarget(CFG.d, grid.rows, grid.cols, seed=3)
     pred = Predictor(CFG, seed=4)
-    mask = (sample_mask(grid, SamplerConfig(k=2), random.Random(seed))
-            if masked else MaskSpec(context=frozenset(range(grid.n))))
-    seq = pack(mask, enc.encode(sample.pixels), grid, sample.caption,
-               proj, lat if masked else None, pred.tok_emb)
-    return seq, pred, proj, lat, mask, sample
+    masks = [sample_mask(grid, SamplerConfig(k=2), random.Random(seed))
+             if masked else MaskSpec(context=frozenset(range(grid.n)))
+             for seed in seeds]
+    seq = pack(masks, [enc.encode(s.pixels) for s in samples], grid,
+               [s.caption for s in samples], proj, lat if masked else None,
+               pred.tok_emb)
+    return seq, pred, proj, lat, masks, samples
+
+
+def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
+    seq, pred, proj, lat, masks, samples = _packed_batch([seed], grid, masked)
+    return seq, pred, proj, lat, masks[0], samples[0]
+
+
+def _allow(seq, variant=AttnVariant()):
+    return np.stack([build_mask(roles, variant).allow
+                     for roles in seq.sequences()])
 
 
 def test_tap_layer_default():
@@ -107,7 +121,7 @@ def test_latent_tokens_are_shared_vector_plus_position():
 
 def test_forward_shapes_and_tap_position():
     seq, pred, *_ = _packed()
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     logits, tap = pred.forward(seq, allow)
     s = len(seq.roles)
     assert logits.shape == (s, CFG.V)
@@ -117,9 +131,11 @@ def test_forward_shapes_and_tap_position():
 def test_forward_builds_twelve_nodes_per_block(monkeypatch):
     """Position add, then per block two layernorms, four attention linears,
     one attention node, two residual adds, two MLP linears and a GELU, then
-    the final layernorm and the head."""
-    seq, pred, *_ = _packed()
-    allow = build_mask(seq.roles).allow
+    the final layernorm and the head, however many sequences the batch
+    holds."""
+    seq, pred, *_ = _packed_batch([0, 1, 2])
+    assert PAD in {r.kind for r in seq.roles}, "fixture must pad"
+    allow = _allow(seq)
     nodes = []
     from_op = ad._from_op
 
@@ -132,11 +148,66 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
     assert len(nodes) == 1 + 12 * CFG.L + 2
 
 
+def test_pack_pads_each_sample_to_the_longest():
+    """Sample b fills rows b*S onward with what packing it alone gives;
+    the rest of its rows are zero pad rows."""
+    seeds = [0, 1, 2]
+    seq, *_ = _packed_batch(seeds)
+    alone = [_packed(seed)[0] for seed in seeds]
+    assert seq.seq_len == max(len(a.roles) for a in alone)
+    assert len({len(a.roles) for a in alone}) > 1, "fixture must be ragged"
+    s = seq.seq_len
+    for b, one in enumerate(alone):
+        n = len(one.roles)
+        rows = seq.tokens.data[b * s:(b + 1) * s]
+        assert seq.roles[b * s:(b + 1) * s] == \
+            one.roles + [PAD_ROLE] * (s - n)
+        np.testing.assert_allclose(rows[:n], one.tokens.data, rtol=0,
+                                   atol=1e-15)
+        assert not rows[n:].any()
+
+
+def test_pad_rows_change_no_real_row():
+    """Whatever the pad rows hold, every real row's logits and tap and every
+    parameter's gradient stay bit for bit the same, and no gradient reaches
+    a pad row."""
+    seq, pred, *_ = _packed_batch([0, 1, 2])
+    allow = _allow(seq)
+    real = np.array([r.kind != PAD for r in seq.roles])
+    weight = np.random.default_rng(0).normal(size=(len(seq.roles), CFG.V))
+    weight[~real] = 0.0
+    tap_weight = np.where(real[:, None], 1.0, 0.0)
+
+    def run(pad_values):
+        tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
+        tokens.data[~real] = pad_values
+        logits, tap = pred.forward(PackedBatch(tokens, seq.roles,
+                                               seq.seq_len), allow)
+        params = pred.named_parameters()
+        for p in params.values():
+            p.zero_grad()
+        loss = (ad.tsum(logits * Tensor(weight))
+                + ad.tsum(tap * Tensor(tap_weight)))
+        loss.backward()
+        return (logits.data[real], tap.data[real], tokens.grad,
+                {n: p.grad for n, p in params.items() if n != "tok_emb"})
+
+    zero = run(0.0)
+    noise = run(np.random.default_rng(1).normal(
+        scale=5.0, size=(int((~real).sum()), CFG.d)))
+    np.testing.assert_array_equal(zero[0], noise[0])
+    np.testing.assert_array_equal(zero[1], noise[1])
+    np.testing.assert_array_equal(zero[2], noise[2])
+    assert not zero[2][~real].any()
+    for name in zero[3]:
+        np.testing.assert_array_equal(zero[3][name], noise[3][name], name)
+
+
 def test_tap_equals_final_stream_when_tapping_last_layer():
     cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=64, tap_layer=1)
     pred = Predictor(cfg, seed=0)
     seq, _, proj, lat, mask, sample = _packed()
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     logits, tap = pred.forward(seq, allow)
     # with L=1 and tap at 1, the tap is the residual stream feeding the head
     ref = ad.layernorm(tap, pred.lnf_g, pred.lnf_b) @ pred.head_w + pred.head_b
@@ -146,17 +217,18 @@ def test_tap_equals_final_stream_when_tapping_last_layer():
 def test_denied_keys_cannot_influence_output():
     """Perturbing a token no row may attend to leaves other rows unchanged."""
     seq, pred, *_ = _packed()
-    allow = build_mask(seq.roles, AttnVariant(text_sees_targets=False)).allow
+    allow = _allow(seq, AttnVariant(text_sees_targets=False))
     tpos = seq.target_positions
     assert tpos, "fixture must include target tokens"
     p = tpos[0]
-    blind_rows = [i for i in range(len(seq.roles)) if not allow[i, p] and i != p]
+    blind_rows = [i for i in range(len(seq.roles))
+                  if not allow[0, i, p] and i != p]
     assert blind_rows
 
     base, _ = pred.forward(seq, allow)
     bumped = Tensor(seq.tokens.data.copy())
     bumped.data[p] += 10.0
-    seq2 = PackedSequence(tokens=bumped, roles=seq.roles)
+    seq2 = PackedBatch(tokens=bumped, roles=seq.roles, seq_len=seq.seq_len)
     out, _ = pred.forward(seq2, allow)
     for i in blind_rows:
         np.testing.assert_array_equal(base.data[i], out.data[i])
@@ -165,7 +237,7 @@ def test_denied_keys_cannot_influence_output():
 def test_forward_matches_plain_numpy_reference():
     """Independent numpy re-implementation of the forward pass."""
     seq, pred, *_ = _packed()
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     logits, tap = pred.forward(seq, allow)
 
     def ln(x, g, b, eps=1e-5):
@@ -189,9 +261,9 @@ def test_forward_matches_plain_numpy_reference():
         for i in range(pred.cfg.H):
             sl = slice(i * dh, (i + 1) * dh)
             sc = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-            sc = np.where(allow, sc, -np.inf)
+            sc = np.where(allow[0], sc, -np.inf)
             e = np.exp(sc - sc.max(axis=1, keepdims=True))
-            e = np.where(allow, e, 0.0)
+            e = np.where(allow[0], e, 0.0)
             outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
         x = x + np.concatenate(outs, axis=1) @ blk["wo"].data + blk["bo"].data
         h2 = ln(x, blk["ln2_g"].data, blk["ln2_b"].data)
@@ -208,7 +280,7 @@ def test_forward_matches_plain_numpy_reference():
 def test_project_tap_rejects_non_target_positions():
     seq, pred, proj, lat, mask, _ = _packed()
     proj_tgt = Projector("linear", CFG.d, 8, seed=5)
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     _, tap = pred.forward(seq, allow)
     with pytest.raises(ValueError):
         project_tap(proj_tgt, tap, [0], seq.roles)   # position 0 is context
@@ -218,7 +290,7 @@ def test_project_tap_rejects_non_target_positions():
 
 def test_latent_z_gets_no_grad_without_target_tokens():
     seq, pred, proj, lat, _, sample = _packed(masked=False)
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     logits, _ = pred.forward(seq, allow)
     ad.tsum(logits).backward()
     assert lat.z.grad is None
@@ -276,6 +348,6 @@ def test_sequence_beyond_max_seq_rejected():
     cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=4, tap_layer=1)
     pred = Predictor(cfg, seed=0)
     seq, *_ = _packed()
-    allow = build_mask(seq.roles).allow
+    allow = _allow(seq)
     with pytest.raises(ValueError):
         pred.forward(seq, allow)

@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latentalign import autodiff as ad
 from latentalign.autodiff import Tensor
 from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import PatchGrid, SamplerConfig
-from latentalign.model import PredictorConfig, load_checkpoint
+from latentalign.model import PredictorConfig, load_checkpoint, project_tap
+from latentalign.objective import LossConfig, jepa_loss, ntp_loss
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
                                   Trainer, derive_seed, lr_at, run_stage)
 
@@ -208,3 +212,85 @@ def test_learnability_fixture_wires_into_bundle():
     reports = run_stage(b, TrainConfig(stage="align", batch_size=4, seed=0),
                         samples)
     assert len(reports) == 2
+
+
+def _per_sample_losses(trainer, samples, masks):
+    """The per-sample composition the batch forward replaces: each sample
+    packed and run alone with plain-mean losses, then the means averaged
+    over the samples (the latent one over the samples with targets)."""
+    b = trainer.bundle
+    ntps, jepas = [], []
+    for sample, mask in zip(samples, masks):
+        seq, logits, tap = b.forward([sample], [mask])
+        ntps.append(ntp_loss(logits, [sample.caption], seq.text_positions))
+        if mask.target_union:
+            pred = project_tap(b.proj_tgt, tap, seq.target_positions,
+                               seq.roles)
+            tgt = b.tgt_encoder.encode(sample.pixels)[
+                sorted(mask.target_union)]
+            jepas.append(jepa_loss(pred, Tensor(tgt), b.loss))
+
+    def mean(terms):
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc * (1.0 / len(terms))
+
+    return mean(ntps), mean(jepas) if jepas else None
+
+
+def _losses_and_grads(trainer, forward, samples, masks):
+    ntp, jepa = forward(trainer, samples, masks)
+    total = ntp if jepa is None else ntp + 2.0 * jepa
+    for p in trainer.all_params.values():
+        p.zero_grad()
+    total.backward()
+    losses = [float(t.data) for t in (ntp, total)
+              + (() if jepa is None else (jepa,))]
+    return losses, {n: p.grad.copy() for n, p in trainer.trainable.items()
+                    if p.grad is not None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 4),
+       st.sampled_from(["masked", "skipped", "sft"]),
+       st.sampled_from(["cosine", "smooth_l1"]))
+def test_batched_step_equals_per_sample_composition(seed, n, mode, dist):
+    """Caption lengths and mask sizes differ between the samples, so the
+    batch is padded; losses and every trainable grad match the per-sample
+    composition."""
+    b = _bundle(seed, loss=LossConfig(distance=dist))
+    trainer = Trainer(b, TrainConfig(stage="sft" if mode == "sft"
+                                     else "align", seed=seed))
+    samples = generate(seed, n, GRID, b.vocab)
+    masks = [trainer.mask_for(i) if mode == "masked" else trainer.unmasked
+             for i in range(n)]
+    got = _losses_and_grads(trainer, Trainer._forward, samples, masks)
+    want = _losses_and_grads(trainer, _per_sample_losses, samples, masks)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+    assert len(got[0]) == (3 if mode == "masked" else 2)
+    assert set(got[1]) == set(want[1])
+    # the key-bias grads are zero in exact arithmetic (softmax ignores a
+    # shift shared by a whole row), so their rounding noise gets an absolute
+    # floor scaled by the largest grad of the model
+    floor = 1e-14 * max(np.abs(g).max() for g in want[1].values())
+    for name, g in want[1].items():
+        np.testing.assert_allclose(got[1][name], g, rtol=1e-12, atol=floor,
+                                   err_msg=name)
+
+
+def test_default_align_step_builds_at_most_80_nodes(monkeypatch):
+    b = bundle_from(default_config())
+    batch = list(enumerate(generate(0, 8, b.grid, b.vocab)))
+    trainer = Trainer(b, TrainConfig(stage="align"))
+    nodes = []
+    from_op = ad._from_op
+
+    def counting(data, parents, vjp):
+        nodes.append(data.shape)
+        return from_op(data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_from_op", counting)
+    report = trainer.step(batch, 0, 1)
+    assert not report.skipped
+    assert len(nodes) <= 80
