@@ -389,7 +389,7 @@ NORM_FLOOR = 1e-12
 def cosine_distance(pred: Tensor, tgt: Tensor, weights=None) -> Tensor:
     """Weighted sum over rows of the negative cosine similarity between
     ``pred`` and ``tgt`` rows; the default weights make it the mean.  A row
-    whose norm is below NORM_FLOOR raises ValueError."""
+    whose norm is below NORM_FLOOR raises NonFiniteError."""
     if pred.data.ndim != 2 or pred.data.shape != tgt.data.shape:
         raise ValueError("cosine_distance operands must share an n x d shape")
     p, t = pred.data, tgt.data
@@ -397,7 +397,7 @@ def cosine_distance(pred: Tensor, tgt: Tensor, weights=None) -> Tensor:
     norm_p = np.sqrt((p * p).sum(axis=1))
     norm_t = np.sqrt((t * t).sum(axis=1))
     if norm_p.min() < NORM_FLOOR or norm_t.min() < NORM_FLOOR:
-        raise ValueError("near-zero norm in cosine distance")
+        raise NonFiniteError("near-zero norm in cosine distance")
     inv = 1.0 / (norm_p * norm_t)
     cos = (p * t).sum(axis=1) * inv
     data = -(w @ cos)

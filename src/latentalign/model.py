@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
-                        roles_for_mask)
+from .attention import CONTEXT, PAD_ROLE, TARGET, TEXT, roles_for_mask
 from .autodiff import Tensor
 
 # trainable modules start near zero; the frozen predictor needs fan-in
@@ -193,7 +192,7 @@ class Predictor:
         if s > self.cfg.max_seq:
             raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
         x = seq.tokens + Tensor(np.tile(self.seq_pos[:s],
-                                        (len(seq.roles) // s, 1)))
+                                        (allow.shape[0], 1)))
         tap = None
         for i, blk in enumerate(self.blocks):
             a = self._attend(ad.layernorm(x, blk["ln1_g"], blk["ln1_b"]),
@@ -214,83 +213,73 @@ class Predictor:
 class PackedBatch:
     """B sequences padded to one length S and stacked: sequence b owns rows
     ``b*S:(b+1)*S`` of ``tokens``, and its rows past its own length are pad
-    rows.  Positions are row indices into ``tokens``."""
-    tokens: Tensor      # B*S x d
-    roles: list         # one TokenRole per row, PAD_ROLE on pad rows
-    seq_len: int        # S
+    rows.  ``text_rows`` and ``target_rows`` list the rows of caption and
+    latent target tokens in row order; ``target_patches[i]`` is the address
+    ``b*N + p`` of ``target_rows[i]``'s patch p of sample b in the batch's
+    stacked ``(B*N, ...)`` per-patch arrays."""
+    tokens: Tensor              # B*S x d
+    roles: list                 # one TokenRole per row, PAD_ROLE on pad rows
+    seq_len: int                # S
+    text_rows: np.ndarray
+    target_rows: np.ndarray
+    target_patches: np.ndarray
 
     def sequences(self) -> list:
         """Each sequence's roles, pads included."""
         s = self.seq_len
         return [self.roles[i:i + s] for i in range(0, len(self.roles), s)]
 
-    def _rows(self, kinds) -> list:
-        return [i for i, r in enumerate(self.roles) if r.kind in kinds]
 
-    @property
-    def text_positions(self) -> list:
-        return self._rows((TEXT,))
-
-    @property
-    def target_positions(self) -> list:
-        return self._rows((TARGET,))
-
-    @property
-    def visual_positions(self) -> list:
-        return self._rows((CONTEXT, TARGET))
-
-
-_GROUP = {CONTEXT: 0, TARGET: 1, TEXT: 2}
-
-
-def pack(masks, ctx_embs, grid, captions, proj: Projector,
+def pack(masks, ctx_emb: np.ndarray, grid, captions, proj: Projector,
          lat: LatentTarget | None, tok_emb: Tensor) -> PackedBatch:
-    """Assemble each sample as [projected context, latent targets, text] in
-    raster order, pad every sequence to the longest and stack them.
+    """Assemble each sample in ``roles_for_mask`` order, pad every sequence
+    to the longest and stack them.  A sequence holds its visual tokens in
+    raster order, projected context and latent targets interleaved where
+    the mask puts them, then its caption.  ``ctx_emb`` stacks the batch's
+    context embeddings, sample b's patch p at row ``b*N + p``.
 
     The unmasked path passes an all-context spec,
     ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens.
     """
-    seqs = []
-    for mask, emb, caption in zip(masks, ctx_embs, captions, strict=True):
-        if emb.shape[0] != grid.n:
-            raise ValueError("context embeddings must cover every patch")
-        if not mask.context:
-            raise ValueError("empty context")
-        seqs.append(roles_for_mask(mask, grid, len(caption)))
-    if not seqs:
+    if not masks:
         raise ValueError("empty batch")
-    flat = [r for roles in seqs for r in roles]
+    if ctx_emb.shape[0] != len(masks) * grid.n:
+        raise ValueError("context embeddings must cover every patch")
+    if not all(m.context for m in masks):
+        raise ValueError("empty context")
+    seqs = [roles_for_mask(m, grid, len(c))
+            for m, c in zip(masks, captions, strict=True)]
+    s = max(len(roles) for roles in seqs)
+    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
+    ctx_rows, target_rows, text_rows = (
+        np.flatnonzero([r.kind == kind for r in roles])
+        for kind in (CONTEXT, TARGET, TEXT))
 
-    ctx = np.concatenate([emb[[r.patch_index for r in roles
-                               if r.kind == CONTEXT]]
-                          for emb, roles in zip(ctx_embs, seqs)])
-    tgt = [r.patch_index for r in flat if r.kind == TARGET]
+    def address(rows):
+        return rows // s * grid.n + np.array(
+            [roles[i].patch_index for i in rows], dtype=np.int64)
+
+    target_patches = address(target_rows)
     ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
-    parts = [proj(Tensor(ctx))]
-    if tgt:
-        parts.append(lat.tokens(tgt))
+    parts = [proj(Tensor(ctx_emb[address(ctx_rows)]))]
+    if target_rows.size:
+        parts.append(lat.tokens(target_patches % grid.n))
     if ids.size:
         parts.append(ad.gather_rows(tok_emb, ids))
     parts.append(Tensor(np.zeros((1, tok_emb.shape[1]))))
     source = ad.concat(parts, axis=0)
 
-    # source rows are grouped [context, targets, text], each group sample
-    # after sample; src maps a token of ``flat`` to its source row
-    src = np.argsort(np.argsort([_GROUP[r.kind] for r in flat],
-                                kind="stable"))
-    s = max(len(roles) for roles in seqs)
-    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
-    perm = np.full(len(roles), len(flat))       # pad rows read the zero row
-    perm[np.array([r.kind != PAD for r in roles])] = src
-    return PackedBatch(ad.gather_rows(source, perm), roles, s)
+    # source rows are grouped [context, targets, text], each in row order;
+    # pad rows read the zero row after them
+    real = np.concatenate([ctx_rows, target_rows, text_rows])
+    perm = np.full(len(roles), real.size)
+    perm[real] = np.arange(real.size)
+    return PackedBatch(ad.gather_rows(source, perm), roles, s, text_rows,
+                       target_rows, target_patches)
 
 
-def project_tap(proj_tgt: Projector, tap: Tensor, positions, roles) -> Tensor:
-    for p in positions:
-        if roles[p].kind != TARGET:
-            raise ValueError(f"position {p} is not a target token")
-    return proj_tgt(ad.gather_rows(tap, np.asarray(positions, dtype=np.int64)))
+def project_tap(proj_tgt: Projector, tap: Tensor, rows) -> Tensor:
+    return proj_tgt(ad.gather_rows(tap, rows))
 
 
 # checkpoint persistence ---------------------------------------------
@@ -336,6 +325,8 @@ def load_checkpoint(path):
             if len(raw) != count * 8:
                 raise ValueError("checkpoint payload truncated")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError("trailing bytes after the checkpoint payload")
     return header, params
 
 

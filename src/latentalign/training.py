@@ -142,9 +142,10 @@ class ModelBundle:
     def forward(self, samples, masks):
         """Packs a batch, one mask per sample, and runs the predictor on it:
         (PackedBatch, logits, hidden states after the tap)."""
-        seq = pack(masks, [self.ctx_encoder.encode(s.pixels) for s in samples],
-                   self.grid, [s.caption for s in samples], self.proj,
-                   self.latent, self.predictor.tok_emb)
+        pixels = np.concatenate([s.pixels for s in samples])
+        seq = pack(masks, self.ctx_encoder.encode(pixels), self.grid,
+                   [s.caption for s in samples], self.proj, self.latent,
+                   self.predictor.tok_emb)
         allow = np.stack([build_mask(roles, self.attn).allow
                           for roles in seq.sequences()])
         return (seq, *self.predictor.forward(seq, allow))
@@ -203,17 +204,14 @@ class Trainer:
         mask has targets and otherwise averages the samples that have."""
         b = self.bundle
         seq, logits, tap = b.forward(samples, masks)
-        ntp = ntp_loss(logits, [s.caption for s in samples],
-                       seq.text_positions)
-        masked = [(s, sorted(m.target_union))
-                  for s, m in zip(samples, masks) if m.target_union]
-        if not masked:
+        ntp = ntp_loss(logits, [s.caption for s in samples], seq.text_rows)
+        if not seq.target_rows.size:
             return ntp, None
-        pred = project_tap(b.proj_tgt, tap, seq.target_positions, seq.roles)
-        tgt = np.concatenate([b.tgt_encoder.encode(s.pixels)[idx]
-                              for s, idx in masked])
-        return ntp, jepa_loss(pred, Tensor(tgt), b.loss,
-                              [len(idx) for _, idx in masked])
+        pred = project_tap(b.proj_tgt, tap, seq.target_rows)
+        tgt = b.tgt_encoder.encode(np.concatenate([s.pixels for s in samples]))
+        per_seq = np.bincount(seq.target_rows // seq.seq_len)
+        return ntp, jepa_loss(pred, Tensor(tgt[seq.target_patches]), b.loss,
+                              per_seq[per_seq > 0])
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""

@@ -21,6 +21,7 @@ from .encoders import EmbeddingFile, read_embedding_file, write_embedding_file
 from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
                       _round_half_up)
 from .model import load_checkpoint, save_checkpoint
+from .objective import combine
 from .training import TrainConfig, Trainer, run_stage
 
 
@@ -110,7 +111,8 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
                                         [bundle.vocab.eos]])):
             seq, _, tap = bundle.forward(
                 [dataclasses.replace(samples[0], caption=caption)], [mask])
-            taps.append(tap.data[seq.visual_positions].copy())
+            taps.append(tap.data[[r.kind != attention.TEXT
+                                  for r in seq.roles]].copy())
         if not np.array_equal(taps[0], taps[1]):
             return False, f"caption change leaked into taps (trial {trial})"
     return True, f"{n_models} parameterizations leak-free"
@@ -227,8 +229,9 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
                                               batch_size=1, seed=0))
 
         def loss_fn():
-            ntp, jepa = trainer._forward([sample], [trainer.mask_for(0)])
-            loss = ntp + bundle.loss.jepa_weight * jepa
+            mask = trainer.mask_for(0)
+            ntp, jepa = trainer._forward([sample], [mask])
+            loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
             return _skewed_identity(loss) if negative_control else loss
 
         params = list(trainer.trainable.values())

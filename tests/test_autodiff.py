@@ -424,7 +424,7 @@ def test_cosine_distance_matches_composition(seed, n, d):
 
 
 def test_cosine_distance_rejects_near_zero_norm():
-    with pytest.raises(ValueError, match="near-zero norm"):
+    with pytest.raises(NonFiniteError, match="near-zero norm"):
         ad.cosine_distance(Tensor(np.ones((2, 3))),
                            Tensor(np.array([[1.0, 0, 0], [0, 0, 0]])))
 

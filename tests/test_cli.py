@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from latentalign.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from latentalign import training
+from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
+                             EXIT_USAGE, main)
 
 
 TINY_CONFIG = {
@@ -191,7 +193,8 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc):
 
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
-                                  "header-not-object", "params-not-pairs"])
+                                  "header-not-object", "params-not-pairs",
+                                  "trailing-bytes"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
@@ -203,14 +206,35 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init):
         out.mkdir()
         (out / "align_ckpt.bin").write_bytes(
             json.dumps(headers[init]).encode() + b"\n")
-    if init == "other-config":
+    if init in ("other-config", "trailing-bytes"):
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
+    if init == "other-config":
         other = {**TINY_CONFIG["predictor"], "d": 8}
         cfg.write_text(json.dumps({**TINY_CONFIG, "predictor": other}))
+    if init == "trailing-bytes":
+        with open(out / "align_ckpt.bin", "ab") as fh:
+            fh.write(b"\0" * 4)
     _assert_input_error(_run(["train", "sft", "--config", str(cfg),
                               "--init", str(out / "align_ckpt.bin"),
                               "--out", str(out)]))
+
+
+def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):
+    """A real training step whose predicted target rows are all zero fails
+    the cosine distance's norm check: exit 3 with one line, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "loss": {"lam": 0.0}}))
+    project_tap = training.project_tap
+    monkeypatch.setattr(training, "project_tap",
+                        lambda *args: project_tap(*args) * 0.0)
+    assert main(["train", "align", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("numeric failure:")] == \
+        ["numeric failure: step 0: near-zero norm in cosine distance"]
 
 
 def test_resolved_config_echoed_to_stderr():

@@ -1,5 +1,6 @@
 """Predictor, projectors, latent tokens, packing, checkpoints."""
 
+import dataclasses
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from latentalign.autodiff import Tensor
 from latentalign.data import SyntheticVocab, make_sample
 from latentalign.encoders import StubEncoder
 from latentalign.masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
-from latentalign.model import (LatentTarget, PackedBatch, Predictor,
+from latentalign.model import (LatentTarget, Predictor,
                                PredictorConfig, Projector, load_checkpoint,
                                load_into, pack, project_tap, save_checkpoint,
                                sincos_1d, sincos_2d, tap_layer_default)
@@ -33,9 +34,9 @@ def _packed_batch(seeds, grid=PatchGrid(3, 3), masked=True):
     masks = [sample_mask(grid, SamplerConfig(k=2), random.Random(seed))
              if masked else MaskSpec(context=frozenset(range(grid.n)))
              for seed in seeds]
-    seq = pack(masks, [enc.encode(s.pixels) for s in samples], grid,
-               [s.caption for s in samples], proj, lat if masked else None,
-               pred.tok_emb)
+    seq = pack(masks, enc.encode(np.concatenate([s.pixels for s in samples])),
+               grid, [s.caption for s in samples], proj,
+               lat if masked else None, pred.tok_emb)
     return seq, pred, proj, lat, masks, samples
 
 
@@ -167,6 +168,23 @@ def test_pack_pads_each_sample_to_the_longest():
         assert not rows[n:].any()
 
 
+def test_pack_lists_rows_and_target_patch_addresses():
+    """On a ragged, masked batch the row lists hold exactly the TEXT and
+    TARGET rows, and each target row addresses its sample's patch in the
+    stacked (B*N, ...) per-patch arrays as b*N + p."""
+    grid = PatchGrid(3, 3)
+    seq, *_ = _packed_batch([0, 1, 2], grid)
+    s = seq.seq_len
+    assert PAD in {r.kind for r in seq.roles}, "fixture must be ragged"
+    for rows, kind in ((seq.text_rows, TEXT), (seq.target_rows, TARGET)):
+        assert rows.tolist() == [i for i, r in enumerate(seq.roles)
+                                 if r.kind == kind]
+    assert seq.target_rows.size
+    assert seq.target_patches.shape == seq.target_rows.shape
+    for row, address in zip(seq.target_rows, seq.target_patches):
+        assert address == (row // s) * grid.n + seq.roles[row].patch_index
+
+
 def test_pad_rows_change_no_real_row():
     """Whatever the pad rows hold, every real row's logits and tap and every
     parameter's gradient stay bit for bit the same, and no gradient reaches
@@ -181,8 +199,8 @@ def test_pad_rows_change_no_real_row():
     def run(pad_values):
         tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
         tokens.data[~real] = pad_values
-        logits, tap = pred.forward(PackedBatch(tokens, seq.roles,
-                                               seq.seq_len), allow)
+        logits, tap = pred.forward(dataclasses.replace(seq, tokens=tokens),
+                                   allow)
         params = pred.named_parameters()
         for p in params.values():
             p.zero_grad()
@@ -218,9 +236,8 @@ def test_denied_keys_cannot_influence_output():
     """Perturbing a token no row may attend to leaves other rows unchanged."""
     seq, pred, *_ = _packed()
     allow = _allow(seq, AttnVariant(text_sees_targets=False))
-    tpos = seq.target_positions
-    assert tpos, "fixture must include target tokens"
-    p = tpos[0]
+    assert seq.target_rows.size, "fixture must include target tokens"
+    p = seq.target_rows[0]
     blind_rows = [i for i in range(len(seq.roles))
                   if not allow[0, i, p] and i != p]
     assert blind_rows
@@ -228,7 +245,7 @@ def test_denied_keys_cannot_influence_output():
     base, _ = pred.forward(seq, allow)
     bumped = Tensor(seq.tokens.data.copy())
     bumped.data[p] += 10.0
-    seq2 = PackedBatch(tokens=bumped, roles=seq.roles, seq_len=seq.seq_len)
+    seq2 = dataclasses.replace(seq, tokens=bumped)
     out, _ = pred.forward(seq2, allow)
     for i in blind_rows:
         np.testing.assert_array_equal(base.data[i], out.data[i])
@@ -282,10 +299,8 @@ def test_project_tap_rejects_non_target_positions():
     proj_tgt = Projector("linear", CFG.d, 8, seed=5)
     allow = _allow(seq)
     _, tap = pred.forward(seq, allow)
-    with pytest.raises(ValueError):
-        project_tap(proj_tgt, tap, [0], seq.roles)   # position 0 is context
-    out = project_tap(proj_tgt, tap, seq.target_positions, seq.roles)
-    assert out.shape == (len(seq.target_positions), 8)
+    out = project_tap(proj_tgt, tap, seq.target_rows)
+    assert out.shape == (len(seq.target_rows), 8)
 
 
 def test_latent_z_gets_no_grad_without_target_tokens():
@@ -311,6 +326,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     load_into(other.named_parameters(), loaded)
     for name, p in other.named_parameters().items():
         assert np.array_equal(p.data, params[name].data)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, 0, {}, Predictor(CFG, seed=6).named_parameters())
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

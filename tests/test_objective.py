@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latentalign import autodiff as ad
-from latentalign.autodiff import Tensor
+from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.objective import (LossConfig, LossReport, combine,
                                    jepa_loss, lambda_gate, ntp_loss)
 
@@ -36,7 +36,7 @@ def test_cosine_distance_scale_invariant():
 
 
 def test_cosine_distance_rejects_zero_norm():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteError):
         _cosine(np.zeros(3), np.ones(3))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentalign import autodiff as ad
-from latentalign.autodiff import Tensor
+from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import PatchGrid, SamplerConfig
@@ -222,10 +222,9 @@ def _per_sample_losses(trainer, samples, masks):
     ntps, jepas = [], []
     for sample, mask in zip(samples, masks):
         seq, logits, tap = b.forward([sample], [mask])
-        ntps.append(ntp_loss(logits, [sample.caption], seq.text_positions))
+        ntps.append(ntp_loss(logits, [sample.caption], seq.text_rows))
         if mask.target_union:
-            pred = project_tap(b.proj_tgt, tap, seq.target_positions,
-                               seq.roles)
+            pred = project_tap(b.proj_tgt, tap, seq.target_rows)
             tgt = b.tgt_encoder.encode(sample.pixels)[
                 sorted(mask.target_union)]
             jepas.append(jepa_loss(pred, Tensor(tgt), b.loss))
@@ -277,6 +276,18 @@ def test_batched_step_equals_per_sample_composition(seed, n, mode, dist):
     for name, g in want[1].items():
         np.testing.assert_allclose(got[1][name], g, rtol=1e-12, atol=floor,
                                    err_msg=name)
+
+
+def test_near_zero_norm_step_is_a_numeric_failure():
+    """A zero target projector output fails the cosine distance's norm check
+    as a NonFiniteError that names the step."""
+    b = _bundle(loss=LossConfig(lam=0.0))
+    b.proj_tgt.w2.data[...] = 0.0
+    b.proj_tgt.b2.data[...] = 0.0
+    trainer = Trainer(b, TrainConfig(stage="align"))
+    with pytest.raises(NonFiniteError,
+                       match="^step 0: near-zero norm in cosine distance$"):
+        trainer.step(list(enumerate(_dataset(4))), 0, 1)
 
 
 def test_default_align_step_builds_at_most_80_nodes(monkeypatch):
