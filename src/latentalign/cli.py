@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff, config, verify
 from .attention import AttnVariant, build_mask, dump_mask, roles_for_mask
 from .data import generate
-from .encoders import EmbeddingFile, write_embedding_file
 from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
                       SamplerConfig, sample_mask)
 from .training import run_stage
@@ -41,12 +40,13 @@ def _interval(text: str):
 
 
 def cmd_mask_sample(args) -> int:
-    cfg = SamplerConfig(k=args.k, target_scale=args.target_scale,
-                        context_scale=args.context_scale,
-                        allow_overlap=not args.no_overlap)
+    cfg = config._build(SamplerConfig, {
+        "k": args.k, "target_scale": args.target_scale,
+        "context_scale": args.context_scale,
+        "allow_overlap": not args.no_overlap})
     _print_resolved({"rows": args.rows, "cols": args.cols, "seed": args.seed,
                      **vars(cfg)})
-    grid = PatchGrid(args.rows, args.cols)
+    grid = config._build(PatchGrid, {"rows": args.rows, "cols": args.cols})
     spec = sample_mask(grid, cfg, random.Random(args.seed))
     text = json.dumps(spec.to_json_obj(), indent=2, sort_keys=True)
     if args.out:
@@ -79,13 +79,11 @@ def cmd_mask_attn(args) -> int:
 def cmd_data_gen(args) -> int:
     _print_resolved({"seed": args.seed, "n": args.n, "rows": args.rows,
                      "cols": args.cols, "out": args.out})
-    grid = PatchGrid(args.rows, args.cols)
-    samples = generate(args.seed, args.n, grid)
+    grid = config._build(PatchGrid, {"rows": args.rows, "cols": args.cols})
+    samples = _dataset({"seed": args.seed, "n": args.n}, grid)
     os.makedirs(args.out, exist_ok=True)
-    pixels = np.stack([s.pixels for s in samples]).astype("<f4")
-    write_embedding_file(EmbeddingFile(len(samples), grid.n, pixels.shape[2],
-                                       pixels),
-                         os.path.join(args.out, "pixels.bin"))
+    np.save(os.path.join(args.out, "pixels.npy"),
+            np.stack([s.pixels for s in samples]).astype("<f4"))
     with open(os.path.join(args.out, "captions.jsonl"), "w") as fh:
         for i, s in enumerate(samples):
             fh.write(json.dumps({"index": i,
@@ -95,15 +93,15 @@ def cmd_data_gen(args) -> int:
     return EXIT_OK
 
 
-def _data_section(cfg: dict) -> tuple[int, int]:
-    """(seed, n) of the config's ``data`` section, checked as outside input."""
-    seed, n = cfg["data"]["seed"], cfg["data"]["n"]
-    for key, val in (("seed", seed), ("n", n)):
-        if type(val) is not int:
-            raise InputError(f"config key data.{key} takes an integer")
-    if seed < 0 or n < 1:
-        raise InputError("config wants data.seed >= 0 and data.n >= 1")
-    return seed, n
+def _dataset(data: dict, grid: PatchGrid, vocab=None) -> list:
+    """The samples a ``data`` section (``seed``, ``n``) asks for on
+    ``grid``, checked as outside input."""
+    for key in ("seed", "n"):
+        if type(data[key]) is not int:
+            raise InputError(f"data.{key} takes an integer")
+    if data["seed"] < 0 or data["n"] < 1:
+        raise InputError("data wants seed >= 0 and n >= 1")
+    return config._build(generate, {**data, "grid": grid, "vocab": vocab})
 
 
 def _run_train(args, stage: str) -> int:
@@ -114,8 +112,7 @@ def _run_train(args, stage: str) -> int:
     _print_resolved(cfg)
     bundle = config.bundle_from(cfg)
     train_cfg = config.train_config_from(cfg)
-    seed, n = _data_section(cfg)
-    dataset = generate(seed, n, bundle.grid, bundle.vocab)
+    dataset = _dataset(cfg["data"], bundle.grid, bundle.vocab)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     reports = run_stage(

@@ -78,7 +78,7 @@ def _build(cls, kwargs: dict):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
-        raise InputError(f"config rejected: {e}") from e
+        raise InputError(f"{cls.__name__} rejected: {e}") from e
 
 
 def bundle_from(cfg: dict) -> ModelBundle:

@@ -1,71 +1,12 @@
-"""Frozen visual encoders: deterministic stubs plus a binary embedding file.
+"""Frozen visual encoders: deterministic stubs.
 
 The stubs stand in for large pretrained encoders; their weights are drawn
-once from a seed and never receive gradients.  The file format carries
-embeddings extracted offline by real encoders.
+once from a seed and never receive gradients.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
-
-MAGIC = b"JVEM"
-VERSION = 1
-_HEADER = struct.Struct("<4sHIII")
-
-
-class BadMagic(ValueError):
-    pass
-
-
-class VersionMismatch(ValueError):
-    pass
-
-
-class TruncatedPayload(ValueError):
-    pass
-
-
-@dataclass
-class EmbeddingFile:
-    count: int
-    n_patches: int
-    dim: int
-    payload: np.ndarray  # (count, n_patches, dim) float32
-
-    def __post_init__(self):
-        self.payload = np.ascontiguousarray(self.payload, dtype="<f4")
-        if self.payload.shape != (self.count, self.n_patches, self.dim):
-            raise ValueError("payload shape does not match header")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-
-
-def write_embedding_file(ef: EmbeddingFile, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, ef.count, ef.n_patches, ef.dim))
-        fh.write(ef.payload.tobytes())
-
-
-def read_embedding_file(path) -> EmbeddingFile:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise TruncatedPayload("header truncated")
-        magic, version, count, n_patches, dim = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise BadMagic(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise VersionMismatch(f"unsupported version {version}")
-        raw = fh.read()
-    expect = count * n_patches * dim * 4
-    if len(raw) != expect:
-        raise TruncatedPayload(f"payload is {len(raw)} bytes, expected {expect}")
-    payload = np.frombuffer(raw, dtype="<f4").reshape(count, n_patches, dim)
-    return EmbeddingFile(count, n_patches, dim, payload.copy())
 
 
 class StubEncoder:

@@ -66,12 +66,9 @@ def sincos_2d(rows: int, cols: int, d: int) -> np.ndarray:
         raise ValueError("2-D sinusoidal table needs d divisible by 4")
     row_tab = sincos_1d(rows, d // 2)
     col_tab = sincos_1d(cols, d // 2)
-    out = np.zeros((rows * cols, d))
-    for r in range(rows):
-        for c in range(cols):
-            out[r * cols + c, : d // 2] = row_tab[r]
-            out[r * cols + c, d // 2:] = col_tab[c]
-    return out
+    # patch r*cols + c reads row_tab[r] then col_tab[c]
+    return np.concatenate([np.repeat(row_tab, cols, axis=0),
+                           np.tile(col_tab, (rows, 1))], axis=1)
 
 
 def _param(rng, shape, std=INIT_STD) -> Tensor:
@@ -154,7 +151,7 @@ class Predictor:
             self.blocks.append({
                 "ln1_g": _ones(d), "ln1_b": _zeros(d),
                 "wq": _fan_in_param(rng, (d, d)), "bq": _zeros(d),
-                "wk": _fan_in_param(rng, (d, d)), "bk": _zeros(d),
+                "wk": _fan_in_param(rng, (d, d)),
                 "wv": _fan_in_param(rng, (d, d)), "bv": _zeros(d),
                 "wo": _fan_in_param(rng, (d, d)), "bo": _zeros(d),
                 "ln2_g": _ones(d), "ln2_b": _zeros(d),
@@ -179,7 +176,8 @@ class Predictor:
 
     def _attend(self, x: Tensor, blk: dict, allow: np.ndarray) -> Tensor:
         q = ad.linear(x, blk["wq"], blk["bq"])
-        k = ad.linear(x, blk["wk"], blk["bk"])
+        # no key bias: softmax ignores q.bk, a shift shared by a whole row
+        k = ad.matmul(x, blk["wk"])
         v = ad.linear(x, blk["wv"], blk["bv"])
         return ad.linear(ad.attention(q, k, v, allow, self.cfg.H),
                          blk["wo"], blk["bo"])

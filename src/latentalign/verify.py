@@ -1,5 +1,5 @@
 """Self-check suite: mask-oracle equivalence, sampler contracts, leakage
-freedom, skip-gate equivalence, and persistence round trips.
+freedom, skip-gate equivalence, and the checkpoint round trip.
 
 Each check returns (ok, detail); the CLI maps failures to a nonzero exit.
 """
@@ -17,7 +17,6 @@ from . import attention, autodiff, config
 from .attention import AttnVariant, TokenRole, build_mask, oracle_mask
 from .autodiff import Tensor, fd_check
 from .data import generate
-from .encoders import EmbeddingFile, read_embedding_file, write_embedding_file
 from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
                       _round_half_up)
 from .model import load_checkpoint, save_checkpoint
@@ -154,26 +153,12 @@ def check_checkpoint_roundtrip(seed: int = 0):
     return True, f"{len(before)} parameters round-trip bit-exactly"
 
 
-def check_embedding_roundtrip(seed: int = 0):
-    rng = np.random.default_rng(seed)
-    ef = EmbeddingFile(3, 16, 8,
-                       rng.standard_normal((3, 16, 8)).astype("<f4"))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "emb.bin")
-        write_embedding_file(ef, path)
-        back = read_embedding_file(path)
-    if ef.payload.tobytes() != back.payload.tobytes():
-        return False, "payload not bit-exact"
-    return True, "payload round-trips bit-exactly"
-
-
 CHECKS = {
     "mask": check_mask_oracle,
     "sampler": check_sampler,
     "leakage": check_text_leakage,
     "lambda": check_lambda_equivalence,
     "checkpoint": check_checkpoint_roundtrip,
-    "embedfile": check_embedding_roundtrip,
 }
 
 
@@ -219,6 +204,9 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
     cfg = cfg or gradcheck_config()
     if cfg["predictor"]["d"] > 16 or cfg["predictor"]["L"] > 2:
         raise InputError("gradcheck wants a tiny config (d <= 16, L <= 2)")
+    if not cfg["jepa"]:
+        raise InputError("gradcheck checks the latent objective, "
+                         "so it wants jepa: true")
     results = {}
     for dist in distances:
         c = dict(cfg)

@@ -12,8 +12,8 @@ import pytest
 
 from latentalign.attention import (AttnVariant, build_mask, oracle_mask,
                                    roles_for_mask)
-from latentalign.data import learnability_fixture
-from latentalign.encoders import EmbeddingFile, read_embedding_file, write_embedding_file
+from latentalign.cli import main
+from latentalign.data import generate, learnability_fixture
 from latentalign.masking import (PatchGrid, SamplerConfig, _block_dims,
                                  block_indices, sample_mask)
 from latentalign.model import PredictorConfig, load_checkpoint, save_checkpoint
@@ -251,16 +251,17 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     ckpt_ok = all(np.array_equal(loaded[n], p.data)
                   for n, p in params.items())
 
-    emb = np.random.default_rng(0).normal(size=(2, 9, 8)).astype(np.float32)
-    ef = EmbeddingFile(2, 9, 8, emb)
-    write_embedding_file(ef, tmp_path / "e.bin")
-    back = read_embedding_file(tmp_path / "e.bin")
-    emb_ok = np.array_equal(back.payload, ef.payload)
+    out = tmp_path / "data"
+    assert main(["data", "gen", "--seed", "5", "--n", "3", "--rows", "3",
+                 "--cols", "3", "--out", str(out)]) == 0
+    want = np.stack([s.pixels for s in generate(5, 3, grid)]).astype("<f4")
+    got = np.load(out / "pixels.npy")
+    data_ok = got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     _report(8, "determinism and persistence",
-            logs_ok and ckpt_ok and emb_ok,
+            logs_ok and ckpt_ok and data_ok,
             f"logs {'==' if logs_ok else '!='}, ckpt bit-exact={ckpt_ok}, "
-            f"embedding bit-exact={emb_ok}")
+            f"data gen pixels bit-exact={data_ok}")
 
 
 # -- 9: stage contracts around the criterion-6 run ------------------

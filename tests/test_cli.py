@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latentalign import training
+from latentalign.data import generate
+from latentalign.masking import PatchGrid
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
 
@@ -68,7 +71,10 @@ def test_mask_attn_text_and_pgm(tmp_path):
 def test_data_gen_writes_artifacts(tmp_path):
     out = tmp_path / "data"
     assert main(["data", "gen", "--n", "4", "--out", str(out)]) == EXIT_OK
-    assert (out / "pixels.bin").exists()
+    pixels = np.load(out / "pixels.npy")
+    want = np.stack([s.pixels for s in generate(0, 4, PatchGrid())])
+    assert pixels.dtype == np.dtype("<f4") and pixels.shape == (4, 16, 48)
+    assert pixels.tobytes() == want.astype("<f4").tobytes()
     lines = (out / "captions.jsonl").read_text().strip().splitlines()
     assert len(lines) == 4
     first = json.loads(lines[0])
@@ -107,10 +113,9 @@ def test_negative_control_leaves_no_state_behind(capsys):
 
 
 def test_verify_subset(capsys):
-    assert main(["verify", "--checks", "checkpoint", "embedfile"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "verify[checkpoint]: PASS" in out
-    assert "verify[embedfile]: PASS" in out
+    assert main(["verify", "--checks", "checkpoint"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verify[checkpoint]: PASS")
 
 
 def test_verify_negative_control_fails(capsys):
@@ -162,6 +167,7 @@ def test_truncated_config_exit_code(tmp_path):
     pytest.param('{"data": {"n": 0}}', id="data-n-zero"),
     pytest.param('{"data": {"n": "x"}}', id="data-n-not-int"),
     pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
+    pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
 ])
 def test_bad_config_exit_code(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -175,6 +181,44 @@ def test_oversized_gradcheck_config_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"predictor": {"d": 32}}')
     _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
+
+
+def test_gradcheck_without_latent_objective_exit_code(tmp_path, capsys):
+    """A tiny config with ``jepa: false`` has no latent loss to check."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jepa": False, "predictor": {
+        "d": 16, "L": 2, "H": 2, "V": 16, "tap_layer": 1}}))
+    assert main(["gradcheck", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("bad input:")] == \
+        ["bad input: gradcheck checks the latent objective, "
+         "so it wants jepa: true"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mask", "sample", "--rows", "0", "--cols", "4"],
+                 id="mask-rows-zero"),
+    pytest.param(["mask", "sample", "--rows", "4", "--cols", "4",
+                  "--k", "0"], id="mask-k-zero"),
+    pytest.param(["mask", "sample", "--rows", "4", "--cols", "4",
+                  "--target-scale", "0.5,0.1"], id="mask-target-scale-empty"),
+    pytest.param(["mask", "sample", "--rows", "4", "--cols", "4",
+                  "--context-scale", "0,1"], id="mask-context-scale-zero"),
+    pytest.param(["data", "gen", "--n", "0"], id="data-n-zero"),
+    pytest.param(["data", "gen", "--n", "2", "--rows", "1"],
+                 id="data-rows-one"),
+    pytest.param(["data", "gen", "--n", "2", "--seed", "-1"],
+                 id="data-seed-negative"),
+])
+def test_bad_flag_value_exit_code(tmp_path, argv):
+    if argv[0] == "data":
+        argv = [*argv, "--out", str(tmp_path / "data")]
+    proc = _run(argv)
+    _assert_input_error(proc)
+    assert sum(line.startswith("bad input:")
+               for line in proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("doc", [
@@ -238,7 +282,7 @@ def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_resolved_config_echoed_to_stderr():
-    proc = _run(["verify", "--checks", "embedfile"])
+    proc = _run(["verify", "--checks", "checkpoint"])
     assert proc.returncode == EXIT_OK
     assert "resolved config:" in proc.stderr
 
