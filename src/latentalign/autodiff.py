@@ -227,18 +227,19 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layernorm gain/bias must match the last extent")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centred, then scaled in place; sum / d is how np.mean and np.var divide
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     data = xhat * gain.data + bias.data
 
     def vjp(g):
         dx = None
         if x.requires_grad:
             dxhat = g * gain.data
-            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                        - xhat * ((dxhat * xhat).sum(-1, keepdims=True) / d))
         axes = tuple(range(g.ndim - 1))
         return (dx,
                 (g * xhat).sum(axis=axes) if gain.requires_grad else None,
@@ -453,11 +454,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 # gradient checking --------------------------------------------------
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def fd_check(f, params, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference grads.
 
@@ -466,7 +462,8 @@ def fd_check(f, params, eps: float = 1e-5) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    zero_grads(params)
+    for p in params:
+        p.zero_grad()
     f().backward()
     analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.data)
                 for p in params]

@@ -58,6 +58,8 @@ def cmd_mask_sample(args) -> int:
 
 
 def cmd_mask_attn(args) -> int:
+    if args.caption_len < 0:
+        raise InputError("--caption-len must be >= 0")
     spec = MaskSpec.from_json_obj(config.read_json(args.spec, "mask spec"))
     variant = AttnVariant(tgt_cross_block=args.tgt_cross_block,
                           text_sees_targets=not args.no_text_sees_targets)
@@ -128,6 +130,8 @@ def _run_train(args, stage: str) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise InputError("--tolerance must be finite and above 0")
     cfg = verify.gradcheck_config() if args.config is None \
         else config.load_config(args.config)
     _print_resolved(cfg)

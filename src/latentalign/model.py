@@ -182,15 +182,13 @@ class Predictor:
         return ad.linear(ad.attention(q, k, v, allow, self.cfg.H),
                          blk["wo"], blk["bo"])
 
-    def forward(self, seq, allow: np.ndarray):
-        """Runs a PackedBatch under its B x S x S ``allow`` mask; returns
-        (logits, hidden states after the tap), one row per row of
-        ``seq.tokens``."""
-        s = seq.seq_len
+    def forward(self, tokens: Tensor, allow: np.ndarray):
+        """Runs B stacked sequences, ``tokens`` (B*S x d), under their
+        B x S x S ``allow``: (logits, hidden states after the tap)."""
+        s = allow.shape[1]
         if s > self.cfg.max_seq:
             raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
-        x = seq.tokens + Tensor(np.tile(self.seq_pos[:s],
-                                        (allow.shape[0], 1)))
+        x = tokens + Tensor(np.tile(self.seq_pos[:s], (allow.shape[0], 1)))
         tap = None
         for i, blk in enumerate(self.blocks):
             a = self._attend(ad.layernorm(x, blk["ln1_g"], blk["ln1_b"]),
@@ -209,18 +207,20 @@ class Predictor:
 
 @dataclass
 class PackedBatch:
-    """B sequences padded to one length S and stacked: sequence b owns rows
-    ``b*S:(b+1)*S`` of ``tokens``, and its rows past its own length are pad
-    rows.  ``text_rows`` and ``target_rows`` list the rows of caption and
-    latent target tokens in row order; ``target_patches[i]`` is the address
-    ``b*N + p`` of ``target_rows[i]``'s patch p of sample b in the batch's
-    stacked ``(B*N, ...)`` per-patch arrays."""
-    tokens: Tensor              # B*S x d
+    """The layout of B sequences padded to one length S and stacked:
+    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  ``text_rows`` and
+    ``target_rows`` list caption and latent target rows in row order;
+    ``context_patches`` and ``target_patches`` address each context and
+    target row's patch p of sample b as ``b*N + p`` in the batch's stacked
+    ``(B*N, ...)`` per-patch arrays.  Row i reads row ``order[i]`` of the
+    stack [context rows, target rows, caption tokens, one zero row]."""
     roles: list                 # one TokenRole per row, PAD_ROLE on pad rows
     seq_len: int                # S
     text_rows: np.ndarray
     target_rows: np.ndarray
+    context_patches: np.ndarray
     target_patches: np.ndarray
+    order: np.ndarray
 
     def sequences(self) -> list:
         """Each sequence's roles, pads included."""
@@ -228,21 +228,14 @@ class PackedBatch:
         return [self.roles[i:i + s] for i in range(0, len(self.roles), s)]
 
 
-def pack(masks, ctx_emb: np.ndarray, grid, captions, proj: Projector,
-         lat: LatentTarget | None, tok_emb: Tensor) -> PackedBatch:
-    """Assemble each sample in ``roles_for_mask`` order, pad every sequence
-    to the longest and stack them.  A sequence holds its visual tokens in
-    raster order, projected context and latent targets interleaved where
-    the mask puts them, then its caption.  ``ctx_emb`` stacks the batch's
-    context embeddings, sample b's patch p at row ``b*N + p``.
-
-    The unmasked path passes an all-context spec,
-    ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens.
-    """
+def pack(masks, grid, captions) -> PackedBatch:
+    """Lay out each sample in ``roles_for_mask`` order (visual tokens in
+    raster order, context and latent targets where the mask puts them, then
+    the caption), pad every sequence to the longest and stack them.  Reads
+    no parameter.  The unmasked path passes an all-context spec,
+    ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens."""
     if not masks:
         raise ValueError("empty batch")
-    if ctx_emb.shape[0] != len(masks) * grid.n:
-        raise ValueError("context embeddings must cover every patch")
     if not all(m.context for m in masks):
         raise ValueError("empty context")
     seqs = [roles_for_mask(m, grid, len(c))
@@ -257,23 +250,12 @@ def pack(masks, ctx_emb: np.ndarray, grid, captions, proj: Projector,
         return rows // s * grid.n + np.array(
             [roles[i].patch_index for i in rows], dtype=np.int64)
 
-    target_patches = address(target_rows)
-    ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
-    parts = [proj(Tensor(ctx_emb[address(ctx_rows)]))]
-    if target_rows.size:
-        parts.append(lat.tokens(target_patches % grid.n))
-    if ids.size:
-        parts.append(ad.gather_rows(tok_emb, ids))
-    parts.append(Tensor(np.zeros((1, tok_emb.shape[1]))))
-    source = ad.concat(parts, axis=0)
-
-    # source rows are grouped [context, targets, text], each in row order;
-    # pad rows read the zero row after them
+    # the source stack groups [context, targets, text], each in row order
     real = np.concatenate([ctx_rows, target_rows, text_rows])
-    perm = np.full(len(roles), real.size)
-    perm[real] = np.arange(real.size)
-    return PackedBatch(ad.gather_rows(source, perm), roles, s, text_rows,
-                       target_rows, target_patches)
+    order = np.full(len(roles), real.size)
+    order[real] = np.arange(real.size)
+    return PackedBatch(roles, s, text_rows, target_rows, address(ctx_rows),
+                       address(target_rows), order)
 
 
 def project_tap(proj_tgt: Projector, tap: Tensor, rows) -> Tensor:

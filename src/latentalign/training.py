@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttnVariant, build_mask
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError, Tensor, concat, gather_rows
 from .data import PATCH_PIXELS, SyntheticVocab
 from .encoders import StubEncoder
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
-from .model import (LatentTarget, Predictor, PredictorConfig, Projector,
-                    load_checkpoint, load_into, pack, project_tap,
+from .model import (LatentTarget, PackedBatch, Predictor, PredictorConfig,
+                    Projector, load_checkpoint, load_into, pack, project_tap,
                     save_checkpoint)
 from .objective import (LossConfig, LossReport, combine, jepa_loss,
                         lambda_gate, ntp_loss)
@@ -101,6 +101,19 @@ class AdamW:
                             + self.weight_decay * p.data)
 
 
+@dataclass(frozen=True)
+class BatchPlan:
+    """What no parameter touches in a batch: its layout, B x S x S mask,
+    encoder rows at the layout's patch addresses (``tgt`` None without
+    targets) and caption ids, caption after caption."""
+    layout: PackedBatch
+    allow: np.ndarray
+    ctx: Tensor
+    tgt: Tensor | None
+    ids: np.ndarray
+    captions: list
+
+
 class ModelBundle:
     """Everything the loop needs: encoders, predictor, projectors, configs.
 
@@ -139,16 +152,39 @@ class ModelBundle:
             self.proj_tgt = None
             self.latent = None
 
-    def forward(self, samples, masks):
-        """Packs a batch, one mask per sample, and runs the predictor on it:
-        (PackedBatch, logits, hidden states after the tap)."""
+    def plan(self, samples, masks) -> BatchPlan:
+        """The fixed part of a batch with one mask per sample, built once:
+        no parameter is read."""
         pixels = np.concatenate([s.pixels for s in samples])
-        seq = pack(masks, self.ctx_encoder.encode(pixels), self.grid,
-                   [s.caption for s in samples], self.proj, self.latent,
-                   self.predictor.tok_emb)
+        if pixels.shape[0] != len(samples) * self.grid.n:
+            raise ValueError("pixels must cover every patch")
+        captions = [s.caption for s in samples]
+        layout = pack(masks, self.grid, captions)
         allow = np.stack([build_mask(roles, self.attn).allow
-                          for roles in seq.sequences()])
-        return (seq, *self.predictor.forward(seq, allow))
+                          for roles in layout.sequences()])
+        ctx = Tensor(self.ctx_encoder.encode(pixels)[layout.context_patches])
+        tgt = (Tensor(self.tgt_encoder.encode(pixels)[layout.target_patches])
+               if layout.target_rows.size else None)
+        ids = np.concatenate(captions).astype(np.int64)
+        return BatchPlan(layout, allow, ctx, tgt, ids, captions)
+
+    def tokens(self, plan: BatchPlan) -> Tensor:
+        """The planned batch's padded (B*S, d) input rows: projected context,
+        latent targets and caption embeddings; pad rows are zero."""
+        tok_emb = self.predictor.tok_emb
+        parts = [self.proj(plan.ctx)]
+        if plan.tgt is not None:
+            parts.append(self.latent.tokens(
+                plan.layout.target_patches % self.grid.n))
+        if plan.ids.size:
+            parts.append(gather_rows(tok_emb, plan.ids))
+        parts.append(Tensor(np.zeros((1, tok_emb.shape[1]))))
+        return gather_rows(concat(parts, axis=0), plan.layout.order)
+
+    def forward(self, plan: BatchPlan):
+        """Runs the predictor on a planned batch: (logits, hidden states
+        after the tap), one row per row of the padded layout."""
+        return self.predictor.forward(self.tokens(plan), plan.allow)
 
     def named_parameters(self) -> dict:
         params = {}
@@ -198,20 +234,18 @@ class Trainer:
         mrng = random.Random(derive_seed(self.cfg.seed, 0x3A5C, index))
         return sample_mask(self.bundle.grid, self.bundle.sampler, mrng)
 
-    def _forward(self, samples, masks):
-        """The batch forward: (caption loss, latent loss), each the mean over
+    def _forward(self, plan: BatchPlan):
+        """The batch graph: (caption loss, latent loss), each the mean over
         the samples of the sample's mean; the latent loss is None when no
         mask has targets and otherwise averages the samples that have."""
-        b = self.bundle
-        seq, logits, tap = b.forward(samples, masks)
-        ntp = ntp_loss(logits, [s.caption for s in samples], seq.text_rows)
-        if not seq.target_rows.size:
+        b, seq = self.bundle, plan.layout
+        logits, tap = b.forward(plan)
+        ntp = ntp_loss(logits, plan.captions, seq.text_rows)
+        if plan.tgt is None:
             return ntp, None
         pred = project_tap(b.proj_tgt, tap, seq.target_rows)
-        tgt = b.tgt_encoder.encode(np.concatenate([s.pixels for s in samples]))
         per_seq = np.bincount(seq.target_rows // seq.seq_len)
-        return ntp, jepa_loss(pred, Tensor(tgt[seq.target_patches]), b.loss,
-                              per_seq[per_seq > 0])
+        return ntp, jepa_loss(pred, plan.tgt, b.loss, per_seq[per_seq > 0])
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""
@@ -222,7 +256,8 @@ class Trainer:
         masks = [self.mask_for(index) if masked else self.unmasked
                  for index, _ in batch]
         try:
-            ntp, jepa = self._forward([sample for _, sample in batch], masks)
+            plan = b.plan([sample for _, sample in batch], masks)
+            ntp, jepa = self._forward(plan)
             total, report = combine(ntp, jepa, b.loss,
                                     sum(len(m.target_union) for m in masks))
             for p in self.all_params.values():

@@ -108,10 +108,11 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
                                         rng.integers(3, bundle.vocab.size,
                                                      size=5),
                                         [bundle.vocab.eos]])):
-            seq, _, tap = bundle.forward(
+            plan = bundle.plan(
                 [dataclasses.replace(samples[0], caption=caption)], [mask])
+            _, tap = bundle.forward(plan)
             taps.append(tap.data[[r.kind != attention.TEXT
-                                  for r in seq.roles]].copy())
+                                  for r in plan.layout.roles]].copy())
         if not np.array_equal(taps[0], taps[1]):
             return False, f"caption change leaked into taps (trial {trial})"
     return True, f"{n_models} parameterizations leak-free"
@@ -215,10 +216,11 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
         sample = generate(0, 1, bundle.grid, bundle.vocab)[0]
         trainer = Trainer(bundle, TrainConfig(stage="align",
                                               batch_size=1, seed=0))
+        mask = trainer.mask_for(0)
+        plan = bundle.plan([sample], [mask])
 
         def loss_fn():
-            mask = trainer.mask_for(0)
-            ntp, jepa = trainer._forward([sample], [mask])
+            ntp, jepa = trainer._forward(plan)
             loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
             return _skewed_identity(loss) if negative_control else loss
 

@@ -183,6 +183,38 @@ def test_layernorm_grad_matches_fd():
     assert ad.fd_check(f, params) < 1e-5
 
 
+def _layernorm_with_mean_and_var(x, gain, bias, g, eps=1e-5):
+    """Forward value and (x, gain, bias) grads of layernorm written with
+    np.mean and np.var."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 70),
+       st.integers(-3, 3))
+def test_layernorm_equals_mean_and_var_reference(seed, n, d, scale):
+    """The forward value and every grad are bit for bit those of the
+    np.mean / np.var formulation."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(), 10.0 ** scale, size=(n, d))
+    gain, bias = rng.normal(size=d), rng.normal(size=d)
+    g = rng.normal(size=(n, d))
+    out = ad.layernorm(Tensor(x, requires_grad=True),
+                       Tensor(gain, requires_grad=True),
+                       Tensor(bias, requires_grad=True))
+    got = (out.data, *out._vjp(g))
+    want = _layernorm_with_mean_and_var(x, gain, bias, g)
+    for name, a, b in zip(("value", "x", "gain", "bias"), got, want):
+        assert np.array_equal(a, b), name
+
+
 def test_cross_entropy_grad_matches_fd():
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(4, 7)), requires_grad=True)

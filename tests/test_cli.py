@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentalign import training
+from latentalign import cli, training
 from latentalign.data import generate
 from latentalign.masking import PatchGrid
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
@@ -219,6 +219,37 @@ def test_bad_flag_value_exit_code(tmp_path, argv):
     _assert_input_error(proc)
     assert sum(line.startswith("bad input:")
                for line in proc.stderr.splitlines()) == 1
+
+
+def _bad_input_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("bad input:")]
+
+
+def test_negative_caption_len_exit_code(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    assert main(["mask", "sample", "--rows", "4", "--cols", "4",
+                 "--out", str(spec)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "m.txt"
+    assert main(["mask", "attn", "--spec", str(spec), "--caption-len", "-1",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == \
+        ["bad input: --caption-len must be >= 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
+def test_bad_gradcheck_tolerance_exit_code(tolerance, monkeypatch, capsys):
+    """A tolerance no error can be checked against is rejected before the
+    check spends its run."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("run_gradcheck ran")
+
+    monkeypatch.setattr(cli, "run_gradcheck", not_reached)
+    assert main(["gradcheck", f"--tolerance={tolerance}"]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == \
+        ["bad input: --tolerance must be finite and above 0"]
 
 
 @pytest.mark.parametrize("doc", [

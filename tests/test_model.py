@@ -1,6 +1,5 @@
 """Predictor, projectors, latent tokens, packing, checkpoints."""
 
-import dataclasses
 import json
 import math
 import random
@@ -9,40 +8,37 @@ import numpy as np
 import pytest
 
 from latentalign import autodiff as ad
-from latentalign.attention import (PAD, PAD_ROLE, TARGET, TEXT, AttnVariant,
-                                   build_mask, roles_for_mask)
+from latentalign.attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
+                                   AttnVariant, build_mask, roles_for_mask)
 from latentalign.autodiff import Tensor
-from latentalign.data import SyntheticVocab, make_sample
+from latentalign.data import make_sample
 from latentalign.encoders import StubEncoder
 from latentalign.masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
 from latentalign.model import (LatentTarget, Predictor,
                                PredictorConfig, Projector, load_checkpoint,
                                load_into, pack, project_tap, save_checkpoint,
                                sincos_1d, sincos_2d, tap_layer_default)
+from latentalign.training import ModelBundle
 
 CFG = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
 
 
 def _packed_batch(seeds, grid=PatchGrid(3, 3), masked=True):
-    """A batch of one sample per seed, each with its own mask."""
-    vocab = SyntheticVocab(size=CFG.V)
-    samples = [make_sample(seed, 0, grid, vocab) for seed in seeds]
-    enc = StubEncoder(1, samples[0].pixels.shape[1], 8, nonlinear=False)
-    proj = Projector("linear", 8, CFG.d, seed=2)
-    lat = LatentTarget(CFG.d, grid.rows, grid.cols, seed=3)
-    pred = Predictor(CFG, seed=4)
-    masks = [sample_mask(grid, SamplerConfig(k=2), random.Random(seed))
+    """A planned batch of one sample per seed, each with its own mask, and
+    its padded input rows."""
+    b = ModelBundle(grid, CFG, proj_kind="linear", ctx_dim=8, tgt_dim=8,
+                    ctx_seed=1, model_seed=4, sampler=SamplerConfig(k=2))
+    samples = [make_sample(seed, 0, grid, b.vocab) for seed in seeds]
+    masks = [sample_mask(grid, b.sampler, random.Random(seed))
              if masked else MaskSpec(context=frozenset(range(grid.n)))
              for seed in seeds]
-    seq = pack(masks, enc.encode(np.concatenate([s.pixels for s in samples])),
-               grid, [s.caption for s in samples], proj,
-               lat if masked else None, pred.tok_emb)
-    return seq, pred, proj, lat, masks, samples
+    plan = b.plan(samples, masks)
+    return plan, b.tokens(plan), b, masks, samples
 
 
 def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
-    seq, pred, proj, lat, masks, samples = _packed_batch([seed], grid, masked)
-    return seq, pred, proj, lat, masks[0], samples[0]
+    plan, tokens, b, masks, samples = _packed_batch([seed], grid, masked)
+    return plan, tokens, b, masks[0], samples[0]
 
 
 def _allow(seq, variant=AttnVariant()):
@@ -91,7 +87,8 @@ def test_sincos_2d_equals_per_patch_fill(rows, cols, d):
 
 
 def test_pack_orders_tokens_by_raster_position():
-    seq, *_ , mask, _ = _packed()
+    plan, *_, mask, _ = _packed()
+    seq = plan.layout
     visual = [r for r in seq.roles if r.kind != TEXT]
     idx = [r.patch_index for r in visual]
     assert idx == sorted(idx)
@@ -104,23 +101,24 @@ def test_pack_orders_tokens_by_raster_position():
 def test_pack_follows_roles_for_mask(masked):
     """Roles come from roles_for_mask, and each packed row holds the token
     its role names."""
-    seq, pred, proj, lat, mask, sample = _packed(masked=masked)
+    plan, tokens, b, mask, sample = _packed(masked=masked)
+    seq = plan.layout
     assert seq.roles == roles_for_mask(mask, PatchGrid(3, 3),
                                        len(sample.caption))
     ctx = StubEncoder(1, sample.pixels.shape[1], 8).encode(sample.pixels)
-    for row, r in zip(seq.tokens.data, seq.roles):
+    for row, r in zip(tokens.data, seq.roles):
         if r.kind == TEXT:
-            want = pred.tok_emb.data[sample.caption[r.text_position]]
+            want = b.predictor.tok_emb.data[sample.caption[r.text_position]]
         elif r.kind == TARGET:
-            want = lat.tokens([r.patch_index]).data[0]
+            want = b.latent.tokens([r.patch_index]).data[0]
         else:
-            want = proj(Tensor(ctx[[r.patch_index]])).data[0]
+            want = b.proj(Tensor(ctx[[r.patch_index]])).data[0]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 def test_pack_unmasked_covers_every_patch():
     grid = PatchGrid(3, 3)
-    seq, *_ = _packed(masked=False, grid=grid)
+    seq = _packed(masked=False, grid=grid)[0].layout
     visual = [r for r in seq.roles if r.kind != TEXT]
     assert [r.patch_index for r in visual] == list(range(grid.n))
     assert all(r.kind != TARGET for r in visual)
@@ -135,10 +133,9 @@ def test_latent_tokens_are_shared_vector_plus_position():
 
 
 def test_forward_shapes_and_tap_position():
-    seq, pred, *_ = _packed()
-    allow = _allow(seq)
-    logits, tap = pred.forward(seq, allow)
-    s = len(seq.roles)
+    plan, tokens, b, *_ = _packed()
+    logits, tap = b.predictor.forward(tokens, plan.allow)
+    s = len(plan.layout.roles)
     assert logits.shape == (s, CFG.V)
     assert tap.shape == (s, CFG.d)
 
@@ -148,9 +145,8 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
     one attention node, two residual adds, two MLP linears and a GELU, then
     the final layernorm and the head, however many sequences the batch
     holds."""
-    seq, pred, *_ = _packed_batch([0, 1, 2])
-    assert PAD in {r.kind for r in seq.roles}, "fixture must pad"
-    allow = _allow(seq)
+    plan, tokens, b, *_ = _packed_batch([0, 1, 2])
+    assert PAD in {r.kind for r in plan.layout.roles}, "fixture must pad"
     nodes = []
     from_op = ad._from_op
 
@@ -159,7 +155,7 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
         return from_op(data, parents, vjp)
 
     monkeypatch.setattr(ad, "_from_op", counting)
-    pred.forward(seq, allow)
+    b.predictor.forward(tokens, plan.allow)
     assert len(nodes) == 1 + 12 * CFG.L + 2
 
 
@@ -167,27 +163,31 @@ def test_pack_pads_each_sample_to_the_longest():
     """Sample b fills rows b*S onward with what packing it alone gives;
     the rest of its rows are zero pad rows."""
     seeds = [0, 1, 2]
-    seq, *_ = _packed_batch(seeds)
-    alone = [_packed(seed)[0] for seed in seeds]
-    assert seq.seq_len == max(len(a.roles) for a in alone)
-    assert len({len(a.roles) for a in alone}) > 1, "fixture must be ragged"
+    plan, tokens, *_ = _packed_batch(seeds)
+    seq = plan.layout
+    alone = [_packed(seed)[:2] for seed in seeds]
+    assert seq.seq_len == max(len(a.layout.roles) for a, _ in alone)
+    assert len({len(a.layout.roles) for a, _ in alone}) > 1, \
+        "fixture must be ragged"
     s = seq.seq_len
-    for b, one in enumerate(alone):
-        n = len(one.roles)
-        rows = seq.tokens.data[b * s:(b + 1) * s]
+    for b, (one, one_tokens) in enumerate(alone):
+        n = len(one.layout.roles)
+        rows = tokens.data[b * s:(b + 1) * s]
         assert seq.roles[b * s:(b + 1) * s] == \
-            one.roles + [PAD_ROLE] * (s - n)
-        np.testing.assert_allclose(rows[:n], one.tokens.data, rtol=0,
+            one.layout.roles + [PAD_ROLE] * (s - n)
+        np.testing.assert_allclose(rows[:n], one_tokens.data, rtol=0,
                                    atol=1e-15)
         assert not rows[n:].any()
 
 
 def test_pack_lists_rows_and_target_patch_addresses():
     """On a ragged, masked batch the row lists hold exactly the TEXT and
-    TARGET rows, and each target row addresses its sample's patch in the
-    stacked (B*N, ...) per-patch arrays as b*N + p."""
+    TARGET rows, each context and target row addresses its sample's patch
+    in the stacked (B*N, ...) per-patch arrays as b*N + p, and ``order``
+    reads context, target and caption rows from the source stack in row
+    order and the zero row after them on pad rows."""
     grid = PatchGrid(3, 3)
-    seq, *_ = _packed_batch([0, 1, 2], grid)
+    seq = _packed_batch([0, 1, 2], grid)[0].layout
     s = seq.seq_len
     assert PAD in {r.kind for r in seq.roles}, "fixture must be ragged"
     for rows, kind in ((seq.text_rows, TEXT), (seq.target_rows, TARGET)):
@@ -195,26 +195,45 @@ def test_pack_lists_rows_and_target_patch_addresses():
                                  if r.kind == kind]
     assert seq.target_rows.size
     assert seq.target_patches.shape == seq.target_rows.shape
-    for row, address in zip(seq.target_rows, seq.target_patches):
-        assert address == (row // s) * grid.n + seq.roles[row].patch_index
+    ctx_rows = [i for i, r in enumerate(seq.roles) if r.kind == CONTEXT]
+    for rows, addresses in ((ctx_rows, seq.context_patches),
+                            (seq.target_rows, seq.target_patches)):
+        assert [(row // s) * grid.n + seq.roles[row].patch_index
+                for row in rows] == addresses.tolist()
+    source = [*ctx_rows, *seq.target_rows, *seq.text_rows]
+    pads = [i for i, r in enumerate(seq.roles) if r.kind == PAD]
+    assert seq.order[source].tolist() == list(range(len(source)))
+    assert seq.order[pads].tolist() == [len(source)] * len(pads)
+
+
+def test_pack_reads_no_parameter():
+    """The layout comes from the masks, the grid and the caption lengths
+    alone: pack takes no tensor and builds no graph node."""
+    plan, *_, masks, samples = _packed_batch([0, 1, 2])
+    again = pack(masks, PatchGrid(3, 3), [s.caption for s in samples])
+    for name in ("text_rows", "target_rows", "context_patches",
+                 "target_patches", "order"):
+        assert np.array_equal(getattr(again, name),
+                              getattr(plan.layout, name)), name
+    assert again.roles == plan.layout.roles
+    assert not any(isinstance(v, Tensor) for v in vars(again).values())
 
 
 def test_pad_rows_change_no_real_row():
     """Whatever the pad rows hold, every real row's logits and tap and every
     parameter's gradient stay bit for bit the same, and no gradient reaches
     a pad row."""
-    seq, pred, *_ = _packed_batch([0, 1, 2])
-    allow = _allow(seq)
-    real = np.array([r.kind != PAD for r in seq.roles])
-    weight = np.random.default_rng(0).normal(size=(len(seq.roles), CFG.V))
+    plan, seq_tokens, b, *_ = _packed_batch([0, 1, 2])
+    pred, roles = b.predictor, plan.layout.roles
+    real = np.array([r.kind != PAD for r in roles])
+    weight = np.random.default_rng(0).normal(size=(len(roles), CFG.V))
     weight[~real] = 0.0
     tap_weight = np.where(real[:, None], 1.0, 0.0)
 
     def run(pad_values):
-        tokens = Tensor(seq.tokens.data.copy(), requires_grad=True)
+        tokens = Tensor(seq_tokens.data.copy(), requires_grad=True)
         tokens.data[~real] = pad_values
-        logits, tap = pred.forward(dataclasses.replace(seq, tokens=tokens),
-                                   allow)
+        logits, tap = pred.forward(tokens, plan.allow)
         params = pred.named_parameters()
         for p in params.values():
             p.zero_grad()
@@ -238,9 +257,8 @@ def test_pad_rows_change_no_real_row():
 def test_tap_equals_final_stream_when_tapping_last_layer():
     cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=64, tap_layer=1)
     pred = Predictor(cfg, seed=0)
-    seq, _, proj, lat, mask, sample = _packed()
-    allow = _allow(seq)
-    logits, tap = pred.forward(seq, allow)
+    plan, tokens, *_ = _packed()
+    logits, tap = pred.forward(tokens, plan.allow)
     # with L=1 and tap at 1, the tap is the residual stream feeding the head
     ref = ad.layernorm(tap, pred.lnf_g, pred.lnf_b) @ pred.head_w + pred.head_b
     np.testing.assert_allclose(logits.data, ref.data, atol=1e-12)
@@ -248,7 +266,8 @@ def test_tap_equals_final_stream_when_tapping_last_layer():
 
 def test_denied_keys_cannot_influence_output():
     """Perturbing a token no row may attend to leaves other rows unchanged."""
-    seq, pred, *_ = _packed()
+    plan, tokens, b, *_ = _packed()
+    seq, pred = plan.layout, b.predictor
     allow = _allow(seq, AttnVariant(text_sees_targets=False))
     assert seq.target_rows.size, "fixture must include target tokens"
     p = seq.target_rows[0]
@@ -256,20 +275,19 @@ def test_denied_keys_cannot_influence_output():
                   if not allow[0, i, p] and i != p]
     assert blind_rows
 
-    base, _ = pred.forward(seq, allow)
-    bumped = Tensor(seq.tokens.data.copy())
+    base, _ = pred.forward(tokens, allow)
+    bumped = Tensor(tokens.data.copy())
     bumped.data[p] += 10.0
-    seq2 = dataclasses.replace(seq, tokens=bumped)
-    out, _ = pred.forward(seq2, allow)
+    out, _ = pred.forward(bumped, allow)
     for i in blind_rows:
         np.testing.assert_array_equal(base.data[i], out.data[i])
 
 
 def test_forward_matches_plain_numpy_reference():
     """Independent numpy re-implementation of the forward pass."""
-    seq, pred, *_ = _packed()
-    allow = _allow(seq)
-    logits, tap = pred.forward(seq, allow)
+    plan, tokens, b, *_ = _packed()
+    pred, allow = b.predictor, plan.allow
+    logits, tap = pred.forward(tokens, allow)
 
     def ln(x, g, b, eps=1e-5):
         mu = x.mean(axis=-1, keepdims=True)
@@ -279,8 +297,8 @@ def test_forward_matches_plain_numpy_reference():
     def gelu(x):
         return x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
-    s = len(seq.roles)
-    x = seq.tokens.data + pred.seq_pos[:s]
+    s = len(plan.layout.roles)
+    x = tokens.data + pred.seq_pos[:s]
     ref_tap = None
     for li, blk in enumerate(pred.blocks):
         h = ln(x, blk["ln1_g"].data, blk["ln1_b"].data)
@@ -309,20 +327,18 @@ def test_forward_matches_plain_numpy_reference():
 
 
 def test_project_tap_rejects_non_target_positions():
-    seq, pred, proj, lat, mask, _ = _packed()
+    plan, _, b, *_ = _packed()
     proj_tgt = Projector("linear", CFG.d, 8, seed=5)
-    allow = _allow(seq)
-    _, tap = pred.forward(seq, allow)
-    out = project_tap(proj_tgt, tap, seq.target_rows)
-    assert out.shape == (len(seq.target_rows), 8)
+    _, tap = b.forward(plan)
+    out = project_tap(proj_tgt, tap, plan.layout.target_rows)
+    assert out.shape == (len(plan.layout.target_rows), 8)
 
 
 def test_latent_z_gets_no_grad_without_target_tokens():
-    seq, pred, proj, lat, _, sample = _packed(masked=False)
-    allow = _allow(seq)
-    logits, _ = pred.forward(seq, allow)
+    plan, _, b, *_ = _packed(masked=False)
+    logits, _ = b.forward(plan)
     ad.tsum(logits).backward()
-    assert lat.z.grad is None
+    assert b.latent.z.grad is None
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -385,7 +401,6 @@ def test_checkpoint_rejects_malformed_header(tmp_path, header):
 def test_sequence_beyond_max_seq_rejected():
     cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=4, tap_layer=1)
     pred = Predictor(cfg, seed=0)
-    seq, *_ = _packed()
-    allow = _allow(seq)
+    plan, tokens, *_ = _packed()
     with pytest.raises(ValueError):
-        pred.forward(seq, allow)
+        pred.forward(tokens, plan.allow)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from latentalign import config, data, training
+from latentalign import config, data, training, verify
 from latentalign.training import Trainer
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -62,3 +62,26 @@ def test_traced_spans_count_an_align_run(worker):
     assert rec.counts["steps"] == 2
     assert all(worker.lookup(owner, attr) is originals[(id(owner), attr)]
                for sites in worker.SPANS.values() for owner, attr in sites)
+
+
+def test_traced_spans_count_a_gradcheck_run(worker):
+    """The traced gradcheck benchmark's spans run in-process: the batch is
+    packed once for all of fd_check's evaluations, fd_check's after-hook
+    counts the gradients, and undoing the patches restores every wrapped
+    function."""
+    originals = {(id(owner), attr): worker.lookup(owner, attr)
+                 for sites in worker.SPANS.values() for owner, attr in sites}
+    init = Trainer.__init__
+    patches, rec = worker.Patches(), worker.Recorder()
+    worker.install_spans(patches, rec)
+    try:
+        verify.run_gradcheck(distances=("smooth_l1",))
+    finally:
+        patches.undo()
+    calls = {name: n for name, (n, _, _) in rec.totals(0, len(rec)).items()}
+    assert calls["model.pack"] == rec.counts["seqs"] == 1
+    assert calls["autodiff.fd_check"] == 1
+    assert rec.counts["grad_useful"] > 0, "fd_check's after-hook did not run"
+    assert all(worker.lookup(owner, attr) is originals[(id(owner), attr)]
+               for sites in worker.SPANS.values() for owner, attr in sites)
+    assert Trainer.__init__ is init

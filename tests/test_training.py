@@ -1,5 +1,6 @@
 """Schedule, optimizer, stage contracts, and deterministic replay."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentalign import autodiff as ad
+from latentalign import training
+from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
+                                   build_mask, roles_for_mask)
 from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
@@ -16,6 +20,7 @@ from latentalign.model import PredictorConfig, load_checkpoint, project_tap
 from latentalign.objective import LossConfig, jepa_loss, ntp_loss
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
                                   Trainer, derive_seed, lr_at, run_stage)
+from latentalign.verify import run_gradcheck
 
 GRID = PatchGrid(3, 3)
 SMALL = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
@@ -221,7 +226,9 @@ def _per_sample_losses(trainer, samples, masks):
     b = trainer.bundle
     ntps, jepas = [], []
     for sample, mask in zip(samples, masks):
-        seq, logits, tap = b.forward([sample], [mask])
+        plan = b.plan([sample], [mask])
+        seq = plan.layout
+        logits, tap = b.forward(plan)
         ntps.append(ntp_loss(logits, [sample.caption], seq.text_rows))
         if mask.target_union:
             pred = project_tap(b.proj_tgt, tap, seq.target_rows)
@@ -236,6 +243,54 @@ def _per_sample_losses(trainer, samples, masks):
         return acc * (1.0 / len(terms))
 
     return mean(ntps), mean(jepas) if jepas else None
+
+
+def _plan_and_run(trainer, samples, masks):
+    return trainer._forward(trainer.bundle.plan(samples, masks))
+
+
+def _unsplit_forward(trainer, samples, masks):
+    """The batch forward before the plan/run split: the layout, the mask,
+    both encoders and the caption ids are recomputed with the token rows,
+    which the packing step builds from the parameters."""
+    b, grid = trainer.bundle, trainer.bundle.grid
+    pixels = np.concatenate([s.pixels for s in samples])
+    ctx_emb = b.ctx_encoder.encode(pixels)
+    captions = [s.caption for s in samples]
+    seqs = [roles_for_mask(m, grid, len(c)) for m, c in zip(masks, captions)]
+    s = max(len(roles) for roles in seqs)
+    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
+    ctx_rows, target_rows, text_rows = (
+        np.flatnonzero([r.kind == kind for r in roles])
+        for kind in (CONTEXT, TARGET, TEXT))
+
+    def address(rows):
+        return rows // s * grid.n + np.array(
+            [roles[i].patch_index for i in rows], dtype=np.int64)
+
+    target_patches = address(target_rows)
+    ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
+    parts = [b.proj(Tensor(ctx_emb[address(ctx_rows)]))]
+    if target_rows.size:
+        parts.append(b.latent.tokens(target_patches % grid.n))
+    if ids.size:
+        parts.append(ad.gather_rows(b.predictor.tok_emb, ids))
+    parts.append(Tensor(np.zeros((1, b.predictor.cfg.d))))
+    real = np.concatenate([ctx_rows, target_rows, text_rows])
+    perm = np.full(len(roles), real.size)
+    perm[real] = np.arange(real.size)
+    tokens = ad.gather_rows(ad.concat(parts, axis=0), perm)
+    allow = np.stack([build_mask(roles[i:i + s], b.attn).allow
+                      for i in range(0, len(roles), s)])
+    logits, tap = b.predictor.forward(tokens, allow)
+    ntp = ntp_loss(logits, captions, text_rows)
+    if not target_rows.size:
+        return ntp, None
+    pred = project_tap(b.proj_tgt, tap, target_rows)
+    tgt = b.tgt_encoder.encode(pixels)
+    per_seq = np.bincount(target_rows // s)
+    return ntp, jepa_loss(pred, Tensor(tgt[target_patches]), b.loss,
+                          per_seq[per_seq > 0])
 
 
 def _losses_and_grads(trainer, forward, samples, masks):
@@ -264,7 +319,7 @@ def test_batched_step_equals_per_sample_composition(seed, n, mode, dist):
     samples = generate(seed, n, GRID, b.vocab)
     masks = [trainer.mask_for(i) if mode == "masked" else trainer.unmasked
              for i in range(n)]
-    got = _losses_and_grads(trainer, Trainer._forward, samples, masks)
+    got = _losses_and_grads(trainer, _plan_and_run, samples, masks)
     want = _losses_and_grads(trainer, _per_sample_losses, samples, masks)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
     assert len(got[0]) == (3 if mode == "masked" else 2)
@@ -276,6 +331,46 @@ def test_batched_step_equals_per_sample_composition(seed, n, mode, dist):
     for name, g in want[1].items():
         np.testing.assert_allclose(got[1][name], g, rtol=1e-12, atol=floor,
                                    err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.lists(st.integers(2, 9), min_size=1,
+                                       max_size=4),
+       st.sampled_from(["masked", "skipped", "sft"]),
+       st.sampled_from(["cosine", "smooth_l1"]))
+def test_plan_then_run_equals_the_unsplit_forward(seed, lengths, mode, dist):
+    """Planning the batch first changes no bit of the losses or of any
+    trainable grad, on batches whose captions are cut to mixed lengths."""
+    b = _bundle(seed, loss=LossConfig(distance=dist))
+    trainer = Trainer(b, TrainConfig(stage="sft" if mode == "sft"
+                                     else "align", seed=seed))
+    samples = [dataclasses.replace(sample, caption=sample.caption[:cut])
+               for sample, cut in zip(generate(seed, len(lengths), GRID,
+                                               b.vocab), lengths)]
+    masks = [trainer.mask_for(i) if mode == "masked" else trainer.unmasked
+             for i in range(len(samples))]
+    got = _losses_and_grads(trainer, _plan_and_run, samples, masks)
+    want = _losses_and_grads(trainer, _unsplit_forward, samples, masks)
+    assert got[0] == want[0]
+    assert set(got[1]) == set(want[1])
+    for name, g in want[1].items():
+        assert np.array_equal(got[1][name], g), name
+
+
+def test_gradcheck_builds_one_attention_mask_per_distance(monkeypatch):
+    """run_gradcheck plans its batch once per distance, so the thousands
+    of loss evaluations fd_check makes build no mask of their own."""
+    calls = []
+    build = training.build_mask
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(training, "build_mask", counting)
+    errors = run_gradcheck()
+    assert set(errors) == {"cosine", "smooth_l1"}
+    assert len(calls) == 2
 
 
 def test_near_zero_norm_step_is_a_numeric_failure():
