@@ -23,7 +23,7 @@ def _as_array(x) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value in {what}")
 
 
@@ -63,8 +63,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: add's vjp hands one array to both parents
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-topological gradient accumulation from a scalar loss.
@@ -137,10 +139,16 @@ def _lift(x) -> Tensor:
 
 
 def _from_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._vjp = vjp
+    """An op's output, checked like ``Tensor(data)`` but built without it."""
+    out = Tensor.__new__(Tensor)
+    out.data = _as_array(data)
+    _check_finite(out.data)
+    out.grad = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._vjp = True, parents, vjp
+            return out
+    out.requires_grad, out._parents, out._vjp = False, (), None
     return out
 
 
@@ -218,8 +226,12 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     data = x * cdf
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return _from_op(data, (a,), lambda g: (g * (cdf + x * pdf),))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return (g * (cdf + x * pdf),)
+
+    return _from_op(data, (a,), vjp)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -253,20 +265,25 @@ def _masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     permits; denied columns get exactly 0.  ``allow`` may broadcast over
     leading axes of ``logits``.
 
-    Equivalent to adding -inf to denied logits before normalizing, but
-    implemented without materializing infinities in the result.
+    Bit-identical to adding -inf to denied logits before normalizing, but
+    ``exp`` never sees an infinity: denied cells are zeroed after it.
     """
     if not allow.any(axis=-1).all():
         raise ValueError("attention row with zero permitted columns")
-    shifted = np.where(allow, logits, -np.inf)
-    m = shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    m = np.where(allow, logits, -np.inf).max(axis=-1, keepdims=True)
+    e = logits - m
+    np.minimum(e, 0.0, out=e)   # a denied cell may sit above the allowed max
+    np.exp(e, out=e)
+    e *= allow
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _masked_softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - inner)
+    out = g * y
+    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+    out *= y
+    return out
 
 
 def softmax_masked(logits: Tensor, allow: np.ndarray) -> Tensor:
@@ -319,7 +336,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
 
     def vjp(g):
         gh = split(g)
-        gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2)) * scale
+        gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
+        gs *= scale
         return (merge(gs @ kh) if q.requires_grad else None,
                 merge(gs.swapaxes(-1, -2) @ qh) if k.requires_grad else None,
                 merge(probs.swapaxes(-1, -2) @ gh) if v.requires_grad

@@ -27,6 +27,8 @@ COLORS = {
 QUADRANTS = ("tl", "tr", "bl", "br")
 COUNTS = ("one", "two", "three")
 BACKGROUND = 0.25
+# BOS, count, one (color, quadrant) pair per rectangle, EOS
+MAX_CAPTION_LEN = 3 + 2 * len(COUNTS)
 
 
 @dataclass

@@ -23,6 +23,10 @@ class LossConfig:
             raise ValueError("lam must be a probability")
         if self.distance not in ("cosine", "smooth_l1"):
             raise ValueError(f"unknown distance: {self.distance}")
+        w = self.jepa_weight
+        if isinstance(w, bool) or not isinstance(w, (int, float)) \
+                or not 0.0 <= w < float("inf"):
+            raise ValueError("jepa_weight must be a finite real >= 0")
 
 
 @dataclass

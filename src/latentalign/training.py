@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import AttnVariant, build_mask
 from .autodiff import NonFiniteError, Tensor, concat, gather_rows
-from .data import PATCH_PIXELS, SyntheticVocab
+from .data import MAX_CAPTION_LEN, PATCH_PIXELS, SyntheticVocab
 from .encoders import StubEncoder
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
@@ -88,17 +88,24 @@ class AdamW:
         self.t = 0
 
     def update(self, lr: float) -> None:
+        """One step per parameter with a grad; a non-finite update raises
+        NonFiniteError naming its parameter before it is applied."""
         self.t += 1
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / (1 - self.b1 ** self.t)
-            vhat = self.v[name] / (1 - self.b2 ** self.t)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps)
-                            + self.weight_decay * p.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.params.items():
+                if p.grad is None:
+                    continue
+                g = p.grad
+                m = self.b1 * self.m[name] + (1 - self.b1) * g
+                v = self.b2 * self.v[name] + (1 - self.b2) * g * g
+                mhat = m / (1 - self.b1 ** self.t)
+                vhat = v / (1 - self.b2 ** self.t)
+                step = lr * (mhat / (np.sqrt(vhat) + self.eps)
+                             + self.weight_decay * p.data)
+                if not np.isfinite(step).all():
+                    raise NonFiniteError(f"non-finite update of {name}")
+                self.m[name], self.v[name] = m, v
+                p.data -= step
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,9 @@ class ModelBundle:
                  loss: LossConfig | None = None,
                  attn: AttnVariant | None = None,
                  jepa: bool = True, tgt_nonlinear: bool = True):
+        if predictor.max_seq < grid.n + MAX_CAPTION_LEN:
+            raise ValueError(f"max_seq={predictor.max_seq} is below the "
+                             f"longest sequence, {grid.n + MAX_CAPTION_LEN}")
         self.grid = grid
         self.predictor_cfg = predictor
         self.sampler = sampler or SamplerConfig()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from latentalign import autodiff as ad
 from latentalign.autodiff import NonFiniteError, Tensor
@@ -496,3 +497,92 @@ def test_frozen_operand_gets_no_grad(op):
         for j, (got, want) in enumerate(zip(grads, unfrozen)):
             if j != i:
                 assert np.array_equal(got, want)
+
+
+# -- per-node cost: each check kept, each result unchanged -------------
+
+
+def test_op_output_overflow_raises():
+    """An op's output is checked where the node is built: 1e200 squared
+    overflows to inf in ``mul``, which has no check of its own."""
+    big = Tensor(np.array([1.0, 1e200]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match="^non-finite value in tensor$"):
+        ad.mul(big, big)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_nonfinite(bad):
+    with pytest.raises(NonFiniteError, match="^non-finite value in tensor$"):
+        Tensor(np.array([[0.0, bad]]))
+
+
+def _inf_masked_softmax(logits, allow):
+    """The -inf composition ``_masked_softmax`` replaced."""
+    shifted = np.where(allow, logits, -np.inf)
+    m = shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _inf_masked_softmax_vjp(y, g):
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(0, 2), st.sampled_from([1, 2]),
+       st.sampled_from([0.0, 5.0, 800.0]))
+def test_masked_softmax_matches_inf_composition(seed, lengths, pad, heads,
+                                                lift):
+    """Bit for bit, forward and vjp, on B x H x S x S logits under a
+    broadcast B x 1 x S x S mask with pad rows; denied logits sit ``lift``
+    above the allowed ones, far enough at 800 that exp would overflow."""
+    rng = np.random.default_rng(seed)
+    s = max(lengths) + pad
+    allow = _ragged_allow(rng, lengths, s)[:, None]
+    logits = rng.normal(size=(len(lengths), heads, s, s))
+    logits += np.where(allow, 0.0, lift * (1.0 + rng.random(logits.shape)))
+    y = ad._masked_softmax(logits, allow)
+    assert np.array_equal(y, _inf_masked_softmax(logits, allow))
+    g = rng.normal(size=y.shape)
+    assert np.array_equal(ad._masked_softmax_vjp(y, g),
+                          _inf_masked_softmax_vjp(y, g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-40, 40), min_size=1, max_size=8))
+def test_gelu_matches_reference_formula(vals):
+    x = np.array(vals)
+    out = ad.gelu(Tensor(x, requires_grad=True))
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    g = np.linspace(-1.0, 2.0, x.size)
+    assert np.array_equal(out.data, x * cdf)
+    assert np.array_equal(out._vjp(g)[0], g * (cdf + x * pdf))
+
+
+def test_add_gives_each_parent_its_own_grad():
+    """``add``'s vjp hands one array to both parents; each keeps a copy."""
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    ad.tsum(ad.add(a, b)).backward()
+    assert a.grad is not b.grad
+    ad.tsum(a * 2.0).backward()
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_op_without_grad_parents_records_no_graph():
+    x = Tensor(np.ones((2, 3)))
+    w = Tensor(np.ones((3, 2)))
+    for out in (ad.add(x, x), ad.gelu(x), ad.linear(x, w, Tensor(np.ones(2))),
+                ad.tsum(x)):
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._vjp is None
+    w.requires_grad = True
+    out = ad.matmul(x, w)
+    assert out.requires_grad and out._parents == (x, w)

@@ -168,6 +168,8 @@ def test_truncated_config_exit_code(tmp_path):
     pytest.param('{"data": {"n": "x"}}', id="data-n-not-int"),
     pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
+    pytest.param('{"predictor": {"max_seq": 8}}', id="max-seq-below-sequence"),
+    pytest.param('{"loss": {"jepa_weight": "x"}}', id="jepa-weight-not-real"),
 ])
 def test_bad_config_exit_code(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -180,6 +182,13 @@ def test_bad_config_exit_code(tmp_path, text):
 def test_oversized_gradcheck_config_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"predictor": {"d": 32}}')
+    _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
+
+
+def test_gradcheck_max_seq_below_sequence_exit_code(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"predictor": {
+        "d": 16, "L": 2, "H": 2, "V": 16, "tap_layer": 1, "max_seq": 8}}))
     _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
 
 
@@ -310,6 +319,26 @@ def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):
     assert [line for line in err.splitlines()
             if line.startswith("numeric failure:")] == \
         ["numeric failure: step 0: near-zero norm in cosine distance"]
+
+
+def test_nonfinite_update_exit_code(tmp_path, capsys):
+    """A latent loss weighted by 1e308 overflows the gradients; the
+    optimizer's check stops step 0 before any parameter turns NaN: exit 3
+    with one line naming the parameter, no traceback, no checkpoint."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"loss": {"lam": 0.0, "jepa_weight": 1e308},
+                               "data": {"n": 8}}))
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "align", "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("numeric failure:")] == \
+        ["numeric failure: step 0: non-finite update of proj.w1"]
+    assert not (out / "align_ckpt.bin").exists()
 
 
 def test_resolved_config_echoed_to_stderr():

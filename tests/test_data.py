@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from latentalign.data import (BACKGROUND, COLORS, COUNTS, PATCH_PIXELS,
-                              PATCH_SIDE, QUADRANTS, SyntheticVocab,
-                              caption_for, generate, learnability_fixture,
-                              make_sample, render)
+from latentalign.data import (BACKGROUND, COLORS, COUNTS, MAX_CAPTION_LEN,
+                              PATCH_PIXELS, PATCH_SIDE, QUADRANTS,
+                              SyntheticVocab, caption_for, generate,
+                              learnability_fixture, make_sample, render)
 from latentalign.masking import PatchGrid
 
 GRID = PatchGrid(4, 4)
@@ -28,6 +28,15 @@ def test_caption_grammar():
     expected = [v.bos, v.id_of("two"), v.id_of("red"), v.id_of("tl"),
                 v.id_of("blue"), v.id_of("br"), v.eos]
     assert cap.tolist() == expected
+
+
+def test_max_caption_len_is_the_longest_caption():
+    """``ModelBundle`` sizes its ``max_seq`` check by this constant."""
+    v = SyntheticVocab()
+    longest = [("red", "tl"), ("blue", "tr"), ("green", "bl")]
+    assert caption_for(longest, v).size == MAX_CAPTION_LEN
+    assert max(s.caption.size for s in generate(0, 64, GRID)) \
+        == MAX_CAPTION_LEN
 
 
 def test_render_shapes_and_range():

@@ -139,6 +139,18 @@ def test_loss_config_validation():
         LossConfig(distance="l2")
 
 
+@pytest.mark.parametrize("weight", ["x", None, True, -1.0, float("nan"),
+                                    float("inf")])
+def test_loss_config_rejects_bad_jepa_weight(weight):
+    with pytest.raises(ValueError, match="jepa_weight"):
+        LossConfig(jepa_weight=weight)
+
+
+def test_loss_config_accepts_finite_nonnegative_jepa_weight():
+    for weight in (0, 0.0, 2, 1e308):
+        assert LossConfig(jepa_weight=weight).jepa_weight == weight
+
+
 def test_report_json_shape():
     rep = LossReport(ntp=1.0, jepa=None, total=1.0, skipped=True,
                      n_target_tokens=0)

@@ -81,6 +81,19 @@ def test_adamw_skips_params_without_grad():
     assert np.array_equal(opt.m["p"], [0.0])
 
 
+def test_adamw_rejects_nonfinite_update_and_names_the_parameter():
+    """An infinite grad gives a NaN update (inf / inf); it raises before
+    it reaches the parameter."""
+    good = Tensor(np.array([1.0]), requires_grad=True)
+    bad = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    good.grad = np.array([1.0])
+    bad.grad = np.array([0.5, np.inf])
+    opt = AdamW({"good": good, "bad": bad}, TrainConfig(stage="align"))
+    with pytest.raises(NonFiniteError, match="^non-finite update of bad$"):
+        opt.update(0.5)
+    np.testing.assert_array_equal(bad.data, [2.0, 3.0])
+
+
 def test_trainable_scopes_per_stage():
     b = _bundle()
     align = b.trainable_names("align")
@@ -400,3 +413,23 @@ def test_default_align_step_builds_at_most_80_nodes(monkeypatch):
     report = trainer.step(batch, 0, 1)
     assert not report.skipped
     assert len(nodes) <= 80
+
+
+def test_default_align_step_feeds_exp_only_finite_values(monkeypatch):
+    """No -inf (or other non-finite value) reaches np.exp in a masked
+    default align step, forward or backward: the masked softmax zeroes
+    denied cells after exp instead of exponentiating -inf."""
+    b = bundle_from(default_config())
+    batch = list(enumerate(generate(0, 8, b.grid, b.vocab)))
+    trainer = Trainer(b, TrainConfig(stage="align"))
+    exp = np.exp
+    finite = []
+
+    def checked_exp(x, *args, **kwargs):
+        finite.append(bool(np.isfinite(x).all()))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", checked_exp)
+    report = trainer.step(batch, 0, 1)
+    assert not report.skipped
+    assert finite and all(finite)
