@@ -300,33 +300,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
     """Multi-head scaled dot-product attention over a batch of sequences
     padded to one length S, as one node.
 
-    ``allow`` is B x S x S.  ``q``, ``k`` and ``v`` are (B*S) x d:
-    sequence b owns rows ``b*S:(b+1)*S`` and head i columns
+    ``allow`` is B x Sq x S.  ``k`` and ``v`` are (B*S) x d and ``q`` is
+    (B*Sq) x d: sequence b owns key rows ``b*S:(b+1)*S``, query rows
+    ``b*Sq:(b+1)*Sq`` and output rows alike, and head i columns
     ``i*dh:(i+1)*dh`` with ``dh = d // heads``.  Query row i of sequence b
     may read key row j of the same sequence only where ``allow[b, i, j]``;
-    no row reads another sequence.  Per sequence it matches the per-head
-    composition slice_cols / transpose / matmul / softmax_masked / matmul /
-    concat to within rtol 1e-12 (float sums may be reassociated by BLAS).
+    no row reads another sequence.  With Sq < S the queries are any Sq
+    rows of each sequence and ``allow`` holds their rows of the full
+    mask, so the output is those rows of the full call.  Per sequence it
+    matches the per-head composition slice_cols / transpose / matmul /
+    softmax_masked / matmul / concat to within rtol 1e-12 (float sums may
+    be reassociated by BLAS).
     """
     allow = np.asarray(allow, dtype=bool)
-    if allow.ndim != 3 or allow.shape[1] != allow.shape[2]:
-        raise ValueError("mask shape must be B x S x S")
-    bsz, s, _ = allow.shape
-    n, d = q.data.shape
+    if allow.ndim != 3:
+        raise ValueError("mask shape must be B x Sq x S")
+    bsz, sq, s = allow.shape
+    n, d = k.data.shape
     if n != bsz * s:
-        raise ValueError("attention rows must be B*S for a B x S x S mask")
-    if k.data.shape != (n, d) or v.data.shape != (n, d):
-        raise ValueError("attention q, k and v must share one shape")
+        raise ValueError("attention k must have B*S rows for a B x Sq x S "
+                         "mask")
+    if q.data.shape != (bsz * sq, d):
+        raise ValueError("attention q must be (B*Sq) x d for a B x Sq x S "
+                         "mask")
+    if v.data.shape != (n, d):
+        raise ValueError("attention k and v must share one shape")
     if heads < 1 or d % heads:
         raise ValueError("attention width must be divisible by the heads")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(a):       # (B*S) x d -> B x H x S x dh
-        return a.reshape(bsz, s, heads, dh).transpose(0, 2, 1, 3)
+    def split(a):       # (B*R) x d -> B x H x R x dh
+        return a.reshape(bsz, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):       # B x H x S x dh -> (B*S) x d
-        return a.transpose(0, 2, 1, 3).reshape(n, d)
+    def merge(a):       # B x H x R x dh -> (B*R) x d
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # a contiguous K^T keeps QK^T bit-identical to the per-head composition

@@ -174,31 +174,49 @@ class Predictor:
         params["head_b"] = self.head_b
         return params
 
-    def _attend(self, x: Tensor, blk: dict, allow: np.ndarray) -> Tensor:
-        q = ad.linear(x, blk["wq"], blk["bq"])
-        # no key bias: softmax ignores q.bk, a shift shared by a whole row
-        k = ad.matmul(x, blk["wk"])
-        v = ad.linear(x, blk["wv"], blk["bv"])
-        return ad.linear(ad.attention(q, k, v, allow, self.cfg.H),
-                         blk["wo"], blk["bo"])
-
-    def forward(self, tokens: Tensor, allow: np.ndarray):
+    def forward(self, tokens: Tensor, allow: np.ndarray,
+                window: int | None = None):
         """Runs B stacked sequences, ``tokens`` (B*S x d), under their
-        B x S x S ``allow``: (logits, hidden states after the tap)."""
-        s = allow.shape[1]
+        B x S x S ``allow``: (logits, hidden states after the tap).
+
+        The logits cover the last ``window`` rows of each sequence (all S
+        by default), (B*window) x V, sequence after sequence; the tap covers
+        every row.  Keys and values need every row at every block, so only
+        the last block's queries, output projection and MLP, the final
+        layernorm and the head run on the window alone.  Nothing at or
+        before the tap is restricted: with the tap at the last block the
+        window must be S."""
+        bsz, s = allow.shape[:2]
         if s > self.cfg.max_seq:
             raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
-        x = tokens + Tensor(np.tile(self.seq_pos[:s], (allow.shape[0], 1)))
+        t = s if window is None else window
+        if not 0 <= t <= s:
+            raise ValueError(f"window of {t} rows outside a sequence of {s}")
+        if t < s and self.cfg.tap_layer == self.cfg.L:
+            raise ValueError("the tap is the last block: the window must "
+                             "cover every row")
+        x = tokens + Tensor(np.tile(self.seq_pos[:s], (bsz, 1)))
         tap = None
-        for i, blk in enumerate(self.blocks):
-            a = self._attend(ad.layernorm(x, blk["ln1_g"], blk["ln1_b"]),
-                             blk, allow)
+        for i, blk in enumerate(self.blocks, 1):
+            h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
+            # no key bias: softmax ignores q.bk, a shift shared by a whole row
+            k = ad.matmul(h, blk["wk"])
+            v = ad.linear(h, blk["wv"], blk["bv"])
+            mask = allow
+            if i == self.cfg.L:
+                rows = (np.arange(bsz)[:, None] * s
+                        + np.arange(s - t, s)).ravel()
+                x, h, mask = (ad.gather_rows(x, rows), ad.gather_rows(h, rows),
+                              allow[:, s - t:])
+            q = ad.linear(h, blk["wq"], blk["bq"])
+            a = ad.linear(ad.attention(q, k, v, mask, self.cfg.H),
+                          blk["wo"], blk["bo"])
             x = x + a
             up = ad.linear(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
                            blk["w_up"], blk["b_up"])
             m = ad.linear(ad.gelu(up), blk["w_down"], blk["b_down"])
             x = x + m
-            if i + 1 == self.cfg.tap_layer:
+            if i == self.cfg.tap_layer:
                 tap = x
         logits = ad.linear(ad.layernorm(x, self.lnf_g, self.lnf_b),
                            self.head_w, self.head_b)

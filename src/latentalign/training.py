@@ -8,8 +8,10 @@ is derived from integer seeds so identical configs replay bit-identically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -112,9 +114,13 @@ class AdamW:
 class BatchPlan:
     """What no parameter touches in a batch: its layout, B x S x S mask,
     encoder rows at the layout's patch addresses (``tgt`` None without
-    targets) and caption ids, caption after caption."""
+    targets) and caption ids, caption after caption.  ``window`` is T, the
+    tail rows of each sequence whose logits the forward computes, and
+    ``window_text_rows`` lists the caption rows as rows of those logits."""
     layout: PackedBatch
     allow: np.ndarray
+    window: int
+    window_text_rows: np.ndarray
     ctx: Tensor
     tgt: Tensor | None
     ids: np.ndarray
@@ -172,11 +178,20 @@ class ModelBundle:
         layout = pack(masks, self.grid, captions)
         allow = np.stack([build_mask(roles, self.attn).allow
                           for roles in layout.sequences()])
+        # visual rows come first in every sequence, so the window from the
+        # earliest caption row on holds every caption; a tap at the last
+        # block reads every row
+        s, text = layout.seq_len, layout.text_rows
+        cfg = self.predictor_cfg
+        window = (s if cfg.tap_layer == cfg.L
+                  else s - int((text % s).min(initial=s)))
+        window_text_rows = text // s * window + text % s - (s - window)
         ctx = Tensor(self.ctx_encoder.encode(pixels)[layout.context_patches])
         tgt = (Tensor(self.tgt_encoder.encode(pixels)[layout.target_patches])
                if layout.target_rows.size else None)
         ids = np.concatenate(captions).astype(np.int64)
-        return BatchPlan(layout, allow, ctx, tgt, ids, captions)
+        return BatchPlan(layout, allow, window, window_text_rows, ctx, tgt,
+                         ids, captions)
 
     def tokens(self, plan: BatchPlan) -> Tensor:
         """The planned batch's padded (B*S, d) input rows: projected context,
@@ -192,9 +207,11 @@ class ModelBundle:
         return gather_rows(concat(parts, axis=0), plan.layout.order)
 
     def forward(self, plan: BatchPlan):
-        """Runs the predictor on a planned batch: (logits, hidden states
-        after the tap), one row per row of the padded layout."""
-        return self.predictor.forward(self.tokens(plan), plan.allow)
+        """Runs the predictor on a planned batch: (logits at the plan's
+        window rows, hidden states after the tap at every row of the padded
+        layout)."""
+        return self.predictor.forward(self.tokens(plan), plan.allow,
+                                      plan.window)
 
     def named_parameters(self) -> dict:
         params = {}
@@ -250,7 +267,7 @@ class Trainer:
         mask has targets and otherwise averages the samples that have."""
         b, seq = self.bundle, plan.layout
         logits, tap = b.forward(plan)
-        ntp = ntp_loss(logits, plan.captions, seq.text_rows)
+        ntp = ntp_loss(logits, plan.captions, plan.window_text_rows)
         if plan.tgt is None:
             return ntp, None
         pred = project_tap(b.proj_tgt, tap, seq.target_rows)
@@ -272,11 +289,31 @@ class Trainer:
                                     sum(len(m.target_union) for m in masks))
             for p in self.all_params.values():
                 p.zero_grad()
-            total.backward()
+            # an overflow in backward is reported below, once, by name
+            with np.errstate(all="ignore"):
+                total.backward()
+            for name, p in self.trainable.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NonFiniteError(f"non-finite gradient of {name}")
             self.opt.update(lr_at(step_idx, total_steps, self.cfg))
             return report
         except NonFiniteError as e:
             raise NonFiniteError(f"step {step_idx}: {e}") from e
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A text file written beside ``path`` that replaces it when the block
+    completes; if the block raises, it is removed and ``path`` is left as
+    it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):    # gone once replaced
+            os.remove(tmp)
 
 
 def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
@@ -294,8 +331,8 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     reports = []
-    log_fh = open(log_path, "w") if log_path else None
-    try:
+    with (_replaced_on_success(log_path) if log_path
+          else contextlib.nullcontext()) as log_fh:
         step_idx = 0
         for epoch in range(cfg.epochs):
             order = list(range(n))
@@ -309,10 +346,7 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
                     log_fh.write(json.dumps(report.to_json_obj(step_idx),
                                             sort_keys=True) + "\n")
                 step_idx += 1
-    finally:
-        if log_fh:
-            log_fh.close()
-    if ckpt_path:
-        save_checkpoint(ckpt_path, len(reports), config_header or {},
-                        bundle.named_parameters())
+        if ckpt_path:
+            save_checkpoint(ckpt_path, len(reports), config_header or {},
+                            bundle.named_parameters())
     return reports

@@ -386,6 +386,94 @@ def test_batched_attention_matches_per_sequence(seed, lengths, heads, dh):
             shapes, seed))
 
 
+def _query_rows(rng, lengths, s, sq):
+    """``sq`` sorted rows of each sequence padded to ``s``, as rows of the
+    stacked (B*s) layout, sequence after sequence."""
+    return np.concatenate([b * s + np.sort(rng.choice(s, sq, replace=False))
+                           for b in range(len(lengths))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(1, 6), st.sampled_from([1, 2]), st.sampled_from([1, 4]))
+def test_query_subset_attention_equals_rows_of_the_full_call(
+        seed, lengths, sq, heads, dh):
+    """Attention over Sq < S query rows per sequence, under those rows of
+    the mask, equals the full call's output at those rows; its grads equal
+    the full call's when the full output is read at those rows alone."""
+    s = max(lengths)
+    sq = min(sq, s)
+    rng = np.random.default_rng([seed, 1])
+    allow = _ragged_allow(rng, lengths, s)
+    rows = _query_rows(rng, lengths, s, sq)
+    q, k, v = _operands(np.random.default_rng(seed),
+                        [(len(lengths) * s, heads * dh)] * 3)
+    weight = np.random.default_rng([seed, 2]).normal(size=(rows.size,
+                                                           heads * dh))
+    full = ad.attention(q, k, v, allow, heads)
+    full_weight = np.zeros(full.shape)
+    full_weight[rows] = weight
+    ad.tsum(full * Tensor(full_weight)).backward()
+    qw = Tensor(q.data[rows], requires_grad=True)
+    kw, vw = (Tensor(t.data, requires_grad=True) for t in (k, v))
+    sub_allow = allow[np.arange(len(lengths))[:, None],
+                      (rows % s).reshape(len(lengths), sq)]
+    out = ad.attention(qw, kw, vw, sub_allow, heads)
+    ad.tsum(out * Tensor(weight)).backward()
+    _assert_equivalent([out.data, qw.grad, kw.grad, vw.grad],
+                       [full.data[rows], q.grad[rows], k.grad, v.grad])
+    assert not np.delete(q.grad, rows, axis=0).any()
+
+
+@pytest.mark.parametrize("lengths", [(5,), (5, 3)], ids=["B1", "B2"])
+def test_query_subset_attention_grad_matches_fd(lengths):
+    rng = np.random.default_rng(len(lengths) + 10)
+    s, sq, d = max(lengths), 2, 4
+    allow = _ragged_allow(rng, lengths, s)[:, s - sq:]
+    q, = _operands(rng, [(len(lengths) * sq, d)])
+    k, v = _operands(rng, [(len(lengths) * s, d)] * 2)
+    weight = Tensor(rng.normal(size=(len(lengths) * sq, d)))
+
+    def f():
+        return ad.tsum(ad.attention(q, k, v, allow, 2) * weight)
+
+    assert ad.fd_check(f, [q, k, v]) < 1e-6
+
+
+@pytest.mark.parametrize("q_shape, k_shape, v_shape, allow_shape, match", [
+    pytest.param((4, 4), (6, 4), (6, 4), (2, 3), "B x Sq x S",
+                 id="2-D-mask"),
+    pytest.param((6, 4), (6, 4), (6, 4), (2, 2, 3), "q must be",
+                 id="query-rows"),
+    pytest.param((3, 4), (6, 4), (6, 4), (2, 2, 3), "q must be",
+                 id="query-rows-short"),
+    pytest.param((4, 2), (6, 4), (6, 4), (2, 2, 3), "q must be",
+                 id="query-width"),
+    pytest.param((4, 4), (4, 4), (4, 4), (2, 2, 3), "k must have",
+                 id="key-rows"),
+    pytest.param((4, 4), (6, 4), (5, 4), (2, 2, 3), "k and v",
+                 id="value-rows"),
+    pytest.param((4, 4), (6, 4), (6, 2), (2, 2, 3), "k and v",
+                 id="value-width"),
+])
+def test_attention_rejects_bad_shapes(q_shape, k_shape, v_shape,
+                                      allow_shape, match):
+    """Under a B x Sq x S mask with B=2, Sq=2, S=3 and width 4."""
+    q, k, v = (Tensor(np.zeros(shape)) for shape in (q_shape, k_shape,
+                                                     v_shape))
+    with pytest.raises(ValueError, match=match):
+        ad.attention(q, k, v, np.ones(allow_shape, bool), 2)
+
+
+def test_query_subset_attention_all_denied_row_rejected():
+    allow = np.ones((2, 2, 3), bool)
+    allow[1, 0] = False
+    q, kv = Tensor(np.zeros((4, 4))), Tensor(np.zeros((6, 4)))
+    with pytest.raises(ValueError, match="zero permitted columns"):
+        ad.attention(q, kv, kv, allow, 2)
+
+
 def _weights(rng, n):
     return rng.random(n) + 0.1
 

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,24 +322,35 @@ def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):
         ["numeric failure: step 0: near-zero norm in cosine distance"]
 
 
-def test_nonfinite_update_exit_code(tmp_path, capsys):
-    """A latent loss weighted by 1e308 overflows the gradients; the
-    optimizer's check stops step 0 before any parameter turns NaN: exit 3
-    with one line naming the parameter, no traceback, no checkpoint."""
+@pytest.mark.parametrize("earlier_log", [None, b'{"step": 0}\n'],
+                         ids=["fresh-dir", "earlier-log"])
+def test_nonfinite_gradient_exit_code(tmp_path, capsys, earlier_log):
+    """A latent loss weighted by 1e308 overflows the gradients in backward;
+    the step's gradient check stops step 0 before the optimizer runs: exit
+    3 with one line naming the parameter, no numpy warning, no traceback,
+    no checkpoint, and no step log written or overwritten."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loss": {"lam": 0.0, "jepa_weight": 1e308},
                                "data": {"n": 8}}))
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
+    out.mkdir()
+    log = out / "align_log.jsonl"
+    if earlier_log is not None:
+        log.write_bytes(earlier_log)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["train", "align", "--config", str(cfg),
                      "--out", str(out)])
     assert code == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines()
-            if line.startswith("numeric failure:")] == \
-        ["numeric failure: step 0: non-finite update of proj.w1"]
-    assert not (out / "align_ckpt.bin").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("resolved config:")]
+    assert err == ["numeric failure: step 0: non-finite gradient of proj.w1"]
+    # no checkpoint and no temp file; the earlier log, if any, intact
+    assert [p.name for p in out.iterdir()] == \
+        ([] if earlier_log is None else ["align_log.jsonl"])
+    if earlier_log is not None:
+        assert log.read_bytes() == earlier_log
 
 
 def test_resolved_config_echoed_to_stderr():

@@ -142,7 +142,8 @@ def test_forward_shapes_and_tap_position():
 
 def test_forward_builds_twelve_nodes_per_block(monkeypatch):
     """Position add, then per block two layernorms, four attention linears,
-    one attention node, two residual adds, two MLP linears and a GELU, then
+    one attention node, two residual adds, two MLP linears and a GELU, plus
+    the last block's two window gathers (residual and query input), then
     the final layernorm and the head, however many sequences the batch
     holds."""
     plan, tokens, b, *_ = _packed_batch([0, 1, 2])
@@ -156,7 +157,53 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
 
     monkeypatch.setattr(ad, "_from_op", counting)
     b.predictor.forward(tokens, plan.allow)
-    assert len(nodes) == 1 + 12 * CFG.L + 2
+    assert len(nodes) == 1 + 12 * CFG.L + 2 + 2
+
+
+def test_window_logits_are_the_tail_rows_of_every_sequence():
+    """The logits of a T-row window are the last T rows of each sequence's
+    full-window logits; the tap still covers every row, bit for bit."""
+    plan, tokens, b, *_ = _packed_batch([0, 1, 2])
+    s, t = plan.layout.seq_len, plan.window
+    assert 0 < t < s, "fixture must leave rows out of the window"
+    full, full_tap = b.predictor.forward(tokens, plan.allow)
+    logits, tap = b.predictor.forward(tokens, plan.allow, t)
+    tail = full.data.reshape(3, s, -1)[:, s - t:].reshape(3 * t, -1)
+    np.testing.assert_allclose(logits.data, tail, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(tap.data, full_tap.data)
+    np.testing.assert_allclose(logits.data[plan.window_text_rows],
+                               full.data[plan.layout.text_rows],
+                               rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("tap_layer, window, match", [
+    (CFG.L, 5, "tap is the last block"),
+    (1, -1, "outside a sequence"),
+    (1, 10**6, "outside a sequence"),
+])
+def test_forward_rejects_a_bad_window(tap_layer, window, match):
+    plan, tokens, *_ = _packed()
+    pred = Predictor(PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64,
+                                     tap_layer=tap_layer), seed=0)
+    with pytest.raises(ValueError, match=match):
+        pred.forward(tokens, plan.allow, window)
+
+
+def test_plan_window_covers_every_row_when_tapping_the_last_block():
+    """Nothing at or before the tap is restricted: with the tap at the last
+    block the plan's window is the whole sequence."""
+    grid = PatchGrid(3, 3)
+    b = ModelBundle(grid, PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64,
+                                          tap_layer=2),
+                    proj_kind="linear", ctx_dim=8, tgt_dim=8,
+                    sampler=SamplerConfig(k=2))
+    samples = [make_sample(seed, 0, grid, b.vocab) for seed in (0, 1)]
+    plan = b.plan(samples, [sample_mask(grid, b.sampler, random.Random(s))
+                            for s in (0, 1)])
+    assert plan.window == plan.layout.seq_len
+    assert np.array_equal(plan.window_text_rows, plan.layout.text_rows)
+    logits, tap = b.forward(plan)
+    assert logits.shape[0] == tap.shape[0] == 2 * plan.layout.seq_len
 
 
 def test_pack_pads_each_sample_to_the_longest():
