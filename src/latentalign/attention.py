@@ -6,6 +6,9 @@ other), text is causal and may look back at all visual tokens, and no visual
 token ever sees text.  Two flags expose the ablation variants.  A sequence
 padded to the length of a longer one in its batch ends in pad tokens: a pad
 token sees only itself and no other token sees it.
+
+``build_mask`` reads a batch as columns, one entry per row; ``oracle_mask``
+re-derives one sequence cell by cell from ``TokenRole`` objects.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CONTEXT = "context"
-TARGET = "target"
-TEXT = "text"
-PAD = "pad"
+# role codes: the ``kind`` of a TokenRole and the entries of a role column
+CONTEXT, TARGET, TEXT, PAD = range(4)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class AttnVariant:
 
 @dataclass
 class AttentionMask:
-    allow: np.ndarray  # S x S bool, row = query, column = key
+    allow: np.ndarray  # [B x] S x S bool, row = query, column = key
 
 
 _ORDER = {CONTEXT: 0, TARGET: 0, TEXT: 1, PAD: 2}
@@ -57,38 +58,46 @@ def _validate_order(roles) -> None:
         raise ValueError("tokens out of order: visual, then text, then pad")
 
 
-def build_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
-    _validate_order(roles)
-    s = len(roles)
-    is_c = np.array([r.kind == CONTEXT for r in roles])
-    is_t = np.array([r.kind == TARGET for r in roles])
-    is_x = np.array([r.kind == TEXT for r in roles])
-    allow = np.zeros((s, s), dtype=bool)
+def build_mask(roles, blocks, text_pos,
+               variant: AttnVariant = AttnVariant()) -> AttentionMask:
+    """The B x S x S mask of B sequences in layout order, in one pass over
+    their columns: ``roles`` (B x S role codes), ``blocks`` (B x S x K bool,
+    row i in target block j; only target rows are in a block) and
+    ``text_pos`` (B x S, the caption position of each caption row)."""
+    ctx, tgt, text = (roles == kind for kind in (CONTEXT, TARGET, TEXT))
 
-    allow[np.ix_(is_c, is_c)] = True          # context <-> context
-    allow[np.ix_(is_t, is_c)] = True          # targets see context
-    allow[np.ix_(is_x, is_c)] = True          # text sees context
-    if variant.text_sees_targets:
-        allow[np.ix_(is_x, is_t)] = True
+    def sees(q, k):
+        return q[:, :, None] & k[:, None, :]
 
-    t_idx = np.nonzero(is_t)[0]
+    allow = sees(roles != PAD, ctx)            # every real row sees context
     if variant.tgt_cross_block:
-        allow[np.ix_(is_t, is_t)] = True
-    else:
-        for qi in t_idx:
-            for ki in t_idx:
-                if roles[qi].blocks & roles[ki].blocks:
-                    allow[qi, ki] = True
-
-    x_idx = np.nonzero(is_x)[0]
-    for a, qi in enumerate(x_idx):            # causal text
-        allow[qi, x_idx[: a + 1]] = True
-
-    p_idx = np.array([i for i, r in enumerate(roles) if r.kind == PAD],
-                     dtype=np.int64)
-    allow[p_idx, p_idx] = True                # a pad sees only itself
-
+        allow |= sees(tgt, tgt)
+    else:               # targets sharing a block: a count of shared blocks
+        member = blocks.astype(np.float64)
+        allow |= member @ member.transpose(0, 2, 1) > 0
+    if variant.text_sees_targets:
+        allow |= sees(text, tgt)
+    allow |= sees(text, text) & (text_pos[:, None, :] <= text_pos[:, :, None])
+    b, i = np.nonzero(roles == PAD)
+    allow[b, i, i] = True                      # a pad sees only itself
     return AttentionMask(allow)
+
+
+def role_columns(roles):
+    """One sequence of TokenRoles as ``build_mask``'s columns, B = 1;
+    rejects roles out of layout order."""
+    _validate_order(roles)
+    block_col: dict = {}
+    for r in roles:
+        for bid in r.blocks:
+            block_col.setdefault(bid, len(block_col))
+    blocks = np.zeros((1, len(roles), len(block_col)), dtype=bool)
+    for i, r in enumerate(roles):
+        blocks[0, i, [block_col[bid] for bid in r.blocks]] = True
+    kinds = np.array([[r.kind for r in roles]], dtype=np.int8)
+    text_pos = np.array([[-1 if r.text_position is None else r.text_position
+                          for r in roles]], dtype=np.int64)
+    return kinds, blocks, text_pos
 
 
 def oracle_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
@@ -123,13 +132,15 @@ def oracle_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:
 
 
 def dump_mask(m: AttentionMask, fmt: str = "text") -> bytes:
+    """The rows of every sequence of ``m``, one sequence after another."""
+    allow = m.allow.reshape(-1, m.allow.shape[-1])
     if fmt == "text":
-        lines = ["".join("1" if v else "." for v in row) for row in m.allow]
+        lines = ["".join("1" if v else "." for v in row) for row in allow]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "pgm":
-        h, w = m.allow.shape
+        h, w = allow.shape
         header = f"P5\n{w} {h}\n255\n".encode()
-        return header + np.where(m.allow, 255, 0).astype(np.uint8).tobytes()
+        return header + np.where(allow, 255, 0).astype(np.uint8).tobytes()
     raise ValueError(f"unknown format: {fmt}")
 
 

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import autodiff, config, verify
-from .attention import AttnVariant, build_mask, dump_mask, roles_for_mask
+from .attention import (AttnVariant, build_mask, dump_mask, role_columns,
+                        roles_for_mask)
 from .data import generate
 from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
                       SamplerConfig, sample_mask)
@@ -69,7 +70,8 @@ def cmd_mask_attn(args) -> int:
     side = int(np.ceil(np.sqrt(n)))
     grid = PatchGrid(side, side)
     roles = roles_for_mask(spec, grid, args.caption_len)
-    payload = dump_mask(build_mask(roles, variant), args.format)
+    payload = dump_mask(build_mask(*role_columns(roles), variant),
+                        args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)

@@ -7,9 +7,8 @@ visible input never contains what must be predicted.
 
 from __future__ import annotations
 
+import math
 import random
-
-import numpy as np
 from dataclasses import dataclass, field
 
 RETRY_BUDGET = 100
@@ -63,8 +62,9 @@ class SamplerConfig:
         for name in ("target_scale", "target_aspect", "context_scale",
                      "context_aspect"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must be a nonempty positive interval")
+            if not (0 < lo <= hi < math.inf):
+                raise ValueError(f"{name} must be a nonempty positive "
+                                 "finite interval")
             setattr(self, name, (lo, hi))
 
 
@@ -124,35 +124,48 @@ def sample_block(grid: PatchGrid, scale: float, aspect: float,
 
 
 def block_indices(b: BlockSpec, grid: PatchGrid) -> frozenset:
-    return frozenset(r * grid.cols + c
-                     for r in range(b.top, b.top + b.height)
-                     for c in range(b.left, b.left + b.width))
+    start = b.top * grid.cols + b.left
+    return frozenset().union(*[
+        range(first, first + b.width)
+        for first in range(start, start + b.height * grid.cols, grid.cols)])
 
 
 def _block_dims(grid: PatchGrid, scale: float, aspect: float):
+    """Rounded half up and clamped to [1, extent]; the clamp comes before
+    the conversion to int, so an area that overflows to inf gives the whole
+    extent."""
     area = scale * grid.n
-    h = min(max(_round_half_up((area * aspect) ** 0.5), 1), grid.rows)
-    w = min(max(_round_half_up((area / aspect) ** 0.5), 1), grid.cols)
+    h = int(min(max((area * aspect) ** 0.5 + 0.5, 1), grid.rows))
+    w = int(min(max((area / aspect) ** 0.5 + 0.5, 1), grid.cols))
     return h, w
 
 
 def _place_disjoint(grid: PatchGrid, h: int, w: int, accepted,
                     rng: random.Random):
     """Uniform placement among those disjoint from accepted blocks
-    (the same distribution rejection sampling converges to)."""
-    n_cols = grid.cols - w + 1
-    valid = np.ones((grid.rows - h + 1, n_cols), dtype=bool)
+    (the same distribution rejection sampling converges to): the
+    ``randrange``-th free (top, left) in raster order."""
+    n_tops, n_cols = grid.rows - h + 1, grid.cols - w + 1
+    taken = [0] * n_tops        # per top, bit l set: left l overlaps a block
     for b in accepted:
-        t0 = max(0, b.top - h + 1)
-        t1 = min(grid.rows - h, b.top + b.height - 1)
-        l0 = max(0, b.left - w + 1)
-        l1 = min(n_cols - 1, b.left + b.width - 1)
-        valid[t0: t1 + 1, l0: l1 + 1] = False
-    flat = np.flatnonzero(valid)
-    if not flat.size:
+        lefts = (1 << min(n_cols, b.left + b.width)) \
+            - (1 << max(0, b.left - w + 1))
+        for top in range(max(0, b.top - h + 1),
+                         min(n_tops, b.top + b.height)):
+            taken[top] |= lefts
+    free = [n_cols - t.bit_count() for t in taken]
+    total = sum(free)
+    if not total:
         return None
-    pick = int(flat[rng.randrange(flat.size)])
-    return pick // n_cols, pick % n_cols
+    pick, top = rng.randrange(total), 0
+    while pick >= free[top]:
+        pick -= free[top]
+        top += 1
+    left = 0            # step to the pick-th free left of that top
+    while pick or taken[top] >> left & 1:
+        pick -= not taken[top] >> left & 1
+        left += 1
+    return top, left
 
 
 def _sample_targets(grid: PatchGrid, cfg: SamplerConfig, tscale: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import CONTEXT, PAD_ROLE, TARGET, TEXT, roles_for_mask
+from .attention import CONTEXT, PAD, TARGET, TEXT
 from .autodiff import Tensor
 
 # trainable modules start near zero; the frozen predictor needs fan-in
@@ -119,17 +119,13 @@ class Projector:
 
 
 class LatentTarget:
-    """Shared learnable vector plus a fixed 2-D positional table."""
+    """Shared learnable vector plus a fixed 2-D positional table: the latent
+    token of patch p is ``z + phi[p]``."""
 
     def __init__(self, d: int, rows: int, cols: int, seed: int = 0):
         rng = np.random.default_rng([seed, 0x2A7])
         self.z = _param(rng, (1, d))
         self.phi = sincos_2d(rows, cols, d)
-
-    def tokens(self, patch_indices) -> Tensor:
-        """One row per patch index, in the order given."""
-        idx = np.asarray(patch_indices, dtype=np.int64)
-        return self.z + Tensor(self.phi[idx])
 
     def named_parameters(self) -> dict:
         return {"z": self.z}
@@ -174,10 +170,16 @@ class Predictor:
         params["head_b"] = self.head_b
         return params
 
+    def positions(self, bsz: int, s: int) -> Tensor:
+        """The position code of every row of B stacked S-row sequences."""
+        return Tensor(np.tile(self.seq_pos[:s], (bsz, 1)))
+
     def forward(self, tokens: Tensor, allow: np.ndarray,
-                window: int | None = None):
+                window: int | None = None, pos: Tensor | None = None):
         """Runs B stacked sequences, ``tokens`` (B*S x d), under their
         B x S x S ``allow``: (logits, hidden states after the tap).
+        ``pos`` is the position rows added to ``tokens``, ``positions(B,
+        S)`` when not given.
 
         The logits cover the last ``window`` rows of each sequence (all S
         by default), (B*window) x V, sequence after sequence; the tap covers
@@ -195,7 +197,7 @@ class Predictor:
         if t < s and self.cfg.tap_layer == self.cfg.L:
             raise ValueError("the tap is the last block: the window must "
                              "cover every row")
-        x = tokens + Tensor(np.tile(self.seq_pos[:s], (bsz, 1)))
+        x = tokens + (self.positions(bsz, s) if pos is None else pos)
         tap = None
         for i, blk in enumerate(self.blocks, 1):
             h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
@@ -226,13 +228,20 @@ class Predictor:
 @dataclass
 class PackedBatch:
     """The layout of B sequences padded to one length S and stacked:
-    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  ``text_rows`` and
-    ``target_rows`` list caption and latent target rows in row order;
-    ``context_patches`` and ``target_patches`` address each context and
-    target row's patch p of sample b as ``b*N + p`` in the batch's stacked
-    ``(B*N, ...)`` per-patch arrays.  Row i reads row ``order[i]`` of the
-    stack [context rows, target rows, caption tokens, one zero row]."""
-    roles: list                 # one TokenRole per row, PAD_ROLE on pad rows
+    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  Four columns hold
+    one entry per row: its role code, the patch index of a context or
+    target row (-1 elsewhere), the target blocks it belongs to (a B*S x K
+    bool, K the most targets of any mask) and the caption position of a
+    caption row (-1 elsewhere).  ``text_rows`` and ``target_rows`` list
+    caption and latent target rows in row order; ``context_patches`` and
+    ``target_patches`` address each context and target row's patch p of
+    sample b as ``b*N + p`` in the batch's stacked ``(B*N, ...)`` per-patch
+    arrays.  Row i reads row ``order[i]`` of the stack [context rows,
+    target rows, caption tokens, one zero row]."""
+    roles: np.ndarray           # B*S role codes, PAD on pad rows
+    patch: np.ndarray
+    blocks: np.ndarray
+    text_pos: np.ndarray
     seq_len: int                # S
     text_rows: np.ndarray
     target_rows: np.ndarray
@@ -240,10 +249,13 @@ class PackedBatch:
     target_patches: np.ndarray
     order: np.ndarray
 
-    def sequences(self) -> list:
-        """Each sequence's roles, pads included."""
-        s = self.seq_len
-        return [self.roles[i:i + s] for i in range(0, len(self.roles), s)]
+    def columns(self) -> tuple:
+        """The role, block and caption-position columns as B x S (x K)
+        arrays, ``build_mask``'s input."""
+        shape = (len(self.roles) // self.seq_len, self.seq_len)
+        return (self.roles.reshape(shape),
+                self.blocks.reshape(shape + self.blocks.shape[1:]),
+                self.text_pos.reshape(shape))
 
 
 def pack(masks, grid, captions) -> PackedBatch:
@@ -256,24 +268,51 @@ def pack(masks, grid, captions) -> PackedBatch:
         raise ValueError("empty batch")
     if not all(m.context for m in masks):
         raise ValueError("empty context")
-    seqs = [roles_for_mask(m, grid, len(c))
-            for m, c in zip(masks, captions, strict=True)]
-    s = max(len(roles) for roles in seqs)
-    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
-    ctx_rows, target_rows, text_rows = (
-        np.flatnonzero([r.kind == kind for r in roles])
-        for kind in (CONTEXT, TARGET, TEXT))
+    if len(captions) != len(masks):
+        raise ValueError("one caption per mask expected")
+    bsz, n = len(masks), grid.n
+    k = max(len(m.targets) for m in masks)
+    # per patch b*N + p of the stacked grids: its role code (-1 when the
+    # sequence leaves it out) and its target blocks; context wins over a
+    # target, as in roles_for_mask
+    member = np.zeros((bsz * n, k), dtype=bool)
+    member.reshape(-1)[[(b * n + p) * k + j for b, m in enumerate(masks)
+                        for j, t in enumerate(m.targets) for p in t]] = True
+    kind = np.where(member.any(axis=1), TARGET, -1).astype(np.int8)
+    ctx = [b * n + p for b, m in enumerate(masks) for p in m.context]
+    kind[ctx] = CONTEXT
+    member[ctx] = False
+    visual = (kind >= 0).reshape(bsz, n)
+    n_visual = visual.sum(axis=1)
+    cap = np.array([len(c) for c in captions], dtype=np.int64)
+    s = int((n_visual + cap).max())
+    visual_rows = (np.arange(bsz)[:, None] * s
+                   + np.cumsum(visual, axis=1) - 1)[visual]
+    caption_of = np.repeat(np.arange(bsz), cap)
+    position = np.arange(cap.sum()) - np.repeat(np.cumsum(cap) - cap, cap)
+    text_rows = caption_of * s + n_visual[caption_of] + position
 
-    def address(rows):
-        return rows // s * grid.n + np.array(
-            [roles[i].patch_index for i in rows], dtype=np.int64)
+    visual = visual.reshape(-1)
+    roles = np.full(bsz * s, PAD, dtype=np.int8)
+    roles[visual_rows] = kind[visual]
+    roles[text_rows] = TEXT
+    patch = np.full(bsz * s, -1, dtype=np.int64)
+    patch[visual_rows] = np.flatnonzero(visual) % n
+    blocks = np.zeros((bsz * s, k), dtype=bool)
+    blocks[visual_rows] = member[visual]
+    text_pos = np.full(bsz * s, -1, dtype=np.int64)
+    text_pos[text_rows] = position
 
+    ctx_rows = np.flatnonzero(roles == CONTEXT)
+    target_rows = np.flatnonzero(roles == TARGET)
     # the source stack groups [context, targets, text], each in row order
     real = np.concatenate([ctx_rows, target_rows, text_rows])
-    order = np.full(len(roles), real.size)
+    order = np.full(bsz * s, real.size)
     order[real] = np.arange(real.size)
-    return PackedBatch(roles, s, text_rows, target_rows, address(ctx_rows),
-                       address(target_rows), order)
+    # rows keep the patches' order, so the addresses are the patches' own
+    return PackedBatch(roles, patch, blocks, text_pos, s, text_rows,
+                       target_rows, np.flatnonzero(kind == CONTEXT),
+                       np.flatnonzero(kind == TARGET), order)
 
 
 def project_tap(proj_tgt: Projector, tap: Tensor, rows) -> Tensor:

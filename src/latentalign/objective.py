@@ -50,29 +50,32 @@ def mean_of_means(sizes) -> np.ndarray:
 
 
 def jepa_loss(pred: Tensor, tgt: Tensor, cfg: LossConfig,
-              rows_per_seq=None) -> Tensor:
+              weights=None) -> Tensor:
     """Distance between predicted and reference target embeddings, one row
-    per unique masked patch: the mean over the sequences whose rows ``pred``
-    stacks, ``rows_per_seq`` rows each (None: one sequence), of each
-    sequence's mean."""
+    per unique masked patch, summed under the row ``weights`` (None: the
+    plain mean; ``mean_of_means`` of the rows per sequence: the mean over
+    the sequences of each sequence's mean)."""
     if pred.shape != tgt.shape:
         raise ValueError("prediction/target shape mismatch")
     m = pred.shape[0]
     if m == 0:
         raise ValueError("no target rows")
-    weights = mean_of_means([m] if rows_per_seq is None else rows_per_seq)
+    if weights is None:
+        weights = mean_of_means([m])
     if weights.size != m:
-        raise ValueError("rows_per_seq must add up to the target rows")
+        raise ValueError("one weight per target row expected")
     if cfg.distance == "smooth_l1":
         return ad.smooth_l1(pred, tgt, weights)
     return ad.cosine_distance(pred, tgt, weights)
 
 
-def ntp_loss(logits: Tensor, captions, text_positions) -> Tensor:
-    """Next-token cross-entropy of a batch of captions: in each caption the
-    logit at text position i predicts token i+1, and each caption's mean
-    counts equally.  ``text_positions`` lists the logits rows of every
-    caption's tokens, caption after caption; no other row enters."""
+def ntp_targets(captions, text_positions) -> tuple:
+    """The fixed part of the next-token loss of a batch of captions, for
+    ``ntp_loss``: the logits rows that predict a token, the token each
+    predicts and row weights under which each caption's mean counts
+    equally.  In each caption the logit at text position i predicts token
+    i+1.  ``text_positions`` lists the logits rows of every caption's
+    tokens, caption after caption; no other row enters."""
     captions = [np.asarray(c, dtype=np.int64) for c in captions]
     sizes = np.array([c.size for c in captions], dtype=np.int64)
     if sizes.size == 0 or sizes.min() < 2:
@@ -82,9 +85,15 @@ def ntp_loss(logits: Tensor, captions, text_positions) -> Tensor:
         raise ValueError("one text position per caption token expected")
     predicts = np.ones(positions.size, dtype=bool)
     predicts[np.cumsum(sizes) - 1] = False      # a caption's last token
-    rows = ad.gather_rows(logits, positions[predicts])
-    return ad.cross_entropy(rows, np.concatenate([c[1:] for c in captions]),
-                            mean_of_means(sizes - 1))
+    return (positions[predicts], np.concatenate([c[1:] for c in captions]),
+            mean_of_means(sizes - 1))
+
+
+def ntp_loss(logits: Tensor, rows, next_tokens, weights) -> Tensor:
+    """Next-token cross-entropy at the logits ``rows`` that
+    ``ntp_targets`` lists, under its row weights."""
+    return ad.cross_entropy(ad.gather_rows(logits, rows), next_tokens,
+                            weights)
 
 
 def lambda_gate(cfg: LossConfig, rng) -> bool:

@@ -27,7 +27,7 @@ from .model import (LatentTarget, PackedBatch, Predictor, PredictorConfig,
                     Projector, load_checkpoint, load_into, pack, project_tap,
                     save_checkpoint)
 from .objective import (LossConfig, LossReport, combine, jepa_loss,
-                        lambda_gate, ntp_loss)
+                        lambda_gate, mean_of_means, ntp_loss, ntp_targets)
 
 STAGE_LR = {"align": 1e-3, "sft": 2e-5}
 ADAM_BETAS = (0.9, 0.999)
@@ -113,18 +113,26 @@ class AdamW:
 @dataclass(frozen=True)
 class BatchPlan:
     """What no parameter touches in a batch: its layout, B x S x S mask,
-    encoder rows at the layout's patch addresses (``tgt`` None without
-    targets) and caption ids, caption after caption.  ``window`` is T, the
-    tail rows of each sequence whose logits the forward computes, and
-    ``window_text_rows`` lists the caption rows as rows of those logits."""
+    position rows, encoder rows at the layout's patch addresses (``tgt``
+    None without targets), the latent tokens' rows of ``phi``, caption ids,
+    caption after caption, and the zero pad row.  ``window`` is T, the tail
+    rows of each sequence whose logits the forward computes, and
+    ``window_text_rows`` lists the caption rows as rows of those logits.
+    ``ntp`` is ``ntp_targets``' rows, next tokens and weights, and
+    ``jepa_weights`` the latent loss's row weights (None without
+    targets)."""
     layout: PackedBatch
     allow: np.ndarray
     window: int
     window_text_rows: np.ndarray
+    pos: Tensor
     ctx: Tensor
     tgt: Tensor | None
+    phi: Tensor | None
     ids: np.ndarray
-    captions: list
+    pad: Tensor
+    ntp: tuple
+    jepa_weights: np.ndarray | None
 
 
 class ModelBundle:
@@ -176,34 +184,40 @@ class ModelBundle:
             raise ValueError("pixels must cover every patch")
         captions = [s.caption for s in samples]
         layout = pack(masks, self.grid, captions)
-        allow = np.stack([build_mask(roles, self.attn).allow
-                          for roles in layout.sequences()])
+        s, bsz = layout.seq_len, len(samples)
+        allow = build_mask(*layout.columns(), self.attn).allow
         # visual rows come first in every sequence, so the window from the
         # earliest caption row on holds every caption; a tap at the last
         # block reads every row
-        s, text = layout.seq_len, layout.text_rows
+        text = layout.text_rows
         cfg = self.predictor_cfg
         window = (s if cfg.tap_layer == cfg.L
                   else s - int((text % s).min(initial=s)))
         window_text_rows = text // s * window + text % s - (s - window)
         ctx = Tensor(self.ctx_encoder.encode(pixels)[layout.context_patches])
-        tgt = (Tensor(self.tgt_encoder.encode(pixels)[layout.target_patches])
-               if layout.target_rows.size else None)
+        tgt = phi = jepa_weights = None
+        if layout.target_rows.size:
+            tgt = Tensor(self.tgt_encoder.encode(pixels)[
+                layout.target_patches])
+            phi = Tensor(self.latent.phi[layout.target_patches % self.grid.n])
+            per_seq = np.bincount(layout.target_rows // s)
+            jepa_weights = mean_of_means(per_seq[per_seq > 0])
         ids = np.concatenate(captions).astype(np.int64)
-        return BatchPlan(layout, allow, window, window_text_rows, ctx, tgt,
-                         ids, captions)
+        return BatchPlan(layout, allow, window, window_text_rows,
+                         self.predictor.positions(bsz, s), ctx, tgt, phi,
+                         ids, Tensor(np.zeros((1, cfg.d))),
+                         ntp_targets(captions, window_text_rows),
+                         jepa_weights)
 
     def tokens(self, plan: BatchPlan) -> Tensor:
         """The planned batch's padded (B*S, d) input rows: projected context,
         latent targets and caption embeddings; pad rows are zero."""
-        tok_emb = self.predictor.tok_emb
         parts = [self.proj(plan.ctx)]
-        if plan.tgt is not None:
-            parts.append(self.latent.tokens(
-                plan.layout.target_patches % self.grid.n))
+        if plan.phi is not None:
+            parts.append(self.latent.z + plan.phi)
         if plan.ids.size:
-            parts.append(gather_rows(tok_emb, plan.ids))
-        parts.append(Tensor(np.zeros((1, tok_emb.shape[1]))))
+            parts.append(gather_rows(self.predictor.tok_emb, plan.ids))
+        parts.append(plan.pad)
         return gather_rows(concat(parts, axis=0), plan.layout.order)
 
     def forward(self, plan: BatchPlan):
@@ -211,7 +225,7 @@ class ModelBundle:
         window rows, hidden states after the tap at every row of the padded
         layout)."""
         return self.predictor.forward(self.tokens(plan), plan.allow,
-                                      plan.window)
+                                      plan.window, plan.pos)
 
     def named_parameters(self) -> dict:
         params = {}
@@ -265,14 +279,13 @@ class Trainer:
         """The batch graph: (caption loss, latent loss), each the mean over
         the samples of the sample's mean; the latent loss is None when no
         mask has targets and otherwise averages the samples that have."""
-        b, seq = self.bundle, plan.layout
+        b = self.bundle
         logits, tap = b.forward(plan)
-        ntp = ntp_loss(logits, plan.captions, plan.window_text_rows)
+        ntp = ntp_loss(logits, *plan.ntp)
         if plan.tgt is None:
             return ntp, None
-        pred = project_tap(b.proj_tgt, tap, seq.target_rows)
-        per_seq = np.bincount(seq.target_rows // seq.seq_len)
-        return ntp, jepa_loss(pred, plan.tgt, b.loss, per_seq[per_seq > 0])
+        pred = project_tap(b.proj_tgt, tap, plan.layout.target_rows)
+        return ntp, jepa_loss(pred, plan.tgt, b.loss, plan.jepa_weights)
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""

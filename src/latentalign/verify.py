@@ -14,7 +14,8 @@ import tempfile
 import numpy as np
 
 from . import attention, autodiff, config
-from .attention import AttnVariant, TokenRole, build_mask, oracle_mask
+from .attention import (AttnVariant, TokenRole, build_mask, oracle_mask,
+                        role_columns)
 from .autodiff import Tensor, fd_check
 from .data import generate
 from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
@@ -54,7 +55,7 @@ def check_mask_oracle(n_configs: int = 200, seed: int = 0,
             continue
         variant = AttnVariant(tgt_cross_block=rng.random() < 0.5,
                               text_sees_targets=rng.random() < 0.5)
-        a = build_mask(roles, variant).allow
+        a = build_mask(*role_columns(roles), variant).allow[0]
         if negative_control:
             a[0, 0] = not a[0, 0]
         b = oracle_mask(roles, variant).allow
@@ -111,8 +112,7 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
             plan = bundle.plan(
                 [dataclasses.replace(samples[0], caption=caption)], [mask])
             _, tap = bundle.forward(plan)
-            taps.append(tap.data[[r.kind != attention.TEXT
-                                  for r in plan.layout.roles]].copy())
+            taps.append(tap.data[plan.layout.roles != attention.TEXT])
         if not np.array_equal(taps[0], taps[1]):
             return False, f"caption change leaked into taps (trial {trial})"
     return True, f"{n_models} parameterizations leak-free"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from latentalign.attention import (AttnVariant, build_mask, oracle_mask,
-                                   roles_for_mask)
+                                   role_columns, roles_for_mask)
 from latentalign.cli import main
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import (PatchGrid, SamplerConfig, _block_dims,
@@ -57,7 +57,8 @@ def test_criterion_1_mask_oracle_equivalence():
         roles = roles_for_mask(mask, grid, caption_len=rng.randint(2, 8))
         variant = AttnVariant(tgt_cross_block=bool(rng.getrandbits(1)),
                               text_sees_targets=bool(rng.getrandbits(1)))
-        if not np.array_equal(build_mask(roles, variant).allow,
+        if not np.array_equal(build_mask(*role_columns(roles),
+                                         variant).allow[0],
                               oracle_mask(roles, variant).allow):
             mismatches += 1
     dt = time.monotonic() - t0

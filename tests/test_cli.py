@@ -249,6 +249,38 @@ def test_negative_caption_len_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_sampler_interval_exit_code(capsys):
+    """An infinite target scale is no interval to draw from: exit 2 with
+    one line, not a traceback from converting NaN to int."""
+    assert main(["mask", "sample", "--rows", "4", "--cols", "4",
+                 "--target-scale", "inf,inf"]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == [
+        "bad input: SamplerConfig rejected: target_scale must be a "
+        "nonempty positive finite interval"]
+
+
+def test_overflowing_target_scale_exit_code(capsys):
+    """A finite target scale of 1e308 overflows the block area; the block
+    then covers the whole grid, so every draw leaves no context: exit 2
+    with one line, not a traceback from converting inf to int."""
+    assert main(["mask", "sample", "--rows", "4", "--cols", "4",
+                 "--target-scale", "1e308,1e308"]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == [
+        "bad input: context empty after target removal"]
+
+
+def test_overflowing_target_aspect_trains(tmp_path, capsys):
+    """A target aspect of 1e-320 overflows the block width; the block then
+    spans the grid's columns and the run trains: exit 0, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"target_aspect": [1e-320, 1e-320]},
+                               "data": {"n": 8}}))
+    assert main(["train", "align", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "align_ckpt.bin").exists()
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
 def test_bad_gradcheck_tolerance_exit_code(tolerance, monkeypatch, capsys):
     """A tolerance no error can be checked against is rejected before the

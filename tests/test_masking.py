@@ -1,5 +1,7 @@
 """Block mask sampler: dimension formula, disjointness, determinism."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -124,6 +126,72 @@ def test_sampler_config_validation():
         SamplerConfig(target_scale=(0.3, 0.2))
     with pytest.raises(ValueError):
         PatchGrid(0, 4)
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("target_scale", (0.1, float("inf"))),
+    ("target_aspect", (float("inf"), float("inf"))),
+    ("context_scale", (float("nan"), 1.0)),
+    ("context_aspect", (0.5, float("nan"))),
+])
+def test_sampler_config_rejects_nonfinite_bounds(name, bounds):
+    with pytest.raises(ValueError, match=f"{name} must be a nonempty "
+                                         "positive finite interval"):
+        SamplerConfig(**{name: bounds})
+
+
+def test_block_dims_clamp_an_overflowing_area():
+    """An area or side that overflows to inf clamps to the grid's extent
+    instead of failing the conversion to int."""
+    grid = PatchGrid(4, 6)
+    assert _block_dims(grid, 1e308, 1e308) == (4, 6)
+    assert _block_dims(grid, 1e308, 1.0) == (4, 6)
+    assert _block_dims(grid, 0.15, 1e-320) == (1, 6)
+    assert _block_dims(grid, 0.15, 1e308) == (4, 1)
+
+
+# sha256 over 1,000 draws from random.Random(0) of each config's
+# json.dumps(spec.to_json_obj(), sort_keys=True), taken with the sampler
+# that placed disjoint blocks on a numpy grid of valid positions
+PINNED_DRAWS = {
+    "4x4-default": (PatchGrid(4, 4), SamplerConfig(),
+                    "2f4d282efba3da28c7c727f1af289651"
+                    "a1e40b2424954f1858bcbf8368cf7b09"),
+    "8x8": (PatchGrid(8, 8), SamplerConfig(),
+            "75ae4e238855eef12d054fdf915e4fd6"
+            "64fb8be188aa77822e02ea2eb0aa5695"),
+    "24x24-overlap": (PatchGrid(24, 24), SamplerConfig(allow_overlap=True),
+                      "1b2f1fd4b50352d7a192f30c35fad3a8"
+                      "4008d15006ca8905f4b6125f38d92331"),
+    "24x24-disjoint": (PatchGrid(24, 24), SamplerConfig(allow_overlap=False),
+                       "e548550d5a913080b64f673b9e0ec2be"
+                       "350ae01d29132c0a53abbb54c6e55022"),
+    "k1": (PatchGrid(4, 4), SamplerConfig(k=1),
+           "de10a1bc0d8a0468f1d97dc46061e0e5"
+           "808c101a0fe2e4588175d9cd8de9c394"),
+    "k6": (PatchGrid(8, 8), SamplerConfig(k=6),
+           "d492b0c999171b1e787855bfd40833be"
+           "0536573bc86010d4baf603bdbf7a1858"),
+    # small disjoint targets that often leave no free position
+    "k6-disjoint": (PatchGrid(8, 8),
+                    SamplerConfig(k=6, target_scale=(0.08, 0.12),
+                                  allow_overlap=False),
+                    "9982832c7c41f35a15a1fd29eac01eae"
+                    "1a7d5055e9f137462a74c003cd19ecf8"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DRAWS)
+def test_sampler_draws_match_pinned_digest(name):
+    """The sampler draws the same masks with the same RNG calls as when
+    the digests were taken."""
+    grid, cfg, digest = PINNED_DRAWS[name]
+    rng = random.Random(0)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        h.update(json.dumps(sample_mask(grid, cfg, rng).to_json_obj(),
+                            sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,18 +6,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentalign import autodiff as ad
 from latentalign.attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
-                                   AttnVariant, build_mask, roles_for_mask)
+                                   AttnVariant, TokenRole, build_mask,
+                                   oracle_mask, roles_for_mask)
 from latentalign.autodiff import Tensor
 from latentalign.data import make_sample
 from latentalign.encoders import StubEncoder
-from latentalign.masking import MaskSpec, PatchGrid, SamplerConfig, sample_mask
-from latentalign.model import (LatentTarget, Predictor,
-                               PredictorConfig, Projector, load_checkpoint,
-                               load_into, pack, project_tap, save_checkpoint,
-                               sincos_1d, sincos_2d, tap_layer_default)
+from latentalign.masking import (MaskSpec, PatchGrid, ResampleExhausted,
+                                 SamplerConfig, sample_mask)
+from latentalign.model import (Predictor, PredictorConfig, Projector,
+                               load_checkpoint, load_into, pack, project_tap,
+                               save_checkpoint, sincos_1d, sincos_2d,
+                               tap_layer_default)
 from latentalign.training import ModelBundle
 
 CFG = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
@@ -42,8 +46,16 @@ def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
 
 
 def _allow(seq, variant=AttnVariant()):
-    return np.stack([build_mask(roles, variant).allow
-                     for roles in seq.sequences()])
+    return build_mask(*seq.columns(), variant).allow
+
+
+def _roles(seq):
+    """The layout's columns read back as one TokenRole per row."""
+    return [TokenRole(int(kind), None if p < 0 else int(p),
+                      frozenset(np.flatnonzero(blocks).tolist()),
+                      None if t < 0 else int(t))
+            for kind, p, blocks, t in zip(seq.roles, seq.patch, seq.blocks,
+                                          seq.text_pos)]
 
 
 def test_tap_layer_default():
@@ -88,12 +100,12 @@ def test_sincos_2d_equals_per_patch_fill(rows, cols, d):
 
 def test_pack_orders_tokens_by_raster_position():
     plan, *_, mask, _ = _packed()
-    seq = plan.layout
-    visual = [r for r in seq.roles if r.kind != TEXT]
+    roles = _roles(plan.layout)
+    visual = [r for r in roles if r.kind != TEXT]
     idx = [r.patch_index for r in visual]
     assert idx == sorted(idx)
     assert {r.patch_index for r in visual} == set(mask.context) | set(mask.target_union)
-    text = [r for r in seq.roles if r.kind == TEXT]
+    text = [r for r in roles if r.kind == TEXT]
     assert [r.text_position for r in text] == list(range(len(text)))
 
 
@@ -102,15 +114,14 @@ def test_pack_follows_roles_for_mask(masked):
     """Roles come from roles_for_mask, and each packed row holds the token
     its role names."""
     plan, tokens, b, mask, sample = _packed(masked=masked)
-    seq = plan.layout
-    assert seq.roles == roles_for_mask(mask, PatchGrid(3, 3),
-                                       len(sample.caption))
+    roles = _roles(plan.layout)
+    assert roles == roles_for_mask(mask, PatchGrid(3, 3), len(sample.caption))
     ctx = StubEncoder(1, sample.pixels.shape[1], 8).encode(sample.pixels)
-    for row, r in zip(tokens.data, seq.roles):
+    for row, r in zip(tokens.data, roles):
         if r.kind == TEXT:
             want = b.predictor.tok_emb.data[sample.caption[r.text_position]]
         elif r.kind == TARGET:
-            want = b.latent.tokens([r.patch_index]).data[0]
+            want = b.latent.z.data[0] + b.latent.phi[r.patch_index]
         else:
             want = b.proj(Tensor(ctx[[r.patch_index]])).data[0]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
@@ -119,17 +130,20 @@ def test_pack_follows_roles_for_mask(masked):
 def test_pack_unmasked_covers_every_patch():
     grid = PatchGrid(3, 3)
     seq = _packed(masked=False, grid=grid)[0].layout
-    visual = [r for r in seq.roles if r.kind != TEXT]
+    visual = [r for r in _roles(seq) if r.kind != TEXT]
     assert [r.patch_index for r in visual] == list(range(grid.n))
     assert all(r.kind != TARGET for r in visual)
 
 
 def test_latent_tokens_are_shared_vector_plus_position():
-    lat = LatentTarget(8, 4, 4, seed=0)
-    toks = lat.tokens([3, 7]).data
-    np.testing.assert_allclose(toks[0] - lat.phi[3], toks[1] - lat.phi[7],
-                               atol=1e-12)
-    np.testing.assert_allclose(toks[0], lat.z.data[0] + lat.phi[3], atol=1e-12)
+    """Every target row of a planned batch holds the shared vector z plus
+    the row of the fixed table phi at its patch."""
+    plan, tokens, b, *_ = _packed_batch([0, 1, 2])
+    rows = plan.layout.target_rows
+    assert rows.size, "fixture must include target tokens"
+    np.testing.assert_array_equal(
+        tokens.data[rows],
+        b.latent.z.data + b.latent.phi[plan.layout.patch[rows]])
 
 
 def test_forward_shapes_and_tap_position():
@@ -147,7 +161,7 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
     the final layernorm and the head, however many sequences the batch
     holds."""
     plan, tokens, b, *_ = _packed_batch([0, 1, 2])
-    assert PAD in {r.kind for r in plan.layout.roles}, "fixture must pad"
+    assert PAD in plan.layout.roles, "fixture must pad"
     nodes = []
     from_op = ad._from_op
 
@@ -220,8 +234,8 @@ def test_pack_pads_each_sample_to_the_longest():
     for b, (one, one_tokens) in enumerate(alone):
         n = len(one.layout.roles)
         rows = tokens.data[b * s:(b + 1) * s]
-        assert seq.roles[b * s:(b + 1) * s] == \
-            one.layout.roles + [PAD_ROLE] * (s - n)
+        assert _roles(seq)[b * s:(b + 1) * s] == \
+            _roles(one.layout) + [PAD_ROLE] * (s - n)
         np.testing.assert_allclose(rows[:n], one_tokens.data, rtol=0,
                                    atol=1e-15)
         assert not rows[n:].any()
@@ -235,22 +249,127 @@ def test_pack_lists_rows_and_target_patch_addresses():
     order and the zero row after them on pad rows."""
     grid = PatchGrid(3, 3)
     seq = _packed_batch([0, 1, 2], grid)[0].layout
-    s = seq.seq_len
-    assert PAD in {r.kind for r in seq.roles}, "fixture must be ragged"
+    s, roles = seq.seq_len, _roles(seq)
+    assert PAD in seq.roles, "fixture must be ragged"
     for rows, kind in ((seq.text_rows, TEXT), (seq.target_rows, TARGET)):
-        assert rows.tolist() == [i for i, r in enumerate(seq.roles)
+        assert rows.tolist() == [i for i, r in enumerate(roles)
                                  if r.kind == kind]
     assert seq.target_rows.size
     assert seq.target_patches.shape == seq.target_rows.shape
-    ctx_rows = [i for i, r in enumerate(seq.roles) if r.kind == CONTEXT]
+    ctx_rows = [i for i, r in enumerate(roles) if r.kind == CONTEXT]
     for rows, addresses in ((ctx_rows, seq.context_patches),
                             (seq.target_rows, seq.target_patches)):
-        assert [(row // s) * grid.n + seq.roles[row].patch_index
+        assert [(row // s) * grid.n + roles[row].patch_index
                 for row in rows] == addresses.tolist()
     source = [*ctx_rows, *seq.target_rows, *seq.text_rows]
-    pads = [i for i, r in enumerate(seq.roles) if r.kind == PAD]
+    pads = [i for i, r in enumerate(roles) if r.kind == PAD]
     assert seq.order[source].tolist() == list(range(len(source)))
     assert seq.order[pads].tolist() == [len(source)] * len(pads)
+
+
+def _object_pack(masks, grid, captions):
+    """``pack`` as it was before the columnar layout: one TokenRole per
+    row, and the row lists and addresses read off the role objects."""
+    seqs = [roles_for_mask(m, grid, len(c)) for m, c in zip(masks, captions)]
+    s = max(len(roles) for roles in seqs)
+    roles = [r for seq in seqs for r in seq + [PAD_ROLE] * (s - len(seq))]
+    ctx_rows, target_rows, text_rows = (
+        np.flatnonzero([r.kind == kind for r in roles])
+        for kind in (CONTEXT, TARGET, TEXT))
+
+    def address(rows):
+        return rows // s * grid.n + np.array(
+            [roles[i].patch_index for i in rows], dtype=np.int64)
+
+    real = np.concatenate([ctx_rows, target_rows, text_rows])
+    order = np.full(len(roles), real.size)
+    order[real] = np.arange(real.size)
+    return roles, s, {"text_rows": text_rows, "target_rows": target_rows,
+                      "context_patches": address(ctx_rows),
+                      "target_patches": address(target_rows),
+                      "order": order}
+
+
+def _hand_built_spec(grid, rng):
+    """A nonempty context and up to 70 target blocks, drawn independently,
+    so patches share blocks; the blocks are drawn from the other patches,
+    or one time in five from every patch, when the context wins."""
+    patches = list(range(grid.n))
+    rng.shuffle(patches)
+    cut = rng.randint(1, grid.n)
+    rest = patches if rng.random() < 0.2 else patches[cut:]
+    targets = [frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+               for _ in range(rng.randint(1, 70) if rest else 0)]
+    return MaskSpec(context=frozenset(patches[:cut]), targets=targets,
+                    target_union=frozenset().union(*targets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(3, 7), cols=st.integers(3, 7),
+       kinds=st.lists(st.sampled_from(["overlap", "disjoint", "hand",
+                                       "all-context"]),
+                      min_size=1, max_size=5),
+       caption_lens=st.lists(st.integers(0, 9), min_size=5, max_size=5),
+       cross_block=st.booleans(), text_sees_targets=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_columnar_layout_and_mask_equal_the_object_path(
+        rows, cols, kinds, caption_lens, cross_block, text_sees_targets,
+        seed):
+    """On ragged batches of sampled and hand-built specs (up to 70 target
+    blocks, patches in several blocks, empty captions), every layout column
+    and row list equals the object path's, and the one-pass B x S x S mask
+    equals the cell-by-cell oracle of each padded sequence."""
+    grid, rng = PatchGrid(rows, cols), random.Random(seed)
+    masks = []
+    for kind in kinds:
+        spec = None
+        if kind in ("overlap", "disjoint"):
+            cfg = SamplerConfig(k=rng.randint(1, 4),
+                                allow_overlap=kind == "overlap")
+            try:
+                spec = sample_mask(grid, cfg, rng)
+            except ResampleExhausted:
+                pass
+        if kind == "all-context":
+            spec = MaskSpec(context=frozenset(range(grid.n)))
+        masks.append(spec or _hand_built_spec(grid, rng))
+    captions = [np.zeros(n, dtype=np.int64) for n in caption_lens[:len(kinds)]]
+    variant = AttnVariant(cross_block, text_sees_targets)
+
+    layout = pack(masks, grid, captions)
+    roles, s, lists = _object_pack(masks, grid, captions)
+    assert layout.seq_len == s
+    k = max(len(m.targets) for m in masks)
+    assert layout.roles.tolist() == [r.kind for r in roles]
+    assert layout.patch.tolist() == [
+        -1 if r.patch_index is None else r.patch_index for r in roles]
+    assert layout.text_pos.tolist() == [
+        -1 if r.text_position is None else r.text_position for r in roles]
+    assert layout.blocks.tolist() == [[j in r.blocks for j in range(k)]
+                                      for r in roles]
+    for name, want in lists.items():
+        assert np.array_equal(getattr(layout, name), want), name
+
+    want = np.stack([oracle_mask(roles[i:i + s], variant).allow
+                     for i in range(0, len(roles), s)])
+    assert np.array_equal(build_mask(*layout.columns(), variant).allow, want)
+
+
+def test_block_membership_past_63_blocks():
+    """Target rows see each other exactly when they share a block, for
+    block ids past what a 64-bit mask could hold."""
+    grid = PatchGrid(2, 2)
+    blocks = [frozenset({1})] * 64 + [frozenset({2, 3}), frozenset({3})]
+    layout = pack([MaskSpec(context=frozenset({0}), targets=blocks,
+                            target_union=frozenset({1, 2, 3}))], grid,
+                  [np.zeros(2, dtype=np.int64)])
+    assert layout.blocks.shape == (6, 66)
+    allow = build_mask(*layout.columns()).allow[0]
+    # rows 1..3 hold patches 1..3: patch 1 in blocks 0..63, patch 2 in
+    # block 64, patch 3 in blocks 64 and 65
+    assert allow[1:4, 1:4].tolist() == [[True, False, False],
+                                        [False, True, True],
+                                        [False, True, True]]
 
 
 def test_pack_reads_no_parameter():
@@ -258,11 +377,11 @@ def test_pack_reads_no_parameter():
     alone: pack takes no tensor and builds no graph node."""
     plan, *_, masks, samples = _packed_batch([0, 1, 2])
     again = pack(masks, PatchGrid(3, 3), [s.caption for s in samples])
-    for name in ("text_rows", "target_rows", "context_patches",
-                 "target_patches", "order"):
+    for name in ("roles", "patch", "blocks", "text_pos", "text_rows",
+                 "target_rows", "context_patches", "target_patches",
+                 "order"):
         assert np.array_equal(getattr(again, name),
                               getattr(plan.layout, name)), name
-    assert again.roles == plan.layout.roles
     assert not any(isinstance(v, Tensor) for v in vars(again).values())
 
 
@@ -272,7 +391,7 @@ def test_pad_rows_change_no_real_row():
     a pad row."""
     plan, seq_tokens, b, *_ = _packed_batch([0, 1, 2])
     pred, roles = b.predictor, plan.layout.roles
-    real = np.array([r.kind != PAD for r in roles])
+    real = roles != PAD
     weight = np.random.default_rng(0).normal(size=(len(roles), CFG.V))
     weight[~real] = 0.0
     tap_weight = np.where(real[:, None], 1.0, 0.0)

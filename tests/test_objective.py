@@ -9,7 +9,8 @@ import pytest
 from latentalign import autodiff as ad
 from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.objective import (LossConfig, LossReport, combine,
-                                   jepa_loss, lambda_gate, ntp_loss)
+                                   jepa_loss, lambda_gate, ntp_loss,
+                                   ntp_targets)
 
 COSINE = LossConfig(distance="cosine")
 
@@ -77,7 +78,7 @@ def test_ntp_loss_uses_only_text_rows():
     logits = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
     caption = np.array([1, 3, 4, 2])
     text_positions = [3, 4, 5, 6]
-    ntp_loss(logits, [caption], text_positions).backward()
+    ntp_loss(logits, *ntp_targets([caption], text_positions)).backward()
     assert np.array_equal(logits.grad[:3], np.zeros((3, 8)))
     # the last text row predicts nothing and gets no grad either
     assert np.array_equal(logits.grad[6], np.zeros(8))
@@ -88,13 +89,13 @@ def test_ntp_loss_hand_value():
     # two text rows, uniform logits: loss = log V for the single transition
     v = 8
     logits = Tensor(np.zeros((2, v)))
-    loss = ntp_loss(logits, [np.array([1, 2])], [0, 1])
+    loss = ntp_loss(logits, *ntp_targets([np.array([1, 2])], [0, 1]))
     np.testing.assert_allclose(loss.data, math.log(v), atol=1e-12)
 
 
 def test_ntp_loss_rejects_short_captions():
     with pytest.raises(ValueError):
-        ntp_loss(Tensor(np.zeros((1, 4))), [np.array([1])], [0])
+        ntp_targets([np.array([1])], [0])
 
 
 def test_lambda_gate_rate():

@@ -42,8 +42,10 @@ def test_workload_configs_build(worker):
 
 def test_traced_spans_count_an_align_run(worker):
     """The traced benchmark's spans and after-hooks run against the library
-    in-process: a short align run counts packed sequences, mask cells and
-    steps, and undoing the patches restores every wrapped function."""
+    in-process: a short align run counts packed batches, their rows, mask
+    cells and steps, the same counts the per-sequence mask builder gave,
+    with one mask build per step; undoing the patches restores every
+    wrapped function."""
     cfg = config.merge(worker.workload_config("align-d32", 0),
                        {"data": {"n": 16}})
     bundle = config.bundle_from(cfg)
@@ -57,9 +59,12 @@ def test_traced_spans_count_an_align_run(worker):
         training.run_stage(bundle, config.train_config_from(cfg), dataset)
     finally:
         patches.undo()
-    for key in ("seqs", "allowed", "steps"):
-        assert rec.counts[key] > 0, key
-    assert rec.counts["steps"] == 2
+    assert {key: rec.counts[key] for key
+            in ("seqs", "seq_tokens", "allowed", "cells", "steps")} == \
+        {"seqs": 2, "seq_tokens": 400, "allowed": 5564, "cells": 10000,
+         "steps": 2}
+    calls = {name: n for name, (n, _, _) in rec.totals(0, len(rec)).items()}
+    assert calls["attention.build_mask"] == calls["model.pack"] == 2
     assert all(worker.lookup(owner, attr) is originals[(id(owner), attr)]
                for sites in worker.SPANS.values() for owner, attr in sites)
 

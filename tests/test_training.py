@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from latentalign import autodiff as ad
 from latentalign import training, verify
 from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
-                                   build_mask, roles_for_mask)
+                                   TokenRole, oracle_mask, roles_for_mask)
 from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import PatchGrid, SamplerConfig
 from latentalign.model import PredictorConfig, load_checkpoint, project_tap
-from latentalign.objective import LossConfig, jepa_loss, ntp_loss
+from latentalign.objective import (LossConfig, jepa_loss, mean_of_means,
+                                   ntp_loss, ntp_targets)
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
                                   Trainer, derive_seed, lr_at, run_stage)
 from latentalign.verify import run_gradcheck
@@ -243,7 +244,8 @@ def _per_sample_losses(trainer, samples, masks):
         plan = b.plan([sample], [mask])
         seq = plan.layout
         logits, tap = b.forward(plan)
-        ntps.append(ntp_loss(logits, [sample.caption], plan.window_text_rows))
+        ntps.append(ntp_loss(logits, *ntp_targets([sample.caption],
+                                                  plan.window_text_rows)))
         if mask.target_union:
             pred = project_tap(b.proj_tgt, tap, seq.target_rows)
             tgt = b.tgt_encoder.encode(sample.pixels)[
@@ -286,10 +288,11 @@ def _full_row_forward(pred, tokens, allow):
 
 
 def _unsplit_forward(trainer, samples, masks):
-    """The batch forward before the plan/run split and the caption window:
-    the layout, the mask, both encoders and the caption ids are recomputed
-    with the token rows, which the packing step builds from the parameters,
-    and the logits cover every row."""
+    """The batch forward before the plan/run split, the caption window and
+    the columnar layout: the layout (one TokenRole per row), the mask (the
+    cell-by-cell oracle per sequence), both encoders and the caption ids
+    are recomputed with the token rows, which the packing step builds from
+    the parameters, and the logits cover every row."""
     b, grid = trainer.bundle, trainer.bundle.grid
     pixels = np.concatenate([s.pixels for s in samples])
     ctx_emb = b.ctx_encoder.encode(pixels)
@@ -309,7 +312,8 @@ def _unsplit_forward(trainer, samples, masks):
     ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
     parts = [b.proj(Tensor(ctx_emb[address(ctx_rows)]))]
     if target_rows.size:
-        parts.append(b.latent.tokens(target_patches % grid.n))
+        parts.append(b.latent.z
+                     + Tensor(b.latent.phi[target_patches % grid.n]))
     if ids.size:
         parts.append(ad.gather_rows(b.predictor.tok_emb, ids))
     parts.append(Tensor(np.zeros((1, b.predictor.cfg.d))))
@@ -317,17 +321,17 @@ def _unsplit_forward(trainer, samples, masks):
     perm = np.full(len(roles), real.size)
     perm[real] = np.arange(real.size)
     tokens = ad.gather_rows(ad.concat(parts, axis=0), perm)
-    allow = np.stack([build_mask(roles[i:i + s], b.attn).allow
+    allow = np.stack([oracle_mask(roles[i:i + s], b.attn).allow
                       for i in range(0, len(roles), s)])
     logits, tap = _full_row_forward(b.predictor, tokens, allow)
-    ntp = ntp_loss(logits, captions, text_rows)
+    ntp = ntp_loss(logits, *ntp_targets(captions, text_rows))
     if not target_rows.size:
         return ntp, None
     pred = project_tap(b.proj_tgt, tap, target_rows)
     tgt = b.tgt_encoder.encode(pixels)
     per_seq = np.bincount(target_rows // s)
     return ntp, jepa_loss(pred, Tensor(tgt[target_patches]), b.loss,
-                          per_seq[per_seq > 0])
+                          mean_of_means(per_seq[per_seq > 0]))
 
 
 def _losses_and_grads(trainer, forward, samples, masks):
@@ -419,6 +423,31 @@ def test_gradcheck_builds_one_attention_mask_per_distance(monkeypatch):
     errors = run_gradcheck()
     assert set(errors) == {"cosine", "smooth_l1"}
     assert len(calls) == 2
+
+
+def test_training_steps_build_no_token_role_and_one_mask(monkeypatch):
+    """A masked and a skipped default align step and an sft step lay out
+    their batches as columns: no TokenRole is constructed, and the mask is
+    built once per step."""
+    made, masks = [], []
+    monkeypatch.setattr(TokenRole, "__post_init__",
+                        lambda self: made.append(self))
+    build = training.build_mask
+
+    def counting(*args, **kwargs):
+        masks.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(training, "build_mask", counting)
+    b = bundle_from(default_config())
+    data = list(enumerate(generate(0, 16, b.grid, b.vocab)))
+    align = Trainer(b, TrainConfig(stage="align"))
+    skipped = [align.step(batch, i, 2).skipped
+               for i, batch in enumerate((data[:8], data[8:]))]
+    assert sorted(skipped) == [False, True]
+    Trainer(b, TrainConfig(stage="sft")).step(data[:8], 0, 1)
+    assert len(masks) == 3
+    assert made == []
 
 
 def test_near_zero_norm_step_is_a_numeric_failure():
