@@ -23,7 +23,7 @@ CONTEXT, TARGET, TEXT, PAD = range(4)
 
 @dataclass(frozen=True)
 class TokenRole:
-    kind: str
+    kind: int
     patch_index: int | None = None
     blocks: frozenset = frozenset()
     text_position: int | None = None
@@ -81,23 +81,6 @@ def build_mask(roles, blocks, text_pos,
     b, i = np.nonzero(roles == PAD)
     allow[b, i, i] = True                      # a pad sees only itself
     return AttentionMask(allow)
-
-
-def role_columns(roles):
-    """One sequence of TokenRoles as ``build_mask``'s columns, B = 1;
-    rejects roles out of layout order."""
-    _validate_order(roles)
-    block_col: dict = {}
-    for r in roles:
-        for bid in r.blocks:
-            block_col.setdefault(bid, len(block_col))
-    blocks = np.zeros((1, len(roles), len(block_col)), dtype=bool)
-    for i, r in enumerate(roles):
-        blocks[0, i, [block_col[bid] for bid in r.blocks]] = True
-    kinds = np.array([[r.kind for r in roles]], dtype=np.int8)
-    text_pos = np.array([[-1 if r.text_position is None else r.text_position
-                          for r in roles]], dtype=np.int64)
-    return kinds, blocks, text_pos
 
 
 def oracle_mask(roles, variant: AttnVariant = AttnVariant()) -> AttentionMask:

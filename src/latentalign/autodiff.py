@@ -54,10 +54,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -103,32 +99,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
     def __rmul__(self, other):
         return mul(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_lift(other))
-
-    def __rsub__(self, other):
-        return add(_lift(other), -self)
-
-    def __truediv__(self, other):
-        return mul(self, pow_const(_lift(other), -1.0))
-
-    def __pow__(self, n):
-        return pow_const(self, float(n))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

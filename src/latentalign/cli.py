@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from . import autodiff, config, verify
-from .attention import (AttnVariant, build_mask, dump_mask, role_columns,
-                        roles_for_mask)
+from .attention import AttnVariant, build_mask, dump_mask
 from .data import generate
 from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
                       SamplerConfig, sample_mask)
+from .model import pack
 from .training import run_stage
 from .verify import run_gradcheck
 
@@ -68,10 +68,8 @@ def cmd_mask_attn(args) -> int:
                      **vars(variant), "format": args.format})
     n = max(spec.context | spec.target_union) + 1
     side = int(np.ceil(np.sqrt(n)))
-    grid = PatchGrid(side, side)
-    roles = roles_for_mask(spec, grid, args.caption_len)
-    payload = dump_mask(build_mask(*role_columns(roles), variant),
-                        args.format)
+    layout = pack([spec], PatchGrid(side, side), [range(args.caption_len)])
+    payload = dump_mask(build_mask(*layout.columns(), variant), args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)
@@ -100,9 +98,6 @@ def cmd_data_gen(args) -> int:
 def _dataset(data: dict, grid: PatchGrid, vocab=None) -> list:
     """The samples a ``data`` section (``seed``, ``n``) asks for on
     ``grid``, checked as outside input."""
-    for key in ("seed", "n"):
-        if type(data[key]) is not int:
-            raise InputError(f"data.{key} takes an integer")
     if data["seed"] < 0 or data["n"] < 1:
         raise InputError("data wants seed >= 0 and n >= 1")
     return config._build(generate, {**data, "grid": grid, "vocab": vocab})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import math
 from dataclasses import fields
 
 from .attention import AttnVariant
@@ -40,6 +41,14 @@ def default_config() -> dict:
             "data": {"seed": 0, "n": 64}}
 
 
+def _fits(default, val) -> bool:
+    """A leaf keeps its default's JSON type: a float default also takes an
+    int, a number must be finite, and a None default takes anything."""
+    if type(default) is float:
+        return type(val) is int or type(val) is float and math.isfinite(val)
+    return default is None or type(val) is type(default)
+
+
 def merge(base: dict, override: dict) -> dict:
     if not isinstance(override, dict):
         raise InputError("a config must be a JSON object")
@@ -51,6 +60,9 @@ def merge(base: dict, override: dict) -> dict:
         if section != isinstance(val, dict):
             kind = "an object" if section else "a single value"
             raise InputError(f"config key {key} takes {kind}")
+        if not (section or _fits(out[key], val)):
+            raise InputError(f"config key {key} takes a finite value of "
+                             f"its default's type, {type(out[key]).__name__}")
         out[key] = merge(out[key], val) if section else val
     return out
 

@@ -29,6 +29,3 @@ class StubEncoder:
             raise ValueError("expected (n_patches, patch_pixels) pixels")
         out = pixels @ self.weight + self.bias
         return np.tanh(out) if self.nonlinear else out
-
-    def state(self) -> dict:
-        return {"weight": self.weight.copy(), "bias": self.bias.copy()}

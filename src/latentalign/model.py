@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,6 @@ INIT_STD = 0.02
 
 def tap_layer_default(L: int) -> int:
     """Index of the block at one fourth of the depth (1-based)."""
-    if L < 1:
-        raise ValueError("layer count must be positive")
     return -(-L // 4)
 
 
@@ -41,14 +40,17 @@ class PredictorConfig:
     tap_layer: int | None = None
 
     def __post_init__(self):
+        if min(self.d, self.L, self.H, self.V, self.max_seq) < 1:
+            raise ValueError("d, L, H, V and max_seq must be at least 1")
         if self.d % self.H:
             raise ValueError("d must be divisible by H")
         if self.d % 4:
             raise ValueError("d must be divisible by 4 for 2-D position codes")
         if self.tap_layer is None:
             self.tap_layer = tap_layer_default(self.L)
-        if not 1 <= self.tap_layer <= self.L:
-            raise ValueError("tap layer out of range")
+        if type(self.tap_layer) is not int \
+                or not 1 <= self.tap_layer <= self.L:
+            raise ValueError("tap layer must be an integer in [1, L]")
 
 
 def sincos_1d(n: int, d: int) -> np.ndarray:
@@ -95,8 +97,6 @@ class Projector:
             raise ValueError(f"unknown projector kind: {kind}")
         rng = np.random.default_rng([seed, 0x9107])
         self.kind = kind
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         if kind == "linear":
             self.w = _param(rng, (in_dim, out_dim))
             self.b = _zeros(out_dim)
@@ -126,9 +126,6 @@ class LatentTarget:
         rng = np.random.default_rng([seed, 0x2A7])
         self.z = _param(rng, (1, d))
         self.phi = sincos_2d(rows, cols, d)
-
-    def named_parameters(self) -> dict:
-        return {"z": self.z}
 
 
 class Predictor:
@@ -228,18 +225,16 @@ class Predictor:
 @dataclass
 class PackedBatch:
     """The layout of B sequences padded to one length S and stacked:
-    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  Four columns hold
-    one entry per row: its role code, the patch index of a context or
-    target row (-1 elsewhere), the target blocks it belongs to (a B*S x K
-    bool, K the most targets of any mask) and the caption position of a
-    caption row (-1 elsewhere).  ``text_rows`` and ``target_rows`` list
+    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  Three columns hold
+    one entry per row: its role code, the target blocks it belongs to (a
+    B*S x K bool, K the most targets of any mask) and the caption position
+    of a caption row (-1 elsewhere).  ``text_rows`` and ``target_rows`` list
     caption and latent target rows in row order; ``context_patches`` and
     ``target_patches`` address each context and target row's patch p of
     sample b as ``b*N + p`` in the batch's stacked ``(B*N, ...)`` per-patch
     arrays.  Row i reads row ``order[i]`` of the stack [context rows,
     target rows, caption tokens, one zero row]."""
     roles: np.ndarray           # B*S role codes, PAD on pad rows
-    patch: np.ndarray
     blocks: np.ndarray
     text_pos: np.ndarray
     seq_len: int                # S
@@ -262,7 +257,7 @@ def pack(masks, grid, captions) -> PackedBatch:
     """Lay out each sample in ``roles_for_mask`` order (visual tokens in
     raster order, context and latent targets where the mask puts them, then
     the caption), pad every sequence to the longest and stack them.  Reads
-    no parameter.  The unmasked path passes an all-context spec,
+    no parameter and only ``len`` of a caption.  The unmasked path passes
     ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens."""
     if not masks:
         raise ValueError("empty batch")
@@ -296,8 +291,6 @@ def pack(masks, grid, captions) -> PackedBatch:
     roles = np.full(bsz * s, PAD, dtype=np.int8)
     roles[visual_rows] = kind[visual]
     roles[text_rows] = TEXT
-    patch = np.full(bsz * s, -1, dtype=np.int64)
-    patch[visual_rows] = np.flatnonzero(visual) % n
     blocks = np.zeros((bsz * s, k), dtype=bool)
     blocks[visual_rows] = member[visual]
     text_pos = np.full(bsz * s, -1, dtype=np.int64)
@@ -310,7 +303,7 @@ def pack(masks, grid, captions) -> PackedBatch:
     order = np.full(bsz * s, real.size)
     order[real] = np.arange(real.size)
     # rows keep the patches' order, so the addresses are the patches' own
-    return PackedBatch(roles, patch, blocks, text_pos, s, text_rows,
+    return PackedBatch(roles, blocks, text_pos, s, text_rows,
                        target_rows, np.flatnonzero(kind == CONTEXT),
                        np.flatnonzero(kind == TARGET), order)
 
@@ -355,15 +348,16 @@ def load_checkpoint(path):
         header = json.loads(fh.readline().decode())
         if not _is_header(header):
             raise ValueError("not a checkpoint file")
-        params = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError("checkpoint payload truncated")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
+        # sized before any read, which could not hold a huge declared shape
+        counts = [math.prod(shape) for _, shape in header["params"]]
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < 8 * sum(counts):
+            raise ValueError("checkpoint payload truncated")
+        if left > 8 * sum(counts):
             raise ValueError("trailing bytes after the checkpoint payload")
+        params = {name: np.frombuffer(fh.read(8 * count), dtype="<f8")
+                  .reshape(shape).copy()
+                  for (name, shape), count in zip(header["params"], counts)}
     return header, params
 
 

@@ -56,8 +56,10 @@ class TrainConfig:
             raise ValueError(f"unknown stage: {self.stage}")
         if self.lr is None:
             self.lr = STAGE_LR[self.stage]
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
+            raise ValueError("lr must be a finite number above 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be at least 0")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -116,15 +118,13 @@ class BatchPlan:
     position rows, encoder rows at the layout's patch addresses (``tgt``
     None without targets), the latent tokens' rows of ``phi``, caption ids,
     caption after caption, and the zero pad row.  ``window`` is T, the tail
-    rows of each sequence whose logits the forward computes, and
-    ``window_text_rows`` lists the caption rows as rows of those logits.
-    ``ntp`` is ``ntp_targets``' rows, next tokens and weights, and
+    rows of each sequence whose logits the forward computes.  ``ntp`` is
+    ``ntp_targets``' rows of those logits, next tokens and weights, and
     ``jepa_weights`` the latent loss's row weights (None without
     targets)."""
     layout: PackedBatch
     allow: np.ndarray
     window: int
-    window_text_rows: np.ndarray
     pos: Tensor
     ctx: Tensor
     tgt: Tensor | None
@@ -149,6 +149,8 @@ class ModelBundle:
                  loss: LossConfig | None = None,
                  attn: AttnVariant | None = None,
                  jepa: bool = True, tgt_nonlinear: bool = True):
+        if min(ctx_dim, tgt_dim) < 1:
+            raise ValueError("ctx_dim and tgt_dim must be at least 1")
         if predictor.max_seq < grid.n + MAX_CAPTION_LEN:
             raise ValueError(f"max_seq={predictor.max_seq} is below the "
                              f"longest sequence, {grid.n + MAX_CAPTION_LEN}")
@@ -203,7 +205,7 @@ class ModelBundle:
             per_seq = np.bincount(layout.target_rows // s)
             jepa_weights = mean_of_means(per_seq[per_seq > 0])
         ids = np.concatenate(captions).astype(np.int64)
-        return BatchPlan(layout, allow, window, window_text_rows,
+        return BatchPlan(layout, allow, window,
                          self.predictor.positions(bsz, s), ctx, tgt, phi,
                          ids, Tensor(np.zeros((1, cfg.d))),
                          ntp_targets(captions, window_text_rows),

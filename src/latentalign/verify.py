@@ -14,53 +14,57 @@ import tempfile
 import numpy as np
 
 from . import attention, autodiff, config
-from .attention import (AttnVariant, TokenRole, build_mask, oracle_mask,
-                        role_columns)
+from .attention import (PAD_ROLE, AttnVariant, build_mask, oracle_mask,
+                        roles_for_mask)
 from .autodiff import Tensor, fd_check
 from .data import generate
-from .masking import (InputError, PatchGrid, SamplerConfig, sample_mask,
-                      _round_half_up)
-from .model import load_checkpoint, save_checkpoint
+from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
+                      sample_mask, _round_half_up)
+from .model import load_checkpoint, pack, save_checkpoint
 from .objective import combine
 from .training import TrainConfig, Trainer, run_stage
 
 
-def _random_roles(rng: random.Random):
-    rows = rng.randint(1, 6)
-    cols = rng.randint(1, 6)
-    n = rows * cols
-    k = rng.randint(1, 4)
-    roles = []
-    for i in range(n):
-        kind = rng.choice(["context", "target", "skip"])
-        if kind == "context":
-            roles.append(TokenRole(attention.CONTEXT, patch_index=i))
-        elif kind == "target":
-            blocks = frozenset(rng.sample(range(k), rng.randint(1, k)))
-            roles.append(TokenRole(attention.TARGET, patch_index=i,
-                                   blocks=blocks))
-    for t in range(rng.randint(0, 8)):
-        roles.append(TokenRole(attention.TEXT, text_position=t))
-    return roles + [attention.PAD_ROLE] * rng.randint(0, 3)
+def _random_batch(rng: random.Random):
+    """A grid and 1 to 3 specs on it, each with a caption length of 0 to 8;
+    a patch is context (one always is), left out, or in 1 to k <= 4 blocks."""
+    grid = PatchGrid(rng.randint(1, 6), rng.randint(1, 6))
+    specs, caption_lens = [], []
+    for _ in range(rng.randint(1, 3)):
+        k, anchor = rng.randint(1, 4), rng.randrange(grid.n)
+        kinds = ["context" if i == anchor
+                 else rng.choice(["context", "target", "skip"])
+                 for i in range(grid.n)]
+        blocks = {i: rng.sample(range(k), rng.randint(1, k))
+                  for i, kind in enumerate(kinds) if kind == "target"}
+        tsets = [frozenset(i for i, b in blocks.items() if j in b)
+                 for j in range(k)]
+        specs.append(MaskSpec(frozenset(i for i, kind in enumerate(kinds)
+                                        if kind == "context"),
+                              tsets, frozenset(blocks)))
+        caption_lens.append(rng.randint(0, 8))
+    return grid, specs, caption_lens
 
 
 def check_mask_oracle(n_configs: int = 200, seed: int = 0,
                       negative_control: bool = False):
-    """``negative_control`` flips one cell of every built mask, so the
-    check must fail."""
+    """Packs each batch as training does and compares every sequence of its
+    mask with the oracle's.  ``negative_control`` flips one cell of every
+    built mask, so the check must fail."""
     rng = random.Random(seed)
     for i in range(n_configs):
-        roles = _random_roles(rng)
-        if not roles:
-            continue
+        grid, specs, caption_lens = _random_batch(rng)
         variant = AttnVariant(tgt_cross_block=rng.random() < 0.5,
                               text_sees_targets=rng.random() < 0.5)
-        a = build_mask(*role_columns(roles), variant).allow[0]
+        layout = pack(specs, grid, [range(n) for n in caption_lens])
+        allow = build_mask(*layout.columns(), variant).allow
         if negative_control:
-            a[0, 0] = not a[0, 0]
-        b = oracle_mask(roles, variant).allow
-        if not np.array_equal(a, b):
-            return False, f"mismatch at config {i}"
+            allow[0, 0, 0] = not allow[0, 0, 0]
+        for spec, n, a in zip(specs, caption_lens, allow):
+            roles = roles_for_mask(spec, grid, n)
+            roles += [PAD_ROLE] * (layout.seq_len - len(roles))
+            if not np.array_equal(a, oracle_mask(roles, variant).allow):
+                return False, f"mismatch at config {i}"
     return True, f"{n_configs} configurations agree"
 
 

@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from latentalign.attention import (AttnVariant, build_mask, oracle_mask,
-                                   role_columns, roles_for_mask)
+from latentalign.attention import (PAD_ROLE, AttnVariant, build_mask,
+                                   oracle_mask, roles_for_mask)
 from latentalign.cli import main
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import (PatchGrid, SamplerConfig, _block_dims,
                                  block_indices, sample_mask)
-from latentalign.model import PredictorConfig, load_checkpoint, save_checkpoint
+from latentalign.model import (PredictorConfig, load_checkpoint, pack,
+                               save_checkpoint)
 from latentalign.training import ModelBundle, TrainConfig, run_stage
 from latentalign.verify import check_text_leakage, gradcheck_config, run_gradcheck
 
@@ -53,14 +54,20 @@ def test_criterion_1_mask_oracle_equivalence():
         rows, cols = rng.randint(2, 6), rng.randint(2, 6)
         grid = PatchGrid(rows, cols)
         k = rng.randint(1, 4)
-        mask = sample_mask(grid, SamplerConfig(k=k), random.Random(trial))
-        roles = roles_for_mask(mask, grid, caption_len=rng.randint(2, 8))
+        # a ragged batch of 1 to 3 masks, packed and masked as training does
+        mrng = random.Random(trial)
+        masks = [sample_mask(grid, SamplerConfig(k=k), mrng)
+                 for _ in range(rng.randint(1, 3))]
+        caption_lens = [rng.randint(2, 8) for _ in masks]
         variant = AttnVariant(tgt_cross_block=bool(rng.getrandbits(1)),
                               text_sees_targets=bool(rng.getrandbits(1)))
-        if not np.array_equal(build_mask(*role_columns(roles),
-                                         variant).allow[0],
-                              oracle_mask(roles, variant).allow):
-            mismatches += 1
+        layout = pack(masks, grid, [range(n) for n in caption_lens])
+        allow = build_mask(*layout.columns(), variant).allow
+        for mask, n, a in zip(masks, caption_lens, allow):
+            roles = roles_for_mask(mask, grid, n)
+            roles += [PAD_ROLE] * (layout.seq_len - len(roles))
+            mismatches += not np.array_equal(
+                a, oracle_mask(roles, variant).allow)
     dt = time.monotonic() - t0
     _report(1, "mask-builder oracle equivalence",
             mismatches == 0 and dt < 5.0,
@@ -154,8 +161,10 @@ def _criterion6_run(tmp_path_factory):
     frozen_before = {
         "predictor": {n: p.data.copy()
                       for n, p in bundle.predictor.named_parameters().items()},
-        "ctx": bundle.ctx_encoder.state(),
-        "tgt": bundle.tgt_encoder.state(),
+        "ctx": {"weight": bundle.ctx_encoder.weight.copy(),
+                "bias": bundle.ctx_encoder.bias.copy()},
+        "tgt": {"weight": bundle.tgt_encoder.weight.copy(),
+                "bias": bundle.tgt_encoder.bias.copy()},
     }
     out = tmp_path_factory.mktemp("align")
     ckpt = out / "align_ckpt.bin"
@@ -276,7 +285,8 @@ def test_criterion_9_frozen_contracts(tmp_path_factory):
         np.array_equal(before["predictor"][n], p.data)
         for n, p in bundle.predictor.named_parameters().items())
     enc_frozen = all(
-        np.array_equal(before[enc][k], getattr(bundle, f"{enc}_encoder").state()[k])
+        np.array_equal(before[enc][k],
+                       getattr(getattr(bundle, f"{enc}_encoder"), k))
         for enc in ("ctx", "tgt") for k in ("weight", "bias"))
 
     resumed = ModelBundle(GRID44, PredictorConfig(), tgt_nonlinear=False)

@@ -5,20 +5,28 @@ import random
 import numpy as np
 import pytest
 
-from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
+from latentalign.attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
                                    AttnVariant, TokenRole, build_mask,
-                                   dump_mask, oracle_mask, role_columns,
-                                   roles_for_mask)
+                                   dump_mask, oracle_mask, roles_for_mask)
 from latentalign.masking import PatchGrid, SamplerConfig, sample_mask
+from latentalign.model import pack
 
 
-def _mask(roles, variant=AttnVariant()):
-    """build_mask's S x S mask of one sequence of roles."""
-    return build_mask(*role_columns(roles), variant).allow[0]
+def _mask(roles, blocks, text_pos, variant=AttnVariant()):
+    """build_mask's S x S mask of one sequence given as its columns: a role
+    code, a row of target-block flags and a caption position per row."""
+    return build_mask(np.array([roles], dtype=np.int8),
+                      np.array([blocks], dtype=bool), np.array([text_pos]),
+                      variant).allow[0]
+
+
+# [ctx, ctx, tgt(block 0), text, text] — the worked reference layout
+CCTT = ([CONTEXT, CONTEXT, TARGET, TEXT, TEXT], [[0], [0], [1], [0], [0]],
+        [-1, -1, -1, 0, 1])
 
 
 def _roles_cctt():
-    """[ctx, ctx, tgt(block 0), text, text] — the worked reference layout."""
+    """The reference layout as TokenRoles, the oracle's input."""
     return [TokenRole(CONTEXT, patch_index=0),
             TokenRole(CONTEXT, patch_index=1),
             TokenRole(TARGET, patch_index=2, blocks=frozenset({0})),
@@ -26,8 +34,14 @@ def _roles_cctt():
             TokenRole(TEXT, text_position=1)]
 
 
+def _text_columns(n):
+    """A caption of ``n`` tokens alone as build_mask's columns, B = 1."""
+    return (np.full((1, n), TEXT, dtype=np.int8),
+            np.zeros((1, n, 0), dtype=bool), np.arange(n)[None])
+
+
 def test_hand_built_matrix_default_variant():
-    allow = _mask(_roles_cctt())
+    allow = _mask(*CCTT)
     expected = np.array([
         #  c0     c1     t0     x0     x1   (keys)
         [True,  True,  False, False, False],   # ctx sees ctx only
@@ -40,55 +54,51 @@ def test_hand_built_matrix_default_variant():
 
 
 def test_text_blind_to_targets_variant():
-    allow = _mask(_roles_cctt(), AttnVariant(text_sees_targets=False))
+    allow = _mask(*CCTT, AttnVariant(text_sees_targets=False))
     assert not allow[3, 2] and not allow[4, 2]
     assert allow[3, 0] and allow[4, 1]        # context stays visible
 
 
 def test_targets_in_different_blocks_are_mutually_blind():
-    roles = [TokenRole(CONTEXT, patch_index=0),
-             TokenRole(TARGET, patch_index=1, blocks=frozenset({0})),
-             TokenRole(TARGET, patch_index=2, blocks=frozenset({1}))]
-    allow = _mask(roles)
+    columns = ([CONTEXT, TARGET, TARGET], [[0, 0], [1, 0], [0, 1]],
+               [-1, -1, -1])
+    allow = _mask(*columns)
     assert not allow[1, 2] and not allow[2, 1]
-    cross = _mask(roles, AttnVariant(tgt_cross_block=True))
+    cross = _mask(*columns, AttnVariant(tgt_cross_block=True))
     assert cross[1, 2] and cross[2, 1]
 
 
 def test_targets_sharing_a_block_see_each_other():
-    roles = [TokenRole(TARGET, patch_index=0, blocks=frozenset({0, 1})),
-             TokenRole(TARGET, patch_index=1, blocks=frozenset({1}))]
-    allow = _mask(roles)
+    allow = _mask([TARGET, TARGET], [[1, 1], [0, 1]], [-1, -1])
     assert allow[0, 1] and allow[1, 0]
 
 
 def test_context_never_attends_forward_to_targets_or_text():
-    roles = _roles_cctt()
     for variant in (AttnVariant(), AttnVariant(True, False),
                     AttnVariant(True, True), AttnVariant(False, False)):
-        allow = _mask(roles, variant)
+        allow = _mask(*CCTT, variant)
         assert not allow[0, 2] and not allow[1, 2]
         assert not allow[:3, 3:].any(), "visual rows must never see text"
 
 
 def test_text_is_strictly_causal():
-    roles = [TokenRole(TEXT, text_position=i) for i in range(4)]
-    allow = _mask(roles)
+    allow = build_mask(*_text_columns(4)).allow[0]
     assert np.array_equal(allow, np.tril(np.ones((4, 4), bool)))
 
 
 def test_visual_after_text_rejected():
     roles = [TokenRole(TEXT, text_position=0), TokenRole(CONTEXT, patch_index=0)]
     with pytest.raises(ValueError):
-        role_columns(roles)
+        oracle_mask(roles)
 
 
 def test_pad_tokens_see_only_themselves():
     roles = _roles_cctt() + [PAD_ROLE, PAD_ROLE]
+    kinds, blocks, text_pos = CCTT
+    padded = (kinds + [PAD, PAD], blocks + [[0], [0]], text_pos + [-1, -1])
     for variant in (AttnVariant(), AttnVariant(True, False)):
-        allow = _mask(roles, variant)
-        assert np.array_equal(allow[:5, :5],
-                              _mask(_roles_cctt(), variant))
+        allow = _mask(*padded, variant)
+        assert np.array_equal(allow[:5, :5], _mask(*CCTT, variant))
         assert not allow[:5, 5:].any(), "no real row may see a pad"
         assert np.array_equal(allow[5:], np.eye(7, dtype=bool)[5:])
         assert np.array_equal(allow, oracle_mask(roles, variant).allow)
@@ -100,7 +110,7 @@ def test_pad_tokens_see_only_themselves():
 ], ids=["text-after-pad", "visual-after-pad"])
 def test_token_after_pad_rejected(roles):
     with pytest.raises(ValueError, match="out of order"):
-        role_columns(roles)
+        oracle_mask(roles)
 
 
 def test_role_validation():
@@ -116,23 +126,23 @@ def test_oracle_agreement_randomized():
     for trial in range(50):
         mask = sample_mask(grid, SamplerConfig(k=rng.randint(1, 3)),
                            random.Random(trial))
-        roles = roles_for_mask(mask, grid, caption_len=rng.randint(2, 6))
+        caption_len = rng.randint(2, 6)
         variant = AttnVariant(bool(rng.getrandbits(1)),
                               bool(rng.getrandbits(1)))
-        a = _mask(roles, variant)
-        b = oracle_mask(roles, variant).allow
+        layout = pack([mask], grid, [range(caption_len)])
+        a = build_mask(*layout.columns(), variant).allow[0]
+        b = oracle_mask(roles_for_mask(mask, grid, caption_len),
+                        variant).allow
         assert np.array_equal(a, b)
 
 
 def test_dump_text_format():
-    roles = [TokenRole(TEXT, text_position=i) for i in range(3)]
-    out = dump_mask(build_mask(*role_columns(roles)), fmt="text")
+    out = dump_mask(build_mask(*_text_columns(3)), fmt="text")
     assert out == b"1..\n11.\n111\n"
 
 
 def test_dump_pgm_format():
-    roles = [TokenRole(TEXT, text_position=i) for i in range(3)]
-    out = dump_mask(build_mask(*role_columns(roles)), fmt="pgm")
+    out = dump_mask(build_mask(*_text_columns(3)), fmt="pgm")
     assert out.startswith(b"P5\n3 3\n255\n")
     body = out[len(b"P5\n3 3\n255\n"):]
     assert len(body) == 9

@@ -25,7 +25,7 @@ def _scalar_fd(f, x, eps=1e-6):
 def test_matmul_hand_value():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = Tensor(np.array([[0.0], [1.0]]))
-    assert np.array_equal((a @ b).data, np.array([[2.0], [4.0]]))
+    assert np.array_equal(ad.matmul(a, b).data, np.array([[2.0], [4.0]]))
 
 
 def test_softmax_hand_value():
@@ -101,7 +101,7 @@ def test_concat_splits_grad():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((1, 3)), requires_grad=True)
     out = ad.concat([a, b], axis=0)
-    ad.tsum(out * 2.0).backward()
+    ad.tsum(ad.mul(out, Tensor(2.0))).backward()
     np.testing.assert_allclose(a.grad, 2.0 * np.ones((2, 3)))
     np.testing.assert_allclose(b.grad, 2.0 * np.ones((1, 3)))
 
@@ -129,7 +129,7 @@ def test_backward_linearity():
 
 def test_grad_accumulates_over_shared_parent():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    (x * x).backward()           # d/dx x^2 = 2x
+    ad.mul(x, x).backward()      # d/dx x^2 = 2x
     np.testing.assert_allclose(x.grad, [4.0])
 
 
@@ -147,8 +147,8 @@ def test_fd_check_on_composite():
     x = np.array([[0.3, -1.2, 0.7]])
 
     def f():
-        h = ad.gelu(Tensor(x) @ w + b)
-        return ad.tsum(h * h)
+        h = ad.gelu(ad.add(ad.matmul(Tensor(x), w), b))
+        return ad.tsum(ad.mul(h, h))
 
     assert ad.fd_check(f, params) < 1e-6
 
@@ -179,7 +179,7 @@ def test_layernorm_grad_matches_fd():
     params = [x, g, b]
 
     def f():
-        return ad.tsum(ad.layernorm(x, g, b) ** 3.0)
+        return ad.tsum(ad.pow_const(ad.layernorm(x, g, b), 3.0))
 
     assert ad.fd_check(f, params) < 1e-5
 
@@ -236,8 +236,8 @@ def test_masked_softmax_grad_matches_fd():
     params = [z]
 
     def f():
-        return ad.tsum(ad.softmax_masked(z, allow)
-                       * Tensor(np.arange(8.0).reshape(2, 4)))
+        return ad.tsum(ad.mul(ad.softmax_masked(z, allow),
+                              Tensor(np.arange(8.0).reshape(2, 4))))
 
     assert ad.fd_check(f, params) < 1e-6
 
@@ -264,8 +264,9 @@ def _reference_attention(q, k, v, allow, heads):
     for i in range(heads):
         qh, kh, vh = (ad.slice_cols(t, i * dh, (i + 1) * dh)
                       for t in (q, k, v))
-        scores = (qh @ ad.transpose(kh)) * (1.0 / math.sqrt(dh))
-        outs.append(ad.softmax_masked(scores, allow) @ vh)
+        scores = ad.mul(ad.matmul(qh, ad.transpose(kh)),
+                        Tensor(1.0 / math.sqrt(dh)))
+        outs.append(ad.matmul(ad.softmax_masked(scores, allow), vh))
     return ad.concat(outs, axis=1)
 
 
@@ -275,7 +276,7 @@ def test_linear_grad_matches_fd():
     weight = Tensor(rng.normal(size=(4, 5)))
 
     def f():
-        return ad.tsum(ad.linear(x, w, b) * weight)
+        return ad.tsum(ad.mul(ad.linear(x, w, b), weight))
 
     assert ad.fd_check(f, [x, w, b]) < 1e-6
 
@@ -289,7 +290,7 @@ def test_attention_grad_matches_fd(heads):
     weight = Tensor(rng.normal(size=(s, d)))
 
     def f():
-        return ad.tsum(ad.attention(q, k, v, allow, heads) * weight)
+        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, heads), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
 
@@ -300,7 +301,7 @@ def _value_and_grads(build, shapes, seed):
     rng = np.random.default_rng(seed)
     ops = _operands(rng, shapes)
     out = build(*ops)
-    ad.tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+    ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
     return [out.data] + [t.grad for t in ops]
 
 
@@ -316,7 +317,8 @@ def test_linear_matches_matmul_then_add(seed, n, k, m):
     shapes = [(n, k), (k, m), (m,)]
     _assert_equivalent(
         _value_and_grads(ad.linear, shapes, seed),
-        _value_and_grads(lambda x, w, b: x @ w + b, shapes, seed))
+        _value_and_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b), shapes,
+                         seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,7 +367,7 @@ def test_batched_attention_grad_matches_fd(lengths):
     weight = Tensor(rng.normal(size=(len(lengths) * s, d)))
 
     def f():
-        return ad.tsum(ad.attention(q, k, v, allow, 2) * weight)
+        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, 2), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
 
@@ -414,13 +416,13 @@ def test_query_subset_attention_equals_rows_of_the_full_call(
     full = ad.attention(q, k, v, allow, heads)
     full_weight = np.zeros(full.shape)
     full_weight[rows] = weight
-    ad.tsum(full * Tensor(full_weight)).backward()
+    ad.tsum(ad.mul(full, Tensor(full_weight))).backward()
     qw = Tensor(q.data[rows], requires_grad=True)
     kw, vw = (Tensor(t.data, requires_grad=True) for t in (k, v))
     sub_allow = allow[np.arange(len(lengths))[:, None],
                       (rows % s).reshape(len(lengths), sq)]
     out = ad.attention(qw, kw, vw, sub_allow, heads)
-    ad.tsum(out * Tensor(weight)).backward()
+    ad.tsum(ad.mul(out, Tensor(weight))).backward()
     _assert_equivalent([out.data, qw.grad, kw.grad, vw.grad],
                        [full.data[rows], q.grad[rows], k.grad, v.grad])
     assert not np.delete(q.grad, rows, axis=0).any()
@@ -436,7 +438,7 @@ def test_query_subset_attention_grad_matches_fd(lengths):
     weight = Tensor(rng.normal(size=(len(lengths) * sq, d)))
 
     def f():
-        return ad.tsum(ad.attention(q, k, v, allow, 2) * weight)
+        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, 2), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
 
@@ -522,10 +524,11 @@ def test_weighted_losses_sum_weighted_row_losses():
 
 def _reference_cosine(pred, tgt, weights):
     """The composition cosine_distance replaces, weighted."""
-    dots = ad.tsum(pred * tgt, axis=1)
-    inv = (ad.tsum(pred * pred, axis=1) ** 0.5
-           * ad.tsum(tgt * tgt, axis=1) ** 0.5) ** -1.0
-    return ad.tsum(-1.0 * dots * inv * Tensor(weights))
+    dots = ad.tsum(ad.mul(pred, tgt), axis=1)
+    inv = ad.pow_const(
+        ad.mul(ad.pow_const(ad.tsum(ad.mul(pred, pred), axis=1), 0.5),
+               ad.pow_const(ad.tsum(ad.mul(tgt, tgt), axis=1), 0.5)), -1.0)
+    return ad.tsum(ad.mul(ad.mul(-1.0 * dots, inv), Tensor(weights)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -658,7 +661,7 @@ def test_add_gives_each_parent_its_own_grad():
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     ad.tsum(ad.add(a, b)).backward()
     assert a.grad is not b.grad
-    ad.tsum(a * 2.0).backward()
+    ad.tsum(ad.mul(a, Tensor(2.0))).backward()
     np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, artifacts, exit codes, negative controls."""
 
 import importlib
+import itertools
 import json
 import shutil
 import subprocess
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 from latentalign import cli, training
+from latentalign.attention import (AttnVariant, dump_mask, oracle_mask,
+                                   roles_for_mask)
 from latentalign.data import generate
-from latentalign.masking import PatchGrid
+from latentalign.masking import MaskSpec, PatchGrid
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
 
@@ -54,19 +57,25 @@ def test_mask_sample_deterministic(tmp_path):
 
 
 def test_mask_attn_text_and_pgm(tmp_path):
+    """Both formats print the oracle's mask of the sampled spec, under
+    every setting of the variant flags, with and without a caption."""
     spec = tmp_path / "spec.json"
     assert main(["mask", "sample", "--rows", "4", "--cols", "4",
                  "--out", str(spec)]) == EXIT_OK
-    txt = tmp_path / "m.txt"
-    assert main(["mask", "attn", "--spec", str(spec), "--caption-len", "3",
-                 "--out", str(txt)]) == EXIT_OK
-    body = txt.read_text().strip().splitlines()
-    assert len(body) == len(body[0])           # square matrix
-    assert set("".join(body)) <= {"1", "."}
-    pgm = tmp_path / "m.pgm"
-    assert main(["mask", "attn", "--spec", str(spec), "--caption-len", "3",
-                 "--format", "pgm", "--out", str(pgm)]) == EXIT_OK
-    assert pgm.read_bytes().startswith(b"P5\n")
+    mask = MaskSpec.from_json_obj(json.loads(spec.read_text()))
+    for caption_len in (0, 3):
+        roles = roles_for_mask(mask, PatchGrid(4, 4), caption_len)
+        for cross, blind in itertools.product((False, True), repeat=2):
+            want = oracle_mask(roles, AttnVariant(cross, not blind))
+            flags = (["--tgt-cross-block"] * cross
+                     + ["--no-text-sees-targets"] * blind)
+            for fmt in ("text", "pgm"):
+                out = tmp_path / f"m.{fmt}"
+                assert main(["mask", "attn", "--spec", str(spec),
+                             "--caption-len", str(caption_len),
+                             "--format", fmt, "--out", str(out),
+                             *flags]) == EXIT_OK
+                assert out.read_bytes() == dump_mask(want, fmt)
 
 
 def test_data_gen_writes_artifacts(tmp_path):
@@ -171,6 +180,28 @@ def test_truncated_config_exit_code(tmp_path):
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
     pytest.param('{"predictor": {"max_seq": 8}}', id="max-seq-below-sequence"),
     pytest.param('{"loss": {"jepa_weight": "x"}}', id="jepa-weight-not-real"),
+    *(pytest.param(json.dumps({**doc, "data": {"n": 8}}), id=name)
+      for name, doc in {
+          "epochs-float": {"train": {"epochs": 1.5}},
+          "batch-size-float": {"train": {"batch_size": 2.5}},
+          "sampler-k-float": {"sampler": {"k": 2.5}},
+          "heads-zero": {"predictor": {"H": 0}},
+          "width-zero": {"predictor": {"d": 0}},
+          "heads-negative": {"predictor": {"H": -4}},
+          "tap-layer-float": {"predictor": {"tap_layer": 1.5}},
+          "jepa-string": {"jepa": "yes"},
+          "allow-overlap-string": {"sampler": {"allow_overlap": "no"}},
+          "tgt-cross-block-string": {"attn": {"tgt_cross_block": "no"}},
+          "lam-bool": {"loss": {"lam": True}},
+          "tap-layer-bool": {"predictor": {"tap_layer": True}},
+          "seed-float": {"train": {"seed": 1.5}},
+          "weight-decay-negative": {"train": {"weight_decay": -5.0}},
+          "lr-nan": {"train": {"lr": float("nan")}},
+          "lr-infinity": {"train": {"lr": float("inf")}},
+          "lr-bool": {"train": {"lr": True}},
+          "weight-decay-nan": {"train": {"weight_decay": float("nan")}},
+          "tgt-dim-zero": {"tgt_dim": 0},
+      }.items()),
 ])
 def test_bad_config_exit_code(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -311,14 +342,19 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc):
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
                                   "header-not-object", "params-not-pairs",
-                                  "trailing-bytes"])
+                                  "trailing-bytes", "huge-declared-shape"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
     out = tmp_path / "run"
     headers = {"header-not-object": [1],
                "params-not-pairs": {"format": "latentalign-ckpt",
-                                    "params": 5}}
+                                    "params": 5},
+               # 8e12 bytes declared, 64 present
+               "huge-declared-shape": {
+                   "format": "latentalign-ckpt", "version": 1, "step": 0,
+                   "config": {},
+                   "params": [["predictor.tok_emb", [1000000, 1000000]]]}}
     if init in headers:
         out.mkdir()
         (out / "align_ckpt.bin").write_bytes(
@@ -332,6 +368,9 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init):
     if init == "trailing-bytes":
         with open(out / "align_ckpt.bin", "ab") as fh:
             fh.write(b"\0" * 4)
+    if init == "huge-declared-shape":
+        with open(out / "align_ckpt.bin", "ab") as fh:
+            fh.write(b"\0" * 64)
     _assert_input_error(_run(["train", "sft", "--config", str(cfg),
                               "--init", str(out / "align_ckpt.bin"),
                               "--out", str(out)]))
@@ -344,7 +383,7 @@ def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({**TINY_CONFIG, "loss": {"lam": 0.0}}))
     project_tap = training.project_tap
     monkeypatch.setattr(training, "project_tap",
-                        lambda *args: project_tap(*args) * 0.0)
+                        lambda *args: 0.0 * project_tap(*args))
     assert main(["train", "align", "--config", str(cfg),
                  "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
     err = capsys.readouterr().err

@@ -22,6 +22,7 @@ from latentalign.model import (Predictor, PredictorConfig, Projector,
                                load_checkpoint, load_into, pack, project_tap,
                                save_checkpoint, sincos_1d, sincos_2d,
                                tap_layer_default)
+from latentalign.objective import ntp_targets
 from latentalign.training import ModelBundle
 
 CFG = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
@@ -49,12 +50,17 @@ def _allow(seq, variant=AttnVariant()):
     return build_mask(*seq.columns(), variant).allow
 
 
-def _roles(seq):
-    """The layout's columns read back as one TokenRole per row."""
+def _roles(seq, grid=PatchGrid(3, 3)):
+    """The layout's columns read back as one TokenRole per row; context and
+    target rows take their patch from ``context_patches`` and
+    ``target_patches``."""
+    patch = np.full(len(seq.roles), -1)
+    patch[seq.roles == CONTEXT] = seq.context_patches % grid.n
+    patch[seq.target_rows] = seq.target_patches % grid.n
     return [TokenRole(int(kind), None if p < 0 else int(p),
                       frozenset(np.flatnonzero(blocks).tolist()),
                       None if t < 0 else int(t))
-            for kind, p, blocks, t in zip(seq.roles, seq.patch, seq.blocks,
+            for kind, p, blocks, t in zip(seq.roles, patch, seq.blocks,
                                           seq.text_pos)]
 
 
@@ -143,7 +149,7 @@ def test_latent_tokens_are_shared_vector_plus_position():
     assert rows.size, "fixture must include target tokens"
     np.testing.assert_array_equal(
         tokens.data[rows],
-        b.latent.z.data + b.latent.phi[plan.layout.patch[rows]])
+        b.latent.z.data + b.latent.phi[plan.layout.target_patches % b.grid.n])
 
 
 def test_forward_shapes_and_tap_position():
@@ -177,7 +183,7 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
 def test_window_logits_are_the_tail_rows_of_every_sequence():
     """The logits of a T-row window are the last T rows of each sequence's
     full-window logits; the tap still covers every row, bit for bit."""
-    plan, tokens, b, *_ = _packed_batch([0, 1, 2])
+    plan, tokens, b, _, samples = _packed_batch([0, 1, 2])
     s, t = plan.layout.seq_len, plan.window
     assert 0 < t < s, "fixture must leave rows out of the window"
     full, full_tap = b.predictor.forward(tokens, plan.allow)
@@ -185,8 +191,9 @@ def test_window_logits_are_the_tail_rows_of_every_sequence():
     tail = full.data.reshape(3, s, -1)[:, s - t:].reshape(3 * t, -1)
     np.testing.assert_allclose(logits.data, tail, rtol=1e-12, atol=1e-14)
     assert np.array_equal(tap.data, full_tap.data)
-    np.testing.assert_allclose(logits.data[plan.window_text_rows],
-                               full.data[plan.layout.text_rows],
+    full_rows, *_ = ntp_targets([s.caption for s in samples],
+                                plan.layout.text_rows)
+    np.testing.assert_allclose(logits.data[plan.ntp[0]], full.data[full_rows],
                                rtol=1e-12, atol=1e-14)
 
 
@@ -215,7 +222,8 @@ def test_plan_window_covers_every_row_when_tapping_the_last_block():
     plan = b.plan(samples, [sample_mask(grid, b.sampler, random.Random(s))
                             for s in (0, 1)])
     assert plan.window == plan.layout.seq_len
-    assert np.array_equal(plan.window_text_rows, plan.layout.text_rows)
+    want = ntp_targets([s.caption for s in samples], plan.layout.text_rows)
+    assert all(np.array_equal(a, b) for a, b in zip(plan.ntp, want))
     logits, tap = b.forward(plan)
     assert logits.shape[0] == tap.shape[0] == 2 * plan.layout.seq_len
 
@@ -341,8 +349,6 @@ def test_columnar_layout_and_mask_equal_the_object_path(
     assert layout.seq_len == s
     k = max(len(m.targets) for m in masks)
     assert layout.roles.tolist() == [r.kind for r in roles]
-    assert layout.patch.tolist() == [
-        -1 if r.patch_index is None else r.patch_index for r in roles]
     assert layout.text_pos.tolist() == [
         -1 if r.text_position is None else r.text_position for r in roles]
     assert layout.blocks.tolist() == [[j in r.blocks for j in range(k)]
@@ -377,7 +383,7 @@ def test_pack_reads_no_parameter():
     alone: pack takes no tensor and builds no graph node."""
     plan, *_, masks, samples = _packed_batch([0, 1, 2])
     again = pack(masks, PatchGrid(3, 3), [s.caption for s in samples])
-    for name in ("roles", "patch", "blocks", "text_pos", "text_rows",
+    for name in ("roles", "blocks", "text_pos", "text_rows",
                  "target_rows", "context_patches", "target_patches",
                  "order"):
         assert np.array_equal(getattr(again, name),
@@ -403,8 +409,8 @@ def test_pad_rows_change_no_real_row():
         params = pred.named_parameters()
         for p in params.values():
             p.zero_grad()
-        loss = (ad.tsum(logits * Tensor(weight))
-                + ad.tsum(tap * Tensor(tap_weight)))
+        loss = (ad.tsum(ad.mul(logits, Tensor(weight)))
+                + ad.tsum(ad.mul(tap, Tensor(tap_weight))))
         loss.backward()
         return (logits.data[real], tap.data[real], tokens.grad,
                 {n: p.grad for n, p in params.items() if n != "tok_emb"})
@@ -426,7 +432,8 @@ def test_tap_equals_final_stream_when_tapping_last_layer():
     plan, tokens, *_ = _packed()
     logits, tap = pred.forward(tokens, plan.allow)
     # with L=1 and tap at 1, the tap is the residual stream feeding the head
-    ref = ad.layernorm(tap, pred.lnf_g, pred.lnf_b) @ pred.head_w + pred.head_b
+    ref = ad.add(ad.matmul(ad.layernorm(tap, pred.lnf_g, pred.lnf_b),
+                           pred.head_w), pred.head_b)
     np.testing.assert_allclose(logits.data, ref.data, atol=1e-12)
 
 

@@ -110,7 +110,9 @@ def test_trainable_scopes_per_stage():
 def test_align_stage_leaves_frozen_parts_untouched():
     b = _bundle()
     before = {n: p.data.copy() for n, p in b.named_parameters().items()}
-    enc_before = (b.ctx_encoder.state(), b.tgt_encoder.state())
+    encoders = (b.ctx_encoder, b.tgt_encoder)
+    enc_before = [{k: getattr(enc, k).copy() for k in ("weight", "bias")}
+                  for enc in encoders]
     run_stage(b, TrainConfig(stage="align", epochs=1, batch_size=4, seed=0),
               _dataset())
     after = b.named_parameters()
@@ -119,8 +121,8 @@ def test_align_stage_leaves_frozen_parts_untouched():
     assert changed, "alignment must train something"
     assert all(not n.startswith("predictor.") for n in changed)
     for k in ("weight", "bias"):
-        assert np.array_equal(enc_before[0][k], b.ctx_encoder.state()[k])
-        assert np.array_equal(enc_before[1][k], b.tgt_encoder.state()[k])
+        for enc, snapshot in zip(encoders, enc_before):
+            assert np.array_equal(snapshot[k], getattr(enc, k))
 
 
 def test_align_step_freezes_the_predictor_in_the_graph():
@@ -244,8 +246,9 @@ def _per_sample_losses(trainer, samples, masks):
         plan = b.plan([sample], [mask])
         seq = plan.layout
         logits, tap = b.forward(plan)
+        window_rows = seq.text_rows - (seq.seq_len - plan.window)
         ntps.append(ntp_loss(logits, *ntp_targets([sample.caption],
-                                                  plan.window_text_rows)))
+                                                  window_rows)))
         if mask.target_union:
             pred = project_tap(b.proj_tgt, tap, seq.target_rows)
             tgt = b.tgt_encoder.encode(sample.pixels)[
@@ -256,7 +259,7 @@ def _per_sample_losses(trainer, samples, masks):
         acc = terms[0]
         for t in terms[1:]:
             acc = acc + t
-        return acc * (1.0 / len(terms))
+        return ad.mul(acc, Tensor(1.0 / len(terms)))
 
     return mean(ntps), mean(jepas) if jepas else None
 
