@@ -66,9 +66,14 @@ def cmd_mask_attn(args) -> int:
                           text_sees_targets=not args.no_text_sees_targets)
     _print_resolved({"spec": args.spec, "caption_len": args.caption_len,
                      **vars(variant), "format": args.format})
-    n = max(spec.context | spec.target_union) + 1
-    side = int(np.ceil(np.sqrt(n)))
-    layout = pack([spec], PatchGrid(side, side), [range(args.caption_len)])
+    # the sequence holds only the listed patches, in raster order, so
+    # relabelling them by rank lays it out on a grid of their count
+    rank = {p: i for i, p in enumerate(sorted(spec.context
+                                              | spec.target_union))}
+    spec = MaskSpec.from_json_obj({
+        "context": [rank[p] for p in spec.context],
+        "targets": [[rank[p] for p in t] for t in spec.targets]})
+    layout = pack([spec], PatchGrid(1, len(rank)), [range(args.caption_len)])
     payload = dump_mask(build_mask(*layout.columns(), variant), args.format)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -281,13 +281,17 @@ class Trainer:
         """The batch graph: (caption loss, latent loss), each the mean over
         the samples of the sample's mean; the latent loss is None when no
         mask has targets and otherwise averages the samples that have."""
-        b = self.bundle
-        logits, tap = b.forward(plan)
-        ntp = ntp_loss(logits, *plan.ntp)
+        logits, tap = self.bundle.forward(plan)
+        return ntp_loss(logits, *plan.ntp), self._latent(tap, plan)
+
+    def _latent(self, tap: Tensor, plan: BatchPlan):
+        """The latent loss from the tap, None when no mask has targets: the
+        only reader of ``proj_tgt``, which the predictor never reads."""
         if plan.tgt is None:
-            return ntp, None
+            return None
+        b = self.bundle
         pred = project_tap(b.proj_tgt, tap, plan.layout.target_rows)
-        return ntp, jepa_loss(pred, plan.tgt, b.loss, plan.jepa_weights)
+        return jepa_loss(pred, plan.tgt, b.loss, plan.jepa_weights)
 
     def step(self, batch, step_idx: int, total_steps: int) -> LossReport:
         """One optimization step over a batch of (dataset_index, sample)."""

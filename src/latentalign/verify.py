@@ -21,7 +21,7 @@ from .data import generate
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask, _round_half_up)
 from .model import load_checkpoint, pack, save_checkpoint
-from .objective import combine
+from .objective import combine, ntp_loss
 from .training import TrainConfig, Trainer, run_stage
 
 
@@ -203,9 +203,11 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
                   distances=("cosine", "smooth_l1"),
                   negative_control: bool = False) -> dict:
     """fd_check over every stage-1 trainable parameter of a tiny model,
-    for the combined caption + latent objective, per distance kind.
-    ``negative_control`` ends the loss in a skewed identity node, so every
-    distance must fail."""
+    for the combined caption + latent objective, per distance kind: the
+    largest error of two checks, one over the parameters the predictor
+    reads (``proj``, ``latent.z``) and one over ``proj_tgt``, whose loss
+    runs only the latent head on a fixed tap.  ``negative_control`` ends
+    both losses in a skewed identity node, so every distance must fail."""
     cfg = cfg or gradcheck_config()
     if cfg["predictor"]["d"] > 16 or cfg["predictor"]["L"] > 2:
         raise InputError("gradcheck wants a tiny config (d <= 16, L <= 2)")
@@ -223,11 +225,20 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
         mask = trainer.mask_for(0)
         plan = bundle.plan([sample], [mask])
 
-        def loss_fn():
-            ntp, jepa = trainer._forward(plan)
+        def total(ntp, jepa):
             loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
             return _skewed_identity(loss) if negative_control else loss
 
-        params = list(trainer.trainable.values())
-        results[dist] = fd_check(loss_fn, params, eps=eps)
+        # proj_tgt reads only the tap, so its entries are checked against
+        # one predictor run, with the caption loss and the tap held fixed
+        params = trainer.trainable.items()
+        head = [p for n, p in params if n.startswith("proj_tgt.")]
+        fed = [p for n, p in params if not n.startswith("proj_tgt.")]
+        logits, tap = bundle.forward(plan)
+        ntp0 = Tensor(ntp_loss(logits, *plan.ntp).data)
+        tap0 = Tensor(tap.data)
+        results[dist] = max(
+            fd_check(lambda: total(*trainer._forward(plan)), fed, eps=eps),
+            fd_check(lambda: total(ntp0, trainer._latent(tap0, plan)), head,
+                     eps=eps))
     return results

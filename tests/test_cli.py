@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from latentalign import cli, training
-from latentalign.attention import (AttnVariant, dump_mask, oracle_mask,
+from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
+                                   TokenRole, dump_mask, oracle_mask,
                                    roles_for_mask)
 from latentalign.data import generate
 from latentalign.masking import MaskSpec, PatchGrid
@@ -76,6 +77,25 @@ def test_mask_attn_text_and_pgm(tmp_path):
                              "--format", fmt, "--out", str(out),
                              *flags]) == EXIT_OK
                 assert out.read_bytes() == dump_mask(want, fmt)
+
+
+def test_mask_attn_sizes_nothing_by_patch_index(tmp_path):
+    """Patch indices up to 10**13 allocate nothing of that size: the mask
+    is the oracle's for the patches the spec lists, in raster order."""
+    spec, out = tmp_path / "spec.json", tmp_path / "m.txt"
+    huge = 10 ** 13
+    for doc, visual in [
+            ({"context": [huge], "targets": []}, [TokenRole(CONTEXT, huge)]),
+            ({"context": [0, huge], "targets": [[5], [5, huge - 1]]},
+             [TokenRole(CONTEXT, 0),
+              TokenRole(TARGET, 5, frozenset({0, 1})),
+              TokenRole(TARGET, huge - 1, frozenset({1})),
+              TokenRole(CONTEXT, huge)])]:
+        spec.write_text(json.dumps(doc))
+        assert main(["mask", "attn", "--spec", str(spec), "--caption-len",
+                     "2", "--out", str(out)]) == EXIT_OK
+        text = [TokenRole(TEXT, text_position=t) for t in range(2)]
+        assert out.read_bytes() == dump_mask(oracle_mask(visual + text))
 
 
 def test_data_gen_writes_artifacts(tmp_path):
@@ -141,29 +161,37 @@ def test_usage_error_exit_code():
     assert proc.returncode == EXIT_USAGE
 
 
-def _assert_input_error(proc):
-    assert proc.returncode == EXIT_USAGE
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("bad input: ")
+def _assert_input_error(capsys, argv):
+    """``main(argv)`` in-process exits 2 with no traceback, and its stderr
+    ends in its one ``bad input:`` line."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[-1].startswith("bad input: ")
+    assert sum(line.startswith("bad input:") for line in lines) == 1
 
 
-def test_impossible_sampler_settings_exit_code():
-    _assert_input_error(_run(["mask", "sample", "--rows", "2", "--cols", "2",
-                              "--no-overlap", "--target-scale", "0.5,0.5"]))
+def test_impossible_sampler_settings_exit_code(capsys):
+    _assert_input_error(capsys, ["mask", "sample", "--rows", "2",
+                                 "--cols", "2", "--no-overlap",
+                                 "--target-scale", "0.5,0.5"])
 
 
-def test_truncated_mask_spec_exit_code(tmp_path):
+def test_truncated_mask_spec_exit_code(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"context": [0, 1], "targ')
-    _assert_input_error(_run(["mask", "attn", "--spec", str(spec),
-                              "--caption-len", "3"]))
+    _assert_input_error(capsys, ["mask", "attn", "--spec", str(spec),
+                                 "--caption-len", "3"])
 
 
-def test_truncated_config_exit_code(tmp_path):
+def test_truncated_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"train": {"epochs": ')
-    _assert_input_error(_run(["train", "align", "--config", str(cfg),
-                              "--out", str(tmp_path / "run")]))
+    _assert_input_error(capsys, ["train", "align", "--config", str(cfg),
+                                 "--out", str(tmp_path / "run")])
 
 
 @pytest.mark.parametrize("text", [
@@ -203,25 +231,25 @@ def test_truncated_config_exit_code(tmp_path):
           "tgt-dim-zero": {"tgt_dim": 0},
       }.items()),
 ])
-def test_bad_config_exit_code(tmp_path, text):
+def test_bad_config_exit_code(tmp_path, text, capsys):
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
-    _assert_input_error(_run(["train", "align", "--config", str(cfg),
-                              "--out", str(tmp_path / "run")]))
+    _assert_input_error(capsys, ["train", "align", "--config", str(cfg),
+                                 "--out", str(tmp_path / "run")])
 
 
-def test_oversized_gradcheck_config_exit_code(tmp_path):
+def test_oversized_gradcheck_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"predictor": {"d": 32}}')
-    _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
+    _assert_input_error(capsys, ["gradcheck", "--config", str(cfg)])
 
 
-def test_gradcheck_max_seq_below_sequence_exit_code(tmp_path):
+def test_gradcheck_max_seq_below_sequence_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"predictor": {
         "d": 16, "L": 2, "H": 2, "V": 16, "tap_layer": 1, "max_seq": 8}}))
-    _assert_input_error(_run(["gradcheck", "--config", str(cfg)]))
+    _assert_input_error(capsys, ["gradcheck", "--config", str(cfg)])
 
 
 def test_gradcheck_without_latent_objective_exit_code(tmp_path, capsys):
@@ -253,13 +281,10 @@ def test_gradcheck_without_latent_objective_exit_code(tmp_path, capsys):
     pytest.param(["data", "gen", "--n", "2", "--seed", "-1"],
                  id="data-seed-negative"),
 ])
-def test_bad_flag_value_exit_code(tmp_path, argv):
+def test_bad_flag_value_exit_code(tmp_path, argv, capsys):
     if argv[0] == "data":
         argv = [*argv, "--out", str(tmp_path / "data")]
-    proc = _run(argv)
-    _assert_input_error(proc)
-    assert sum(line.startswith("bad input:")
-               for line in proc.stderr.splitlines()) == 1
+    _assert_input_error(capsys, argv)
 
 
 def _bad_input_lines(err):
@@ -333,17 +358,17 @@ def test_bad_gradcheck_tolerance_exit_code(tolerance, monkeypatch, capsys):
     pytest.param({"context": [0, 1], "targets": [[1]]},
                  id="context-overlaps-targets"),
 ])
-def test_malformed_mask_spec_exit_code(tmp_path, doc):
+def test_malformed_mask_spec_exit_code(tmp_path, doc, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    _assert_input_error(_run(["mask", "attn", "--spec", str(spec),
-                              "--caption-len", "3"]))
+    _assert_input_error(capsys, ["mask", "attn", "--spec", str(spec),
+                                 "--caption-len", "3"])
 
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
                                   "header-not-object", "params-not-pairs",
                                   "trailing-bytes", "huge-declared-shape"])
-def test_bad_init_checkpoint_exit_code(tmp_path, init):
+def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
     out = tmp_path / "run"
@@ -371,9 +396,9 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init):
     if init == "huge-declared-shape":
         with open(out / "align_ckpt.bin", "ab") as fh:
             fh.write(b"\0" * 64)
-    _assert_input_error(_run(["train", "sft", "--config", str(cfg),
-                              "--init", str(out / "align_ckpt.bin"),
-                              "--out", str(out)]))
+    _assert_input_error(capsys, ["train", "sft", "--config", str(cfg),
+                                 "--init", str(out / "align_ckpt.bin"),
+                                 "--out", str(out)])
 
 
 def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):

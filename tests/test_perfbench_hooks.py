@@ -71,7 +71,8 @@ def test_traced_spans_count_an_align_run(worker):
 
 def test_traced_spans_count_a_gradcheck_run(worker):
     """The traced gradcheck benchmark's spans run in-process: the batch is
-    packed once for all of fd_check's evaluations, fd_check's after-hook
+    packed once for all of fd_check's evaluations, fd_check runs twice (the
+    whole graph, then the latent head on a fixed tap), its after-hook
     counts the gradients, and undoing the patches restores every wrapped
     function."""
     originals = {(id(owner), attr): worker.lookup(owner, attr)
@@ -85,7 +86,7 @@ def test_traced_spans_count_a_gradcheck_run(worker):
         patches.undo()
     calls = {name: n for name, (n, _, _) in rec.totals(0, len(rec)).items()}
     assert calls["model.pack"] == rec.counts["seqs"] == 1
-    assert calls["autodiff.fd_check"] == 1
+    assert calls["autodiff.fd_check"] == 2
     assert rec.counts["grad_useful"] > 0, "fd_check's after-hook did not run"
     assert all(worker.lookup(owner, attr) is originals[(id(owner), attr)]
                for sites in worker.SPANS.values() for owner, attr in sites)

@@ -18,8 +18,8 @@ from latentalign.config import bundle_from, default_config
 from latentalign.data import generate, learnability_fixture
 from latentalign.masking import PatchGrid, SamplerConfig
 from latentalign.model import PredictorConfig, load_checkpoint, project_tap
-from latentalign.objective import (LossConfig, jepa_loss, mean_of_means,
-                                   ntp_loss, ntp_targets)
+from latentalign.objective import (LossConfig, combine, jepa_loss,
+                                   mean_of_means, ntp_loss, ntp_targets)
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
                                   Trainer, derive_seed, lr_at, run_stage)
 from latentalign.verify import run_gradcheck
@@ -428,6 +428,112 @@ def test_gradcheck_builds_one_attention_mask_per_distance(monkeypatch):
     assert len(calls) == 2
 
 
+def _tiny_gradcheck_config():
+    cfg = default_config()
+    cfg["predictor"].update({"d": 8, "L": 1, "H": 2, "V": 16,
+                             "tap_layer": 1})
+    cfg["ctx_dim"] = cfg["tgt_dim"] = 4
+    return cfg
+
+
+def _recording_fd_check(record):
+    """fd_check's loop, also appending (parameter, f(+eps) per entry,
+    f(-eps) per entry, analytic gradient) to ``record``."""
+    def fd_check(f, params, eps=1e-5):
+        for p in params:
+            p.zero_grad()
+        f().backward()
+        for p in params:
+            ga = (np.array(p.grad) if p.grad is not None
+                  else np.zeros_like(p.data))
+            flat = p.data.reshape(-1)
+            fp, fm = np.empty(flat.size), np.empty(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp[i] = float(f().data)
+                flat[i] = orig - eps
+                fm[i] = float(f().data)
+                flat[i] = orig
+            record.append((p, fp, fm, ga))
+        return 0.0
+    return fd_check
+
+
+def _single_closure_triples(cfg, dist):
+    """Every trainable parameter's triples from one fd_check whose loss
+    re-runs the whole batch graph, as run_gradcheck did before it checked
+    proj_tgt on a fixed tap."""
+    bundle = bundle_from(dict(cfg, loss=dict(cfg["loss"], distance=dist)))
+    sample = generate(0, 1, bundle.grid, bundle.vocab)[0]
+    trainer = Trainer(bundle, TrainConfig(stage="align", batch_size=1,
+                                          seed=0))
+    mask = trainer.mask_for(0)
+    plan = bundle.plan([sample], [mask])
+
+    def loss_fn():
+        logits, tap = bundle.forward(plan)
+        ntp = ntp_loss(logits, *plan.ntp)
+        pred = project_tap(bundle.proj_tgt, tap, plan.layout.target_rows)
+        jepa = jepa_loss(pred, plan.tgt, bundle.loss, plan.jepa_weights)
+        return combine(ntp, jepa, bundle.loss, len(mask.target_union))[0]
+
+    record = []
+    _recording_fd_check(record)(loss_fn, list(trainer.trainable.values()))
+    names = {id(p): n for n, p in bundle.named_parameters().items()}
+    return {names[id(p)]: rest for p, *rest in record}
+
+
+def test_gradcheck_triples_equal_the_single_closure_check(monkeypatch):
+    """Checking proj_tgt against one predictor run changes no number: every
+    entry's f(+eps), f(-eps) and analytic gradient are bit-equal to those
+    of one fd_check over every parameter with the full-graph loss."""
+    cfg = _tiny_gradcheck_config()
+    record, bundles = [], []
+    build = verify.config.bundle_from
+
+    def remembered(c):
+        bundles.append(build(c))
+        return bundles[-1]
+
+    monkeypatch.setattr(verify.config, "bundle_from", remembered)
+    monkeypatch.setattr(verify, "fd_check", _recording_fd_check(record))
+    dists = ("cosine", "smooth_l1")
+    run_gradcheck(cfg, distances=dists)
+    assert len(bundles) == 2
+    for dist, bundle in zip(dists, bundles):
+        names = {id(p): n for n, p in bundle.named_parameters().items()}
+        got = {names[id(p)]: rest for p, *rest in record
+               if id(p) in names}
+        want = _single_closure_triples(cfg, dist)
+        assert set(got) == set(want) and len(want) == 9
+        assert np.any(want["proj_tgt.w1"][2])    # the head has a gradient
+        for name, triple in want.items():
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got[name], triple)), (dist, name)
+    assert len(record) == 18
+
+
+def test_proj_tgt_does_not_reach_the_predictor():
+    """Nudging any proj_tgt entry leaves the logits and the tap bit-equal:
+    the premise of checking proj_tgt on a fixed tap."""
+    b = bundle_from(_tiny_gradcheck_config())
+    samples = generate(0, 2, b.grid, b.vocab)
+    trainer = Trainer(b, TrainConfig(stage="align"))
+    plan = b.plan(samples, [trainer.mask_for(i) for i in range(2)])
+    assert plan.tgt is not None
+    logits, tap = b.forward(plan)
+    for name, p in b.proj_tgt.named_parameters().items():
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 0.5
+            nudged = b.forward(plan)
+            flat[i] = orig
+            assert np.array_equal(nudged[0].data, logits.data), (name, i)
+            assert np.array_equal(nudged[1].data, tap.data), (name, i)
+
+
 def test_training_steps_build_no_token_role_and_one_mask(monkeypatch):
     """A masked and a skipped default align step and an sft step lay out
     their batches as columns: no TokenRole is constructed, and the mask is
@@ -482,8 +588,9 @@ def _nodes_per_call(monkeypatch, fn, *args):
 
 def test_nodes_per_step_are_the_ones_the_readme_states(monkeypatch):
     """A masked and a skipped default align step (steps 0 and 1 of seed
-    0), an 8x8/d=64 sft step and one gradcheck evaluation of each distance
-    build the node counts the README's design notes give, word for word."""
+    0), an 8x8/d=64 sft step and, for each distance, one gradcheck
+    evaluation of the whole graph and one of the latent head alone build
+    the node counts the README's design notes give, word for word."""
     cfg = default_config()
     b = bundle_from(cfg)
     data = generate(0, 16, b.grid, b.vocab)
@@ -508,11 +615,13 @@ def test_nodes_per_step_are_the_ones_the_readme_states(monkeypatch):
 
     monkeypatch.setattr(verify, "fd_check", one_evaluation)
     run_gradcheck()
-    assert len(set(evals)) == 1
+    full, head = evals[:2]
+    assert evals == [full, head] * 2 and head < full
     sentence = (f"Nodes per step: {counts['masked']} for a masked default "
                 f"align step, {counts['skipped']} for a skipped one, "
-                f"{counts['sft']} for an 8x8/d=64 sft step and {evals[0]} "
-                f"for one `gradcheck` evaluation.")
+                f"{counts['sft']} for an 8x8/d=64 sft step, {full} for a "
+                f"`gradcheck` evaluation of the whole graph and {head} for "
+                f"one of the latent head alone.")
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert sentence in " ".join(readme.split())
 
