@@ -24,7 +24,6 @@ CONTEXT, TARGET, TEXT, PAD = range(4)
 @dataclass(frozen=True)
 class TokenRole:
     kind: int
-    patch_index: int | None = None
     blocks: frozenset = frozenset()
     text_position: int | None = None
 
@@ -136,10 +135,9 @@ def roles_for_mask(mask_spec, grid, caption_len: int):
     roles = []
     for i in range(grid.n):
         if i in mask_spec.context:
-            roles.append(TokenRole(CONTEXT, patch_index=i))
+            roles.append(TokenRole(CONTEXT))
         elif i in mask_spec.target_union:
-            roles.append(TokenRole(TARGET, patch_index=i,
-                                   blocks=frozenset(block_of[i])))
+            roles.append(TokenRole(TARGET, blocks=frozenset(block_of[i])))
     for t in range(caption_len):
         roles.append(TokenRole(TEXT, text_position=t))
     return roles

@@ -327,18 +327,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
 
 
 def _row_weights(weights, n: int) -> np.ndarray:
-    """Per-row loss weights; None gives every row 1/n, i.e. the mean."""
-    if weights is None:
-        return np.full(n, 1.0 / n)
+    """``weights`` as float64, checked to hold one weight per row."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("one weight per row expected")
     return w
 
 
-def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
-    """Weighted sum over rows of -log softmax(logits)[target]; the default
-    weights make it the mean."""
+def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+    """Weighted sum over rows of -log softmax(logits)[target]."""
     t = np.asarray(targets, dtype=np.int64)
     n, v = logits.data.shape
     if t.shape != (n,):
@@ -360,10 +357,9 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     return _from_op(data, (logits,), vjp)
 
 
-def smooth_l1(pred: Tensor, target: Tensor, weights=None) -> Tensor:
+def smooth_l1(pred: Tensor, target: Tensor, weights) -> Tensor:
     """Weighted sum over rows of each row's mean Huber penalty, quadratic
-    below unit error and linear above; the default weights make it the
-    mean over every element."""
+    below unit error and linear above."""
     if pred.data.shape != target.data.shape:
         raise ValueError("smooth_l1 operands must share a shape")
     e = pred.data - target.data
@@ -385,10 +381,10 @@ def smooth_l1(pred: Tensor, target: Tensor, weights=None) -> Tensor:
 NORM_FLOOR = 1e-12
 
 
-def cosine_distance(pred: Tensor, tgt: Tensor, weights=None) -> Tensor:
+def cosine_distance(pred: Tensor, tgt: Tensor, weights) -> Tensor:
     """Weighted sum over rows of the negative cosine similarity between
-    ``pred`` and ``tgt`` rows; the default weights make it the mean.  A row
-    whose norm is below NORM_FLOOR raises NonFiniteError."""
+    ``pred`` and ``tgt`` rows.  A row whose norm is below NORM_FLOOR raises
+    NonFiniteError."""
     if pred.data.ndim != 2 or pred.data.shape != tgt.data.shape:
         raise ValueError("cosine_distance operands must share an n x d shape")
     p, t = pred.data, tgt.data

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff, config, verify
 from .attention import AttnVariant, build_mask, dump_mask
-from .data import generate
+from .data import MAX_CAPTION_LEN, generate
 from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
                       SamplerConfig, sample_mask)
 from .model import pack
@@ -61,6 +61,8 @@ def cmd_mask_sample(args) -> int:
 def cmd_mask_attn(args) -> int:
     if args.caption_len < 0:
         raise InputError("--caption-len must be >= 0")
+    if args.caption_len > MAX_CAPTION_LEN:
+        raise InputError(f"--caption-len must be at most {MAX_CAPTION_LEN}")
     spec = MaskSpec.from_json_obj(config.read_json(args.spec, "mask spec"))
     variant = AttnVariant(tgt_cross_block=args.tgt_cross_block,
                           text_sees_targets=not args.no_text_sees_targets)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoders import StubEncoder
 from .masking import PatchGrid
 
 PATCH_SIDE = 4
@@ -111,11 +110,3 @@ def generate(seed: int, n: int, grid: PatchGrid,
     vocab = vocab or SyntheticVocab()
     return [make_sample(seed, i, grid, vocab) for i in range(n)]
 
-
-def learnability_fixture(seed: int, n: int, grid: PatchGrid, d_tgt: int = 8):
-    """Dataset plus an affine (no tanh) target stub, so target embeddings
-    are exactly linear in patch pixels and masked prediction is solvable."""
-    samples = generate(seed, n, grid)
-    tgt_encoder = StubEncoder(seed=seed + 1, patch_pixels=PATCH_PIXELS,
-                              out_dim=d_tgt, nonlinear=False)
-    return samples, tgt_encoder

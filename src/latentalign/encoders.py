@@ -8,24 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import PATCH_PIXELS
+
 
 class StubEncoder:
-    """Per-patch affine map (optionally tanh-squashed) with seeded weights."""
+    """Per-patch affine map (optionally tanh-squashed) with seeded weights,
+    from PATCH_PIXELS pixels to ``out_dim`` features."""
 
-    def __init__(self, seed: int, patch_pixels: int, out_dim: int,
-                 nonlinear: bool = False):
+    def __init__(self, seed: int, out_dim: int, nonlinear: bool = False):
         rng = np.random.default_rng([seed, 0x5E])
         self.seed = seed
-        self.patch_pixels = patch_pixels
-        self.out_dim = out_dim
         self.nonlinear = nonlinear
-        self.weight = rng.normal(0.0, 1.0 / np.sqrt(patch_pixels),
-                                 size=(patch_pixels, out_dim))
+        self.weight = rng.normal(0.0, 1.0 / np.sqrt(PATCH_PIXELS),
+                                 size=(PATCH_PIXELS, out_dim))
         self.bias = rng.normal(0.0, 0.1, size=out_dim)
 
     def encode(self, pixels: np.ndarray) -> np.ndarray:
         pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 2 or pixels.shape[1] != self.patch_pixels:
-            raise ValueError("expected (n_patches, patch_pixels) pixels")
+        if pixels.ndim != 2 or pixels.shape[1] != PATCH_PIXELS:
+            raise ValueError("expected (n_patches, PATCH_PIXELS) pixels")
         out = pixels @ self.weight + self.bias
         return np.tanh(out) if self.nonlinear else out

@@ -80,7 +80,7 @@ class MaskSpec:
         return {
             "context": sorted(self.context),
             "targets": [sorted(t) for t in self.targets],
-            "context_block": vars(self.context_block),
+            "context_block": self.context_block and vars(self.context_block),
             "target_blocks": [vars(b) for b in self.target_blocks],
         }
 

@@ -171,30 +171,30 @@ class Predictor:
         """The position code of every row of B stacked S-row sequences."""
         return Tensor(np.tile(self.seq_pos[:s], (bsz, 1)))
 
-    def forward(self, tokens: Tensor, allow: np.ndarray,
-                window: int | None = None, pos: Tensor | None = None):
+    def forward(self, tokens: Tensor, allow: np.ndarray, window: int,
+                pos: Tensor):
         """Runs B stacked sequences, ``tokens`` (B*S x d), under their
         B x S x S ``allow``: (logits, hidden states after the tap).
         ``pos`` is the position rows added to ``tokens``, ``positions(B,
-        S)`` when not given.
+        S)``.
 
-        The logits cover the last ``window`` rows of each sequence (all S
-        by default), (B*window) x V, sequence after sequence; the tap covers
-        every row.  Keys and values need every row at every block, so only
-        the last block's queries, output projection and MLP, the final
-        layernorm and the head run on the window alone.  Nothing at or
-        before the tap is restricted: with the tap at the last block the
-        window must be S."""
+        The logits cover the last ``window`` rows of each sequence,
+        (B*window) x V, sequence after sequence; the tap covers every row.
+        Keys and values need every row at every block, so only the last
+        block's queries, output projection and MLP, the final layernorm
+        and the head run on the window alone.  Nothing at or before the
+        tap is restricted: with the tap at the last block the window must
+        be S."""
         bsz, s = allow.shape[:2]
         if s > self.cfg.max_seq:
             raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
-        t = s if window is None else window
-        if not 0 <= t <= s:
-            raise ValueError(f"window of {t} rows outside a sequence of {s}")
-        if t < s and self.cfg.tap_layer == self.cfg.L:
+        if not 0 <= window <= s:
+            raise ValueError(f"window of {window} rows outside a sequence "
+                             f"of {s}")
+        if window < s and self.cfg.tap_layer == self.cfg.L:
             raise ValueError("the tap is the last block: the window must "
                              "cover every row")
-        x = tokens + (self.positions(bsz, s) if pos is None else pos)
+        x = tokens + pos
         tap = None
         for i, blk in enumerate(self.blocks, 1):
             h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
@@ -204,9 +204,9 @@ class Predictor:
             mask = allow
             if i == self.cfg.L:
                 rows = (np.arange(bsz)[:, None] * s
-                        + np.arange(s - t, s)).ravel()
+                        + np.arange(s - window, s)).ravel()
                 x, h, mask = (ad.gather_rows(x, rows), ad.gather_rows(h, rows),
-                              allow[:, s - t:])
+                              allow[:, s - window:])
             q = ad.linear(h, blk["wq"], blk["bq"])
             a = ad.linear(ad.attention(q, k, v, mask, self.cfg.H),
                           blk["wo"], blk["bo"])

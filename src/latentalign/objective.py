@@ -50,20 +50,15 @@ def mean_of_means(sizes) -> np.ndarray:
 
 
 def jepa_loss(pred: Tensor, tgt: Tensor, cfg: LossConfig,
-              weights=None) -> Tensor:
+              weights) -> Tensor:
     """Distance between predicted and reference target embeddings, one row
-    per unique masked patch, summed under the row ``weights`` (None: the
-    plain mean; ``mean_of_means`` of the rows per sequence: the mean over
-    the sequences of each sequence's mean)."""
+    per unique masked patch, summed under the row ``weights``
+    (``mean_of_means`` of the rows per sequence: the mean over the
+    sequences of each sequence's mean)."""
     if pred.shape != tgt.shape:
         raise ValueError("prediction/target shape mismatch")
-    m = pred.shape[0]
-    if m == 0:
+    if pred.shape[0] == 0:
         raise ValueError("no target rows")
-    if weights is None:
-        weights = mean_of_means([m])
-    if weights.size != m:
-        raise ValueError("one weight per target row expected")
     if cfg.distance == "smooth_l1":
         return ad.smooth_l1(pred, tgt, weights)
     return ad.cosine_distance(pred, tgt, weights)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import AttnVariant, build_mask
 from .autodiff import NonFiniteError, Tensor, concat, gather_rows
-from .data import MAX_CAPTION_LEN, PATCH_PIXELS, SyntheticVocab
+from .data import MAX_CAPTION_LEN, SyntheticVocab
 from .encoders import StubEncoder
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
@@ -161,13 +161,12 @@ class ModelBundle:
         self.attn = attn or AttnVariant()
         self.jepa = jepa
         self.vocab = SyntheticVocab(size=predictor.V)
-        self.ctx_encoder = StubEncoder(ctx_seed, PATCH_PIXELS, ctx_dim,
-                                       nonlinear=False)
+        self.ctx_encoder = StubEncoder(ctx_seed, ctx_dim)
         self.predictor = Predictor(predictor, seed=model_seed)
         self.proj = Projector(proj_kind, ctx_dim, predictor.d,
                               seed=model_seed * 4 + 1)
         if jepa:
-            self.tgt_encoder = StubEncoder(tgt_seed, PATCH_PIXELS, tgt_dim,
+            self.tgt_encoder = StubEncoder(tgt_seed, tgt_dim,
                                            nonlinear=tgt_nonlinear)
             self.proj_tgt = Projector(proj_kind, predictor.d, tgt_dim,
                                       seed=model_seed * 4 + 2)

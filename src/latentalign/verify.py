@@ -199,8 +199,7 @@ def _skewed_identity(x: Tensor) -> Tensor:
     return autodiff._from_op(x.data, (x,), lambda g: (1.01 * g,))
 
 
-def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
-                  distances=("cosine", "smooth_l1"),
+def run_gradcheck(cfg: dict | None = None, distances=("cosine", "smooth_l1"),
                   negative_control: bool = False) -> dict:
     """fd_check over every stage-1 trainable parameter of a tiny model,
     for the combined caption + latent objective, per distance kind: the
@@ -238,7 +237,7 @@ def run_gradcheck(cfg: dict | None = None, eps: float = 1e-5,
         ntp0 = Tensor(ntp_loss(logits, *plan.ntp).data)
         tap0 = Tensor(tap.data)
         results[dist] = max(
-            fd_check(lambda: total(*trainer._forward(plan)), fed, eps=eps),
+            fd_check(lambda: total(*trainer._forward(plan)), fed, eps=1e-5),
             fd_check(lambda: total(ntp0, trainer._latent(tap0, plan)), head,
-                     eps=eps))
+                     eps=1e-5))
     return results

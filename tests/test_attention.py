@@ -27,9 +27,9 @@ CCTT = ([CONTEXT, CONTEXT, TARGET, TEXT, TEXT], [[0], [0], [1], [0], [0]],
 
 def _roles_cctt():
     """The reference layout as TokenRoles, the oracle's input."""
-    return [TokenRole(CONTEXT, patch_index=0),
-            TokenRole(CONTEXT, patch_index=1),
-            TokenRole(TARGET, patch_index=2, blocks=frozenset({0})),
+    return [TokenRole(CONTEXT),
+            TokenRole(CONTEXT),
+            TokenRole(TARGET, blocks=frozenset({0})),
             TokenRole(TEXT, text_position=0),
             TokenRole(TEXT, text_position=1)]
 
@@ -87,7 +87,7 @@ def test_text_is_strictly_causal():
 
 
 def test_visual_after_text_rejected():
-    roles = [TokenRole(TEXT, text_position=0), TokenRole(CONTEXT, patch_index=0)]
+    roles = [TokenRole(TEXT, text_position=0), TokenRole(CONTEXT)]
     with pytest.raises(ValueError):
         oracle_mask(roles)
 
@@ -106,7 +106,7 @@ def test_pad_tokens_see_only_themselves():
 
 @pytest.mark.parametrize("roles", [
     [PAD_ROLE, TokenRole(TEXT, text_position=0)],
-    [PAD_ROLE, TokenRole(CONTEXT, patch_index=0)],
+    [PAD_ROLE, TokenRole(CONTEXT)],
 ], ids=["text-after-pad", "visual-after-pad"])
 def test_token_after_pad_rejected(roles):
     with pytest.raises(ValueError, match="out of order"):
@@ -115,9 +115,9 @@ def test_token_after_pad_rejected(roles):
 
 def test_role_validation():
     with pytest.raises(ValueError):
-        TokenRole(TARGET, patch_index=0)                      # no block
+        TokenRole(TARGET)                         # no block
     with pytest.raises(ValueError):
-        TokenRole(CONTEXT, patch_index=0, blocks=frozenset({0}))
+        TokenRole(CONTEXT, blocks=frozenset({0}))
 
 
 def test_oracle_agreement_randomized():

@@ -56,21 +56,24 @@ def test_gelu_hand_value():
 
 def test_cross_entropy_uniform_logits():
     v = 16
-    loss = ad.cross_entropy(Tensor(np.zeros((3, v))), np.array([0, 5, 15]))
+    loss = ad.cross_entropy(Tensor(np.zeros((3, v))), np.array([0, 5, 15]),
+                            np.full(3, 1 / 3))
     np.testing.assert_allclose(loss.data, math.log(v), atol=1e-12)
 
 
 def test_cross_entropy_hand_value():
     # softmax([0, ln 3]) = [0.25, 0.75]; -log p[target]
     logits = Tensor(np.array([[0.0, math.log(3.0)]]))
-    loss = ad.cross_entropy(logits, np.array([1]))
+    loss = ad.cross_entropy(logits, np.array([1]), np.ones(1))
     np.testing.assert_allclose(loss.data, -math.log(0.75), atol=1e-12)
 
 
 def test_smooth_l1_hand_values():
     # |d| = 2 -> 2 - 0.5 = 1.5 ; |d| = 0.5 -> 0.5 * 0.25 = 0.125
-    big = ad.smooth_l1(Tensor(np.array([2.0])), Tensor(np.array([0.0])))
-    small = ad.smooth_l1(Tensor(np.array([0.5])), Tensor(np.array([0.0])))
+    big = ad.smooth_l1(Tensor(np.array([2.0])), Tensor(np.array([0.0])),
+                       np.ones(1))
+    small = ad.smooth_l1(Tensor(np.array([0.5])), Tensor(np.array([0.0])),
+                         np.ones(1))
     np.testing.assert_allclose(big.data, 1.5, atol=1e-12)
     np.testing.assert_allclose(small.data, 0.125, atol=1e-12)
 
@@ -223,7 +226,7 @@ def test_cross_entropy_grad_matches_fd():
     tgt = np.array([0, 3, 6, 2])
 
     def f():
-        return ad.cross_entropy(z, tgt)
+        return ad.cross_entropy(z, tgt, np.full(4, 1 / 4))
 
     assert ad.fd_check(f, params) < 1e-6
 
@@ -516,7 +519,8 @@ def test_weighted_losses_sum_weighted_row_losses():
                      (ad.cosine_distance, lambda i: (Tensor(p.data[i]),
                                                      Tensor(t.data[i])))):
         args = rows(list(range(5)))
-        want = sum(w[i] * float(fn(*rows([i])).data) for i in range(5))
+        want = sum(w[i] * float(fn(*rows([i]), np.ones(1)).data)
+                   for i in range(5))
         np.testing.assert_allclose(fn(*args, w).data, want, rtol=1e-13)
     with pytest.raises(ValueError, match="one weight per row"):
         ad.cross_entropy(z, tgt, np.ones(4))
@@ -550,7 +554,8 @@ def test_cosine_distance_matches_composition(seed, n, d):
 def test_cosine_distance_rejects_near_zero_norm():
     with pytest.raises(NonFiniteError, match="near-zero norm"):
         ad.cosine_distance(Tensor(np.ones((2, 3))),
-                           Tensor(np.array([[1.0, 0, 0], [0, 0, 0]])))
+                           Tensor(np.array([[1.0, 0, 0], [0, 0, 0]])),
+                           np.full(2, 0.5))
 
 
 def test_attention_all_denied_row_rejected():

@@ -85,12 +85,12 @@ def test_mask_attn_sizes_nothing_by_patch_index(tmp_path):
     spec, out = tmp_path / "spec.json", tmp_path / "m.txt"
     huge = 10 ** 13
     for doc, visual in [
-            ({"context": [huge], "targets": []}, [TokenRole(CONTEXT, huge)]),
+            ({"context": [huge], "targets": []}, [TokenRole(CONTEXT)]),
             ({"context": [0, huge], "targets": [[5], [5, huge - 1]]},
-             [TokenRole(CONTEXT, 0),
-              TokenRole(TARGET, 5, frozenset({0, 1})),
-              TokenRole(TARGET, huge - 1, frozenset({1})),
-              TokenRole(CONTEXT, huge)])]:
+             [TokenRole(CONTEXT),
+              TokenRole(TARGET, frozenset({0, 1})),
+              TokenRole(TARGET, frozenset({1})),
+              TokenRole(CONTEXT)])]:
         spec.write_text(json.dumps(doc))
         assert main(["mask", "attn", "--spec", str(spec), "--caption-len",
                      "2", "--out", str(out)]) == EXIT_OK
@@ -292,16 +292,21 @@ def _bad_input_lines(err):
     return [line for line in err.splitlines() if line.startswith("bad input:")]
 
 
-def test_negative_caption_len_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("caption_len", ["-1", "10", "10000000000000"])
+def test_negative_caption_len_exit_code(tmp_path, capsys, caption_len):
+    """A caption length below 0 or above the longest caption any run makes
+    (9 tokens) exits 2 with one line, before any mask is sized."""
+    message = ("--caption-len must be >= 0" if caption_len == "-1"
+               else "--caption-len must be at most 9")
     spec = tmp_path / "spec.json"
     assert main(["mask", "sample", "--rows", "4", "--cols", "4",
                  "--out", str(spec)]) == EXIT_OK
     capsys.readouterr()
     out = tmp_path / "m.txt"
-    assert main(["mask", "attn", "--spec", str(spec), "--caption-len", "-1",
-                 "--out", str(out)]) == EXIT_USAGE
+    assert main(["mask", "attn", "--spec", str(spec), "--caption-len",
+                 caption_len, "--out", str(out)]) == EXIT_USAGE
     assert _bad_input_lines(capsys.readouterr().err) == \
-        ["bad input: --caption-len must be >= 0"]
+        [f"bad input: {message}"]
     assert not out.exists()
 
 

@@ -41,8 +41,8 @@ def _predictor_seed(bundle):
 # where each top-level key shows up on the bundle
 TOP_LEVEL = {
     "proj_kind": lambda b: b.proj.kind,
-    "ctx_dim": lambda b: b.ctx_encoder.out_dim,
-    "tgt_dim": lambda b: b.tgt_encoder.out_dim,
+    "ctx_dim": lambda b: b.ctx_encoder.bias.size,
+    "tgt_dim": lambda b: b.tgt_encoder.bias.size,
     "ctx_seed": lambda b: b.ctx_encoder.seed,
     "tgt_seed": lambda b: b.tgt_encoder.seed,
     "model_seed": _predictor_seed,

@@ -6,7 +6,7 @@ import pytest
 from latentalign.data import (BACKGROUND, COLORS, COUNTS, MAX_CAPTION_LEN,
                               PATCH_PIXELS, PATCH_SIDE, QUADRANTS,
                               SyntheticVocab, caption_for, generate,
-                              learnability_fixture, make_sample, render)
+                              make_sample, render)
 from latentalign.masking import PatchGrid
 
 GRID = PatchGrid(4, 4)
@@ -98,13 +98,3 @@ def test_generate_length_and_determinism():
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):
         make_sample(0, 0, PatchGrid(1, 4), SyntheticVocab())
-
-
-def test_learnability_fixture_target_encoder_is_affine():
-    samples, enc = learnability_fixture(0, 4, GRID)
-    assert len(samples) == 4
-    assert not enc.nonlinear
-    x = samples[0].pixels
-    lhs = enc.encode(2.0 * x) - enc.encode(x)
-    rhs = enc.encode(x) - enc.encode(np.zeros_like(x))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)

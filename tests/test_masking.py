@@ -117,6 +117,10 @@ def test_mask_spec_json_round_shape():
     back = MaskSpec.from_json_obj(obj)
     assert (back.context, back.targets, back.target_union) == \
         (m.context, m.targets, m.target_union)
+    # the block records are not read back, so the copy writes none
+    assert back.to_json_obj() == {"context": obj["context"],
+                                  "targets": obj["targets"],
+                                  "context_block": None, "target_blocks": []}
 
 
 def test_sampler_config_validation():

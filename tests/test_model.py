@@ -50,18 +50,27 @@ def _allow(seq, variant=AttnVariant()):
     return build_mask(*seq.columns(), variant).allow
 
 
-def _roles(seq, grid=PatchGrid(3, 3)):
-    """The layout's columns read back as one TokenRole per row; context and
-    target rows take their patch from ``context_patches`` and
-    ``target_patches``."""
+def _roles(seq):
+    """The layout's columns read back as one TokenRole per row."""
+    return [TokenRole(int(kind), frozenset(np.flatnonzero(blocks).tolist()),
+                      None if t < 0 else int(t))
+            for kind, blocks, t in zip(seq.roles, seq.blocks, seq.text_pos)]
+
+
+def _patches(seq, grid=PatchGrid(3, 3)):
+    """The patch of each context and target row of the layout, read from
+    ``context_patches`` and ``target_patches``; -1 on the other rows."""
     patch = np.full(len(seq.roles), -1)
     patch[seq.roles == CONTEXT] = seq.context_patches % grid.n
     patch[seq.target_rows] = seq.target_patches % grid.n
-    return [TokenRole(int(kind), None if p < 0 else int(p),
-                      frozenset(np.flatnonzero(blocks).tolist()),
-                      None if t < 0 else int(t))
-            for kind, p, blocks, t in zip(seq.roles, patch, seq.blocks,
-                                          seq.text_pos)]
+    return patch
+
+
+def _forward(pred, tokens, allow):
+    """``pred.forward`` with the logits on every row, under the position
+    code a plan gives."""
+    bsz, s = allow.shape[:2]
+    return pred.forward(tokens, allow, s, pred.positions(bsz, s))
 
 
 def test_tap_layer_default():
@@ -107,10 +116,9 @@ def test_sincos_2d_equals_per_patch_fill(rows, cols, d):
 def test_pack_orders_tokens_by_raster_position():
     plan, *_, mask, _ = _packed()
     roles = _roles(plan.layout)
-    visual = [r for r in roles if r.kind != TEXT]
-    idx = [r.patch_index for r in visual]
+    idx = _patches(plan.layout)[plan.layout.roles != TEXT].tolist()
     assert idx == sorted(idx)
-    assert {r.patch_index for r in visual} == set(mask.context) | set(mask.target_union)
+    assert set(idx) == set(mask.context) | set(mask.target_union)
     text = [r for r in roles if r.kind == TEXT]
     assert [r.text_position for r in text] == list(range(len(text)))
 
@@ -122,23 +130,23 @@ def test_pack_follows_roles_for_mask(masked):
     plan, tokens, b, mask, sample = _packed(masked=masked)
     roles = _roles(plan.layout)
     assert roles == roles_for_mask(mask, PatchGrid(3, 3), len(sample.caption))
-    ctx = StubEncoder(1, sample.pixels.shape[1], 8).encode(sample.pixels)
-    for row, r in zip(tokens.data, roles):
+    ctx = StubEncoder(1, 8).encode(sample.pixels)
+    for row, r, p in zip(tokens.data, roles, _patches(plan.layout)):
         if r.kind == TEXT:
             want = b.predictor.tok_emb.data[sample.caption[r.text_position]]
         elif r.kind == TARGET:
-            want = b.latent.z.data[0] + b.latent.phi[r.patch_index]
+            want = b.latent.z.data[0] + b.latent.phi[p]
         else:
-            want = b.proj(Tensor(ctx[[r.patch_index]])).data[0]
+            want = b.proj(Tensor(ctx[[p]])).data[0]
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 def test_pack_unmasked_covers_every_patch():
     grid = PatchGrid(3, 3)
     seq = _packed(masked=False, grid=grid)[0].layout
-    visual = [r for r in _roles(seq) if r.kind != TEXT]
-    assert [r.patch_index for r in visual] == list(range(grid.n))
-    assert all(r.kind != TARGET for r in visual)
+    visual = seq.roles != TEXT
+    assert _patches(seq, grid)[visual].tolist() == list(range(grid.n))
+    assert (seq.roles[visual] == CONTEXT).all()
 
 
 def test_latent_tokens_are_shared_vector_plus_position():
@@ -154,7 +162,7 @@ def test_latent_tokens_are_shared_vector_plus_position():
 
 def test_forward_shapes_and_tap_position():
     plan, tokens, b, *_ = _packed()
-    logits, tap = b.predictor.forward(tokens, plan.allow)
+    logits, tap = _forward(b.predictor, tokens, plan.allow)
     s = len(plan.layout.roles)
     assert logits.shape == (s, CFG.V)
     assert tap.shape == (s, CFG.d)
@@ -176,7 +184,7 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
         return from_op(data, parents, vjp)
 
     monkeypatch.setattr(ad, "_from_op", counting)
-    b.predictor.forward(tokens, plan.allow)
+    _forward(b.predictor, tokens, plan.allow)
     assert len(nodes) == 1 + 12 * CFG.L + 2 + 2
 
 
@@ -186,8 +194,8 @@ def test_window_logits_are_the_tail_rows_of_every_sequence():
     plan, tokens, b, _, samples = _packed_batch([0, 1, 2])
     s, t = plan.layout.seq_len, plan.window
     assert 0 < t < s, "fixture must leave rows out of the window"
-    full, full_tap = b.predictor.forward(tokens, plan.allow)
-    logits, tap = b.predictor.forward(tokens, plan.allow, t)
+    full, full_tap = _forward(b.predictor, tokens, plan.allow)
+    logits, tap = b.predictor.forward(tokens, plan.allow, t, plan.pos)
     tail = full.data.reshape(3, s, -1)[:, s - t:].reshape(3 * t, -1)
     np.testing.assert_allclose(logits.data, tail, rtol=1e-12, atol=1e-14)
     assert np.array_equal(tap.data, full_tap.data)
@@ -207,7 +215,7 @@ def test_forward_rejects_a_bad_window(tap_layer, window, match):
     pred = Predictor(PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64,
                                      tap_layer=tap_layer), seed=0)
     with pytest.raises(ValueError, match=match):
-        pred.forward(tokens, plan.allow, window)
+        pred.forward(tokens, plan.allow, window, plan.pos)
 
 
 def test_plan_window_covers_every_row_when_tapping_the_last_block():
@@ -244,6 +252,8 @@ def test_pack_pads_each_sample_to_the_longest():
         rows = tokens.data[b * s:(b + 1) * s]
         assert _roles(seq)[b * s:(b + 1) * s] == \
             _roles(one.layout) + [PAD_ROLE] * (s - n)
+        assert _patches(seq)[b * s:(b + 1) * s].tolist() == \
+            _patches(one.layout).tolist() + [-1] * (s - n)
         np.testing.assert_allclose(rows[:n], one_tokens.data, rtol=0,
                                    atol=1e-15)
         assert not rows[n:].any()
@@ -257,7 +267,7 @@ def test_pack_lists_rows_and_target_patch_addresses():
     order and the zero row after them on pad rows."""
     grid = PatchGrid(3, 3)
     seq = _packed_batch([0, 1, 2], grid)[0].layout
-    s, roles = seq.seq_len, _roles(seq)
+    s, roles, patches = seq.seq_len, _roles(seq), _patches(seq, grid)
     assert PAD in seq.roles, "fixture must be ragged"
     for rows, kind in ((seq.text_rows, TEXT), (seq.target_rows, TARGET)):
         assert rows.tolist() == [i for i, r in enumerate(roles)
@@ -267,7 +277,7 @@ def test_pack_lists_rows_and_target_patch_addresses():
     ctx_rows = [i for i, r in enumerate(roles) if r.kind == CONTEXT]
     for rows, addresses in ((ctx_rows, seq.context_patches),
                             (seq.target_rows, seq.target_patches)):
-        assert [(row // s) * grid.n + roles[row].patch_index
+        assert [(row // s) * grid.n + patches[row]
                 for row in rows] == addresses.tolist()
     source = [*ctx_rows, *seq.target_rows, *seq.text_rows]
     pads = [i for i, r in enumerate(roles) if r.kind == PAD]
@@ -285,9 +295,12 @@ def _object_pack(masks, grid, captions):
         np.flatnonzero([r.kind == kind for r in roles])
         for kind in (CONTEXT, TARGET, TEXT))
 
+    # roles_for_mask puts the mask's patches first, in raster order
+    visual = [sorted(m.context | m.target_union) for m in masks]
+
     def address(rows):
         return rows // s * grid.n + np.array(
-            [roles[i].patch_index for i in rows], dtype=np.int64)
+            [visual[i // s][i % s] for i in rows], dtype=np.int64)
 
     real = np.concatenate([ctx_rows, target_rows, text_rows])
     order = np.full(len(roles), real.size)
@@ -405,7 +418,7 @@ def test_pad_rows_change_no_real_row():
     def run(pad_values):
         tokens = Tensor(seq_tokens.data.copy(), requires_grad=True)
         tokens.data[~real] = pad_values
-        logits, tap = pred.forward(tokens, plan.allow)
+        logits, tap = _forward(pred, tokens, plan.allow)
         params = pred.named_parameters()
         for p in params.values():
             p.zero_grad()
@@ -430,7 +443,7 @@ def test_tap_equals_final_stream_when_tapping_last_layer():
     cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=64, tap_layer=1)
     pred = Predictor(cfg, seed=0)
     plan, tokens, *_ = _packed()
-    logits, tap = pred.forward(tokens, plan.allow)
+    logits, tap = _forward(pred, tokens, plan.allow)
     # with L=1 and tap at 1, the tap is the residual stream feeding the head
     ref = ad.add(ad.matmul(ad.layernorm(tap, pred.lnf_g, pred.lnf_b),
                            pred.head_w), pred.head_b)
@@ -448,10 +461,10 @@ def test_denied_keys_cannot_influence_output():
                   if not allow[0, i, p] and i != p]
     assert blind_rows
 
-    base, _ = pred.forward(tokens, allow)
+    base, _ = _forward(pred, tokens, allow)
     bumped = Tensor(tokens.data.copy())
     bumped.data[p] += 10.0
-    out, _ = pred.forward(bumped, allow)
+    out, _ = _forward(pred, bumped, allow)
     for i in blind_rows:
         np.testing.assert_array_equal(base.data[i], out.data[i])
 
@@ -460,7 +473,7 @@ def test_forward_matches_plain_numpy_reference():
     """Independent numpy re-implementation of the forward pass."""
     plan, tokens, b, *_ = _packed()
     pred, allow = b.predictor, plan.allow
-    logits, tap = pred.forward(tokens, allow)
+    logits, tap = _forward(pred, tokens, allow)
 
     def ln(x, g, b, eps=1e-5):
         mu = x.mean(axis=-1, keepdims=True)
@@ -576,4 +589,4 @@ def test_sequence_beyond_max_seq_rejected():
     pred = Predictor(cfg, seed=0)
     plan, tokens, *_ = _packed()
     with pytest.raises(ValueError):
-        pred.forward(tokens, plan.allow)
+        _forward(pred, tokens, plan.allow)

@@ -9,8 +9,8 @@ import pytest
 from latentalign import autodiff as ad
 from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.objective import (LossConfig, LossReport, combine,
-                                   jepa_loss, lambda_gate, ntp_loss,
-                                   ntp_targets)
+                                   jepa_loss, lambda_gate, mean_of_means,
+                                   ntp_loss, ntp_targets)
 
 COSINE = LossConfig(distance="cosine")
 
@@ -18,7 +18,7 @@ COSINE = LossConfig(distance="cosine")
 def _cosine(p, t):
     """jepa_loss of a single (p, t) row pair: their negative cosine."""
     return jepa_loss(Tensor(np.atleast_2d(p)), Tensor(np.atleast_2d(t)),
-                     COSINE).data
+                     COSINE, mean_of_means([1])).data
 
 
 def test_cosine_distance_anchors():
@@ -46,21 +46,23 @@ def test_jepa_loss_mixed_rows_average():
     pred = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     tgt = Tensor(np.array([[2.0, 0.0], [0.0, -3.0]]))
     cfg = LossConfig(distance="cosine")
-    np.testing.assert_allclose(jepa_loss(pred, tgt, cfg).data, 0.0, atol=1e-12)
+    loss = jepa_loss(pred, tgt, cfg, mean_of_means([2]))
+    np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
 
 def test_jepa_loss_smooth_l1_hand_value():
     pred = Tensor(np.array([[0.5, 2.0]]))
     tgt = Tensor(np.zeros((1, 2)))
     cfg = LossConfig(distance="smooth_l1")
-    np.testing.assert_allclose(jepa_loss(pred, tgt, cfg).data,
-                               (0.125 + 1.5) / 2, atol=1e-12)
+    loss = jepa_loss(pred, tgt, cfg, mean_of_means([1]))
+    np.testing.assert_allclose(loss.data, (0.125 + 1.5) / 2, atol=1e-12)
 
 
 def test_jepa_loss_shape_mismatch():
     cfg = LossConfig()
     with pytest.raises(ValueError):
-        jepa_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), cfg)
+        jepa_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), cfg,
+                  mean_of_means([2]))
 
 
 def test_jepa_loss_grad_matches_fd():
@@ -69,7 +71,9 @@ def test_jepa_loss_grad_matches_fd():
     tgt = Tensor(rng.normal(size=(3, 4)))
     for dist in ("cosine", "smooth_l1"):
         cfg = LossConfig(distance=dist)
-        assert ad.fd_check(lambda: jepa_loss(pred, tgt, cfg), [pred]) < 1e-6
+        w = mean_of_means([3])
+        assert ad.fd_check(lambda: jepa_loss(pred, tgt, cfg, w),
+                           [pred]) < 1e-6
 
 
 def test_ntp_loss_uses_only_text_rows():

@@ -15,7 +15,8 @@ from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
                                    TokenRole, oracle_mask, roles_for_mask)
 from latentalign.autodiff import NonFiniteError, Tensor
 from latentalign.config import bundle_from, default_config
-from latentalign.data import generate, learnability_fixture
+from latentalign.data import generate
+from latentalign.encoders import StubEncoder
 from latentalign.masking import PatchGrid, SamplerConfig
 from latentalign.model import PredictorConfig, load_checkpoint, project_tap
 from latentalign.objective import (LossConfig, combine, jepa_loss,
@@ -227,10 +228,12 @@ def test_reports_are_finite():
 
 
 def test_learnability_fixture_wires_into_bundle():
-    samples, tgt = learnability_fixture(0, 8, GRID)
+    """An affine target stub, as the learnability run uses, can replace the
+    bundle's target encoder."""
+    samples = generate(0, 8, GRID)
     b = ModelBundle(GRID, SMALL, ctx_dim=8, tgt_dim=8,
                     sampler=SamplerConfig(k=2), tgt_nonlinear=False)
-    b.tgt_encoder = tgt
+    b.tgt_encoder = StubEncoder(1, 8, nonlinear=False)
     reports = run_stage(b, TrainConfig(stage="align", batch_size=4, seed=0),
                         samples)
     assert len(reports) == 2
@@ -253,7 +256,8 @@ def _per_sample_losses(trainer, samples, masks):
             pred = project_tap(b.proj_tgt, tap, seq.target_rows)
             tgt = b.tgt_encoder.encode(sample.pixels)[
                 sorted(mask.target_union)]
-            jepas.append(jepa_loss(pred, Tensor(tgt), b.loss))
+            jepas.append(jepa_loss(pred, Tensor(tgt), b.loss,
+                                   mean_of_means([len(tgt)])))
 
     def mean(terms):
         acc = terms[0]
@@ -307,9 +311,12 @@ def _unsplit_forward(trainer, samples, masks):
         np.flatnonzero([r.kind == kind for r in roles])
         for kind in (CONTEXT, TARGET, TEXT))
 
+    # roles_for_mask puts the mask's patches first, in raster order
+    visual = [sorted(m.context | m.target_union) for m in masks]
+
     def address(rows):
         return rows // s * grid.n + np.array(
-            [roles[i].patch_index for i in rows], dtype=np.int64)
+            [visual[i // s][i % s] for i in rows], dtype=np.int64)
 
     target_patches = address(target_rows)
     ids = np.concatenate([np.asarray(c, dtype=np.int64) for c in captions])
@@ -532,6 +539,23 @@ def test_proj_tgt_does_not_reach_the_predictor():
             flat[i] = orig
             assert np.array_equal(nudged[0].data, logits.data), (name, i)
             assert np.array_equal(nudged[1].data, tap.data), (name, i)
+
+
+def test_text_leakage_check_fails_when_visual_rows_see_text(monkeypatch):
+    """The leakage check can fail: with a mask builder that also lets
+    visual rows see caption rows, a caption change reaches the taps."""
+    assert verify.check_text_leakage(n_models=1)[0]
+    build = training.build_mask
+
+    def leaky(roles, blocks, text_pos, variant):
+        mask = build(roles, blocks, text_pos, variant)
+        visual = (roles == CONTEXT) | (roles == TARGET)
+        mask.allow |= visual[:, :, None] & (roles == TEXT)[:, None, :]
+        return mask
+
+    monkeypatch.setattr(training, "build_mask", leaky)
+    assert verify.check_text_leakage(n_models=1) == \
+        (False, "caption change leaked into taps (trial 0)")
 
 
 def test_training_steps_build_no_token_role_and_one_mask(monkeypatch):
