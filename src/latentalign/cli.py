@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     except autodiff.NonFiniteError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, ResampleExhausted) as e:
+    except (InputError, ResampleExhausted, OSError) as e:
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,7 +72,7 @@ def read_json(path, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:   # nested too deep
         raise InputError(f"cannot read {what}: {e}") from e
 
 

@@ -72,9 +72,12 @@ class SamplerConfig:
 class MaskSpec:
     context: frozenset
     targets: list = field(default_factory=list)
-    target_union: frozenset = frozenset()
     context_block: BlockSpec | None = None
     target_blocks: list = field(default_factory=list)
+    target_union: frozenset = field(init=False)
+
+    def __post_init__(self):
+        self.target_union = frozenset().union(*self.targets)
 
     def to_json_obj(self) -> dict:
         return {
@@ -97,12 +100,11 @@ class MaskSpec:
             raise InputError("mask spec context and targets must be lists "
                              "of patch indices")
         context = frozenset(doc["context"])
-        tsets = [frozenset(t) for t in targets]
-        union = frozenset().union(*tsets)
-        if not context or context & union:
+        spec = cls(context=context, targets=[frozenset(t) for t in targets])
+        if not context or context & spec.target_union:
             raise InputError("mask spec context must be nonempty and "
                              "disjoint from the targets")
-        return cls(context=context, targets=tsets, target_union=union)
+        return spec
 
 
 def _is_index_list(x) -> bool:
@@ -207,6 +209,5 @@ def sample_mask(grid: PatchGrid, cfg: SamplerConfig,
         context = block_indices(cblock, grid) - union
         if context:
             return MaskSpec(context=context, targets=list(tsets),
-                            target_union=union, context_block=cblock,
-                            target_blocks=tblocks)
+                            context_block=cblock, target_blocks=tblocks)
     raise ResampleExhausted("context empty after target removal")

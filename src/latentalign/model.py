@@ -36,12 +36,11 @@ class PredictorConfig:
     L: int = 4
     H: int = 4
     V: int = 64
-    max_seq: int = 256
     tap_layer: int | None = None
 
     def __post_init__(self):
-        if min(self.d, self.L, self.H, self.V, self.max_seq) < 1:
-            raise ValueError("d, L, H, V and max_seq must be at least 1")
+        if min(self.d, self.L, self.H, self.V) < 1:
+            raise ValueError("d, L, H and V must be at least 1")
         if self.d % self.H:
             raise ValueError("d must be divisible by H")
         if self.d % 4:
@@ -138,7 +137,6 @@ class Predictor:
         # token identity must stay visible next to the positional code, but
         # small enough that attention output carries real weight at text rows
         self.tok_emb = _param(rng, (cfg.V, d), std=0.5)
-        self.seq_pos = sincos_1d(cfg.max_seq, d)
         self.blocks = []
         for _ in range(cfg.L):
             self.blocks.append({
@@ -167,16 +165,12 @@ class Predictor:
         params["head_b"] = self.head_b
         return params
 
-    def positions(self, bsz: int, s: int) -> Tensor:
-        """The position code of every row of B stacked S-row sequences."""
-        return Tensor(np.tile(self.seq_pos[:s], (bsz, 1)))
-
     def forward(self, tokens: Tensor, allow: np.ndarray, window: int,
                 pos: Tensor):
         """Runs B stacked sequences, ``tokens`` (B*S x d), under their
         B x S x S ``allow``: (logits, hidden states after the tap).
-        ``pos`` is the position rows added to ``tokens``, ``positions(B,
-        S)``.
+        ``pos`` is the position rows added to ``tokens``: ``sincos_1d(S,
+        d)`` once per sequence.
 
         The logits cover the last ``window`` rows of each sequence,
         (B*window) x V, sequence after sequence; the tap covers every row.
@@ -186,8 +180,6 @@ class Predictor:
         tap is restricted: with the tap at the last block the window must
         be S."""
         bsz, s = allow.shape[:2]
-        if s > self.cfg.max_seq:
-            raise ValueError(f"sequence of {s} exceeds max_seq={self.cfg.max_seq}")
         if not 0 <= window <= s:
             raise ValueError(f"window of {window} rows outside a sequence "
                              f"of {s}")
@@ -345,7 +337,12 @@ def _is_header(header) -> bool:
 def load_checkpoint(path):
     """Returns (header dict, {name: float64 array})."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        cap = 1 << 20           # real headers are a few KB
+        line = fh.readline(cap + 1)
+        try:
+            header = len(line) <= cap and json.loads(line.decode())
+        except RecursionError:  # nested too deep to be a header
+            header = None
         if not _is_header(header):
             raise ValueError("not a checkpoint file")
         # sized before any read, which could not hold a huge declared shape

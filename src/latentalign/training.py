@@ -25,13 +25,14 @@ from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
 from .model import (LatentTarget, PackedBatch, Predictor, PredictorConfig,
                     Projector, load_checkpoint, load_into, pack, project_tap,
-                    save_checkpoint)
+                    save_checkpoint, sincos_1d)
 from .objective import (LossConfig, LossReport, combine, jepa_loss,
                         lambda_gate, mean_of_means, ntp_loss, ntp_targets)
 
 STAGE_LR = {"align": 1e-3, "sft": 2e-5}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
 
 
 def derive_seed(*parts: int) -> int:
@@ -151,9 +152,9 @@ class ModelBundle:
                  jepa: bool = True, tgt_nonlinear: bool = True):
         if min(ctx_dim, tgt_dim) < 1:
             raise ValueError("ctx_dim and tgt_dim must be at least 1")
-        if predictor.max_seq < grid.n + MAX_CAPTION_LEN:
-            raise ValueError(f"max_seq={predictor.max_seq} is below the "
-                             f"longest sequence, {grid.n + MAX_CAPTION_LEN}")
+        if grid.n + MAX_CAPTION_LEN > MAX_SEQ:
+            raise ValueError(f"the longest sequence, {grid.n} patches and "
+                             f"{MAX_CAPTION_LEN} tokens, exceeds {MAX_SEQ}")
         self.grid = grid
         self.predictor_cfg = predictor
         self.sampler = sampler or SamplerConfig()
@@ -205,8 +206,8 @@ class ModelBundle:
             jepa_weights = mean_of_means(per_seq[per_seq > 0])
         ids = np.concatenate(captions).astype(np.int64)
         return BatchPlan(layout, allow, window,
-                         self.predictor.positions(bsz, s), ctx, tgt, phi,
-                         ids, Tensor(np.zeros((1, cfg.d))),
+                         Tensor(np.tile(sincos_1d(s, cfg.d), (bsz, 1))), ctx,
+                         tgt, phi, ids, Tensor(np.zeros((1, cfg.d))),
                          ntp_targets(captions, window_text_rows),
                          jepa_weights)
 

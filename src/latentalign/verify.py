@@ -40,8 +40,7 @@ def _random_batch(rng: random.Random):
         tsets = [frozenset(i for i, b in blocks.items() if j in b)
                  for j in range(k)]
         specs.append(MaskSpec(frozenset(i for i, kind in enumerate(kinds)
-                                        if kind == "context"),
-                              tsets, frozenset(blocks)))
+                                        if kind == "context"), tsets))
         caption_lens.append(rng.randint(0, 8))
     return grid, specs, caption_lens
 

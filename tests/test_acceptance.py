@@ -133,7 +133,7 @@ def test_criterion_5_full_skip_matches_control():
     from latentalign.objective import LossConfig
 
     grid = PatchGrid(3, 3)
-    cfg = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
+    cfg = PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=1)
     samples = generate(0, 400, grid)
     traces = []
     for jepa in (True, False):
@@ -221,8 +221,7 @@ def test_criterion_7_ablation_surface():
 
     failures = []
     for var in variants:
-        cfg = PredictorConfig(d=16, L=L, H=2, V=64, max_seq=128,
-                              tap_layer=var.get("tap"))
+        cfg = PredictorConfig(d=16, L=L, H=2, V=64, tap_layer=var.get("tap"))
         bundle = ModelBundle(
             grid, cfg, proj_kind=var.get("proj", "mlp"),
             ctx_dim=8, tgt_dim=8,
@@ -245,7 +244,7 @@ def test_criterion_7_ablation_surface():
 
 def test_criterion_8_determinism_and_persistence(tmp_path):
     grid = PatchGrid(3, 3)
-    cfg = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
+    cfg = PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=1)
     samples = generate(0, 32, grid)
     logs = []
     for run in range(2):

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentalign import cli, training
+from latentalign import cli, config, training
 from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
                                    TokenRole, dump_mask, oracle_mask,
                                    roles_for_mask)
-from latentalign.data import generate
+from latentalign.data import MAX_CAPTION_LEN, generate
 from latentalign.masking import MaskSpec, PatchGrid
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
@@ -24,7 +24,7 @@ from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
 
 TINY_CONFIG = {
     "grid": {"rows": 3, "cols": 3},
-    "predictor": {"d": 16, "L": 1, "H": 2, "V": 16, "max_seq": 64},
+    "predictor": {"d": 16, "L": 1, "H": 2, "V": 16},
     "ctx_dim": 8, "tgt_dim": 8,
     "sampler": {"k": 2},
     "data": {"n": 8},
@@ -206,8 +206,9 @@ def test_truncated_config_exit_code(tmp_path, capsys):
     pytest.param('{"data": {"n": "x"}}', id="data-n-not-int"),
     pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
-    pytest.param('{"predictor": {"max_seq": 8}}', id="max-seq-below-sequence"),
+    pytest.param('{"predictor": {"max_seq": 256}}', id="removed-max-seq"),
     pytest.param('{"loss": {"jepa_weight": "x"}}', id="jepa-weight-not-real"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
     *(pytest.param(json.dumps({**doc, "data": {"n": 8}}), id=name)
       for name, doc in {
           "epochs-float": {"train": {"epochs": 1.5}},
@@ -239,16 +240,47 @@ def test_bad_config_exit_code(tmp_path, text, capsys):
                                  "--out", str(tmp_path / "run")])
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 124), (3000, 3000)])
+def test_sequence_over_256_rows_exit_code(tmp_path, rows, cols, capsys):
+    """A 13x19 grid's longest sequence, 247 patches and a 9-token caption,
+    fills the 256 rows a sequence may hold and builds; one more row exits
+    2 with the guard's line, before any array of the grid's size."""
+    cfg = config.load_config(None, {"grid": {"rows": 13, "cols": 19}})
+    assert config.bundle_from(cfg).grid.n + MAX_CAPTION_LEN == 256
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": {"rows": rows, "cols": cols}}))
+    assert main(["train", "align", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == [
+        f"bad input: ModelBundle rejected: the longest sequence, "
+        f"{rows * cols} patches and 9 tokens, exceeds 256"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "align", "--out", "{file}"], id="train-align"),
+    pytest.param(["data", "gen", "--n", "2", "--out", "{file}"],
+                 id="data-gen"),
+    pytest.param(["mask", "sample", "--rows", "4", "--cols", "4",
+                  "--out", "{missing}/x.json"], id="mask-sample"),
+    pytest.param(["mask", "attn", "--spec", "{spec}", "--caption-len", "3",
+                  "--out", "{missing}/x.txt"], id="mask-attn"),
+])
+def test_unwritable_out_exit_code(tmp_path, argv, capsys):
+    """An ``--out`` the command cannot write, an existing file where a
+    directory goes or a file in a missing directory, exits 2 with one line,
+    not a traceback; training writes no step log."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"context": [0, 1], "targets": [[2]]}))
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing",
+             "spec": tmp_path / "spec.json"}
+    _assert_input_error(capsys, [a.format(**paths) for a in argv])
+    assert not list(tmp_path.rglob("*_log.jsonl*"))
+
+
 def test_oversized_gradcheck_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"predictor": {"d": 32}}')
-    _assert_input_error(capsys, ["gradcheck", "--config", str(cfg)])
-
-
-def test_gradcheck_max_seq_below_sequence_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"predictor": {
-        "d": 16, "L": 2, "H": 2, "V": 16, "tap_layer": 1, "max_seq": 8}}))
     _assert_input_error(capsys, ["gradcheck", "--config", str(cfg)])
 
 
@@ -362,17 +394,19 @@ def test_bad_gradcheck_tolerance_exit_code(tolerance, monkeypatch, capsys):
     pytest.param([0, 1], id="not-an-object"),
     pytest.param({"context": [0, 1], "targets": [[1]]},
                  id="context-overlaps-targets"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
 ])
 def test_malformed_mask_spec_exit_code(tmp_path, doc, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
+    spec.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     _assert_input_error(capsys, ["mask", "attn", "--spec", str(spec),
                                  "--caption-len", "3"])
 
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
                                   "header-not-object", "params-not-pairs",
-                                  "trailing-bytes", "huge-declared-shape"])
+                                  "trailing-bytes", "huge-declared-shape",
+                                  "nested-too-deep"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
@@ -384,11 +418,14 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
                "huge-declared-shape": {
                    "format": "latentalign-ckpt", "version": 1, "step": 0,
                    "config": {},
-                   "params": [["predictor.tok_emb", [1000000, 1000000]]]}}
+                   "params": [["predictor.tok_emb", [1000000, 1000000]]]},
+               "nested-too-deep": "[" * 100000}
     if init in headers:
         out.mkdir()
+        header = headers[init]
         (out / "align_ckpt.bin").write_bytes(
-            json.dumps(headers[init]).encode() + b"\n")
+            (header if isinstance(header, str) else json.dumps(header))
+            .encode() + b"\n")
     if init in ("other-config", "trailing-bytes"):
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK

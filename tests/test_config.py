@@ -13,7 +13,7 @@ from latentalign.training import ModelBundle, TrainConfig
 NON_DEFAULT = {
     "grid.rows": 5, "grid.cols": 3,
     "predictor.d": 16, "predictor.L": 2, "predictor.H": 2, "predictor.V": 32,
-    "predictor.max_seq": 128, "predictor.tap_layer": 2,
+    "predictor.tap_layer": 2,
     "sampler.k": 2, "sampler.target_scale": [0.1, 0.3],
     "sampler.target_aspect": [0.5, 2.0], "sampler.context_scale": [0.7, 0.9],
     "sampler.context_aspect": [0.6, 1.8], "sampler.allow_overlap": False,

@@ -31,7 +31,8 @@ def test_caption_grammar():
 
 
 def test_max_caption_len_is_the_longest_caption():
-    """``ModelBundle`` sizes its ``max_seq`` check by this constant."""
+    """``ModelBundle`` checks ``grid.n`` plus this constant against
+    ``training.MAX_SEQ``."""
     v = SyntheticVocab()
     longest = [("red", "tl"), ("blue", "tr"), ("green", "bl")]
     assert caption_for(longest, v).size == MAX_CAPTION_LEN

@@ -1,5 +1,6 @@
 """Block mask sampler: dimension formula, disjointness, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -105,6 +106,16 @@ def test_resample_exhausted_when_targets_cover_grid():
 
 def test_retry_budget_is_bounded():
     assert RETRY_BUDGET == 100
+
+
+def test_target_union_follows_the_targets():
+    """The union is derived, never passed: replacing the targets of a spec
+    recomputes it."""
+    m = MaskSpec(context=frozenset({0}), targets=[frozenset({1, 2})])
+    assert m.target_union == frozenset({1, 2})
+    moved = dataclasses.replace(m, targets=[frozenset({3}), frozenset({3, 5})])
+    assert moved.target_union == frozenset({3, 5})
+    assert dataclasses.replace(m, targets=[]).target_union == frozenset()
 
 
 def test_mask_spec_json_round_shape():

@@ -25,7 +25,7 @@ from latentalign.model import (Predictor, PredictorConfig, Projector,
 from latentalign.objective import ntp_targets
 from latentalign.training import ModelBundle
 
-CFG = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
+CFG = PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=1)
 
 
 def _packed_batch(seeds, grid=PatchGrid(3, 3), masked=True):
@@ -70,7 +70,8 @@ def _forward(pred, tokens, allow):
     """``pred.forward`` with the logits on every row, under the position
     code a plan gives."""
     bsz, s = allow.shape[:2]
-    return pred.forward(tokens, allow, s, pred.positions(bsz, s))
+    pos = Tensor(np.tile(sincos_1d(s, pred.cfg.d), (bsz, 1)))
+    return pred.forward(tokens, allow, s, pos)
 
 
 def test_tap_layer_default():
@@ -111,6 +112,19 @@ def test_sincos_2d_equals_per_patch_fill(rows, cols, d):
             ref[r * cols + c, d // 2:] = col_tab[c]
     table = sincos_2d(rows, cols, d)
     assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
+
+
+def test_plan_positions_are_each_sequences_own_sincos_rows():
+    """Every sequence of a plan gets ``sincos_1d(S, d)``, bit for bit the
+    first S rows of a 256-row table, so no stored table is needed."""
+    plan, *_ = _packed_batch([0, 1, 2])
+    s, d = plan.layout.seq_len, CFG.d
+    assert plan.pos.data.tobytes() == np.tile(sincos_1d(s, d),
+                                              (3, 1)).tobytes()
+    for d in (8, 16, 32, 64, 128):
+        table = sincos_1d(256, d)
+        for s in range(1, 257):
+            assert sincos_1d(s, d).tobytes() == table[:s].tobytes()
 
 
 def test_pack_orders_tokens_by_raster_position():
@@ -212,7 +226,7 @@ def test_window_logits_are_the_tail_rows_of_every_sequence():
 ])
 def test_forward_rejects_a_bad_window(tap_layer, window, match):
     plan, tokens, *_ = _packed()
-    pred = Predictor(PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64,
+    pred = Predictor(PredictorConfig(d=16, L=2, H=2, V=16,
                                      tap_layer=tap_layer), seed=0)
     with pytest.raises(ValueError, match=match):
         pred.forward(tokens, plan.allow, window, plan.pos)
@@ -222,8 +236,7 @@ def test_plan_window_covers_every_row_when_tapping_the_last_block():
     """Nothing at or before the tap is restricted: with the tap at the last
     block the plan's window is the whole sequence."""
     grid = PatchGrid(3, 3)
-    b = ModelBundle(grid, PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64,
-                                          tap_layer=2),
+    b = ModelBundle(grid, PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=2),
                     proj_kind="linear", ctx_dim=8, tgt_dim=8,
                     sampler=SamplerConfig(k=2))
     samples = [make_sample(seed, 0, grid, b.vocab) for seed in (0, 1)]
@@ -321,8 +334,7 @@ def _hand_built_spec(grid, rng):
     rest = patches if rng.random() < 0.2 else patches[cut:]
     targets = [frozenset(rng.sample(rest, rng.randint(1, len(rest))))
                for _ in range(rng.randint(1, 70) if rest else 0)]
-    return MaskSpec(context=frozenset(patches[:cut]), targets=targets,
-                    target_union=frozenset().union(*targets))
+    return MaskSpec(context=frozenset(patches[:cut]), targets=targets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -379,8 +391,7 @@ def test_block_membership_past_63_blocks():
     block ids past what a 64-bit mask could hold."""
     grid = PatchGrid(2, 2)
     blocks = [frozenset({1})] * 64 + [frozenset({2, 3}), frozenset({3})]
-    layout = pack([MaskSpec(context=frozenset({0}), targets=blocks,
-                            target_union=frozenset({1, 2, 3}))], grid,
+    layout = pack([MaskSpec(context=frozenset({0}), targets=blocks)], grid,
                   [np.zeros(2, dtype=np.int64)])
     assert layout.blocks.shape == (6, 66)
     allow = build_mask(*layout.columns()).allow[0]
@@ -440,7 +451,7 @@ def test_pad_rows_change_no_real_row():
 
 
 def test_tap_equals_final_stream_when_tapping_last_layer():
-    cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=64, tap_layer=1)
+    cfg = PredictorConfig(d=16, L=1, H=2, V=16, tap_layer=1)
     pred = Predictor(cfg, seed=0)
     plan, tokens, *_ = _packed()
     logits, tap = _forward(pred, tokens, plan.allow)
@@ -484,7 +495,7 @@ def test_forward_matches_plain_numpy_reference():
         return x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
     s = len(plan.layout.roles)
-    x = tokens.data + pred.seq_pos[:s]
+    x = tokens.data + sincos_1d(s, pred.cfg.d)
     ref_tap = None
     for li, blk in enumerate(pred.blocks):
         h = ln(x, blk["ln1_g"].data, blk["ln1_b"].data)
@@ -558,8 +569,8 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, 0, {}, pred.named_parameters())
     _, loaded = load_checkpoint(path)
-    small = Predictor(PredictorConfig(d=8, L=2, H=2, V=16, max_seq=64,
-                                      tap_layer=1), seed=0)
+    small = Predictor(PredictorConfig(d=8, L=2, H=2, V=16, tap_layer=1),
+                      seed=0)
     with pytest.raises(ValueError):
         load_into(small.named_parameters(), loaded)
 
@@ -584,9 +595,13 @@ def test_checkpoint_rejects_malformed_header(tmp_path, header):
         load_checkpoint(path)
 
 
-def test_sequence_beyond_max_seq_rejected():
-    cfg = PredictorConfig(d=16, L=1, H=2, V=16, max_seq=4, tap_layer=1)
-    pred = Predictor(cfg, seed=0)
-    plan, tokens, *_ = _packed()
-    with pytest.raises(ValueError):
-        _forward(pred, tokens, plan.allow)
+def test_checkpoint_header_read_is_capped_at_one_mib(tmp_path):
+    """A header line of 1 MiB, newline included, loads; one byte longer is
+    not a checkpoint file."""
+    header = json.dumps({"format": "latentalign-ckpt", "params": []})
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header.ljust((1 << 20) - 1).encode() + b"\n")
+    assert load_checkpoint(path)[0]["params"] == []
+    path.write_bytes(header.ljust(1 << 20).encode() + b"\n")
+    with pytest.raises(ValueError, match="not a checkpoint file"):
+        load_checkpoint(path)

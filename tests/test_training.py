@@ -18,7 +18,8 @@ from latentalign.config import bundle_from, default_config
 from latentalign.data import generate
 from latentalign.encoders import StubEncoder
 from latentalign.masking import PatchGrid, SamplerConfig
-from latentalign.model import PredictorConfig, load_checkpoint, project_tap
+from latentalign.model import (PredictorConfig, load_checkpoint, project_tap,
+                               sincos_1d)
 from latentalign.objective import (LossConfig, combine, jepa_loss,
                                    mean_of_means, ntp_loss, ntp_targets)
 from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
@@ -26,7 +27,7 @@ from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
 from latentalign.verify import run_gradcheck
 
 GRID = PatchGrid(3, 3)
-SMALL = PredictorConfig(d=16, L=2, H=2, V=16, max_seq=64, tap_layer=1)
+SMALL = PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=1)
 
 
 def _bundle(seed=0, predictor=SMALL, **kw):
@@ -275,8 +276,8 @@ def _plan_and_run(trainer, samples, masks):
 def _full_row_forward(pred, tokens, allow):
     """``Predictor.forward`` with no caption window: every block, the last
     one included, runs on every row of the padded layout."""
-    s = allow.shape[1]
-    x = tokens + Tensor(np.tile(pred.seq_pos[:s], (allow.shape[0], 1)))
+    bsz, s = allow.shape[:2]
+    x = tokens + Tensor(np.tile(sincos_1d(s, pred.cfg.d), (bsz, 1)))
     tap = None
     for i, blk in enumerate(pred.blocks, 1):
         h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
