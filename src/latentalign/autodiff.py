@@ -37,6 +37,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _walked(g):
+    raise RuntimeError("graph already walked: backward releases it as it goes")
+
+
 class Tensor:
     """A node in the computation graph: float64 data plus an optional grad."""
 
@@ -67,7 +71,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-topological gradient accumulation from a scalar loss.
 
-        Repeated calls without zeroing accumulate into existing grads.
+        Each op node drops its grad, vjp and parents once its gradients
+        reach its parents, so a graph is walked once; leaves keep their
+        grads, which accumulate across graphs until ``zero_grad``.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss")
@@ -87,12 +93,14 @@ class Tensor:
                 if p.requires_grad:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._vjp is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if parent.requires_grad and g is not None:
                     parent._accumulate(g)
+            node.grad, node._vjp, node._parents = None, _walked, ()
 
     # operator sugar -------------------------------------------------
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .data import MAX_CAPTION_LEN, generate
 from .masking import (InputError, MaskSpec, PatchGrid, ResampleExhausted,
                       SamplerConfig, sample_mask)
 from .model import pack
-from .training import run_stage
+from .training import check_extents, run_stage
 from .verify import run_gradcheck
 
 EXIT_OK = 0
@@ -48,6 +49,7 @@ def cmd_mask_sample(args) -> int:
     _print_resolved({"rows": args.rows, "cols": args.cols, "seed": args.seed,
                      **vars(cfg)})
     grid = config._build(PatchGrid, {"rows": args.rows, "cols": args.cols})
+    check_extents(grid, cfg.k)
     spec = sample_mask(grid, cfg, random.Random(args.seed))
     text = json.dumps(spec.to_json_obj(), indent=2, sort_keys=True)
     if args.out:
@@ -89,6 +91,7 @@ def cmd_data_gen(args) -> int:
     _print_resolved({"seed": args.seed, "n": args.n, "rows": args.rows,
                      "cols": args.cols, "out": args.out})
     grid = config._build(PatchGrid, {"rows": args.rows, "cols": args.cols})
+    check_extents(grid)
     samples = _dataset({"seed": args.seed, "n": args.n}, grid)
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "pixels.npy"),
@@ -120,13 +123,22 @@ def _run_train(args, stage: str) -> int:
     train_cfg = config.train_config_from(cfg)
     dataset = _dataset(cfg["data"], bundle.grid, bundle.vocab)
     out = args.out or "."
+    made = None     # the outermost directory made here, gone if the run fails
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        made, head = head, os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
-    reports = run_stage(
-        bundle, train_cfg, dataset,
-        log_path=os.path.join(out, f"{stage}_log.jsonl"),
-        ckpt_path=os.path.join(out, f"{stage}_ckpt.bin"),
-        init_ckpt=args.init if stage == "sft" else None,
-        config_header=cfg)
+    try:
+        reports = run_stage(
+            bundle, train_cfg, dataset,
+            log_path=os.path.join(out, f"{stage}_log.jsonl"),
+            ckpt_path=os.path.join(out, f"{stage}_ckpt.bin"),
+            init_ckpt=args.init if stage == "sft" else None,
+            config_header=cfg)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     last = reports[-1]
     print(f"{stage}: {len(reports)} steps, final ntp={last.ntp:.4f}"
           + (f" jepa={last.jepa:.4f}" if last.jepa is not None else ""))

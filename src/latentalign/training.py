@@ -35,6 +35,17 @@ ADAM_EPS = 1e-8
 MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
 
 
+def check_extents(grid: PatchGrid, k: int = 1) -> None:
+    """Reject a grid whose longest sequence exceeds MAX_SEQ rows, and more
+    target blocks than it has patches, before anything grid-sized is built."""
+    if grid.n + MAX_CAPTION_LEN > MAX_SEQ:
+        raise InputError(f"the longest sequence, {grid.n} patches and "
+                         f"{MAX_CAPTION_LEN} tokens, exceeds {MAX_SEQ}")
+    if k > grid.n:
+        raise InputError(f"k={k} target blocks exceed the grid's "
+                         f"{grid.n} patches")
+
+
 def derive_seed(*parts: int) -> int:
     h = 0x9E3779B97F4A7C15
     for p in parts:
@@ -152,12 +163,10 @@ class ModelBundle:
                  jepa: bool = True, tgt_nonlinear: bool = True):
         if min(ctx_dim, tgt_dim) < 1:
             raise ValueError("ctx_dim and tgt_dim must be at least 1")
-        if grid.n + MAX_CAPTION_LEN > MAX_SEQ:
-            raise ValueError(f"the longest sequence, {grid.n} patches and "
-                             f"{MAX_CAPTION_LEN} tokens, exceeds {MAX_SEQ}")
+        self.sampler = sampler or SamplerConfig()
+        check_extents(grid, self.sampler.k)
         self.grid = grid
         self.predictor_cfg = predictor
-        self.sampler = sampler or SamplerConfig()
         self.loss = loss or LossConfig()
         self.attn = attn or AttnVariant()
         self.jepa = jepa

@@ -682,3 +682,37 @@ def test_op_without_grad_parents_records_no_graph():
     w.requires_grad = True
     out = ad.matmul(x, w)
     assert out.requires_grad and out._parents == (x, w)
+
+
+def test_backward_releases_the_graph_it_walks():
+    """A walked op node keeps no grad, parents or vjp, so what it saved for
+    backward can be freed; the leaves keep their grads."""
+    x0 = np.array([[0.5, -1.0], [2.0, 0.25]])
+    w0 = np.array([[1.0, 2.0], [-0.5, 3.0]])
+    x = Tensor(x0, requires_grad=True)
+    w = Tensor(w0, requires_grad=True)
+    z = ad.matmul(x, w)
+    h = ad.gelu(z)
+    loss = ad.tsum(ad.mul(h, h))
+    loss.backward()
+    for node in (z, h, loss):
+        assert node.grad is None and node._parents == ()
+    # d/dz sum(gelu(z)^2) = 2 gelu(z) gelu'(z)
+    zd = x0 @ w0
+    cdf = 0.5 * (1.0 + erf(zd / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * zd * zd) / math.sqrt(2.0 * math.pi)
+    dz = 2.0 * zd * cdf * (cdf + zd * pdf)
+    np.testing.assert_allclose(x.grad, dz @ w0.T, rtol=1e-14)
+    np.testing.assert_allclose(w.grad, x0.T @ dz, rtol=1e-14)
+
+
+def test_a_graph_is_walked_once():
+    """Walking a released node again raises instead of adding nothing."""
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    h = ad.gelu(x)
+    loss = ad.tsum(h)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="graph already walked"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="graph already walked"):
+        ad.tsum(ad.mul(h, x)).backward()    # a new loss over a walked node

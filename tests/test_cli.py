@@ -256,6 +256,42 @@ def test_sequence_over_256_rows_exit_code(tmp_path, rows, cols, capsys):
         f"{rows * cols} patches and 9 tokens, exceeds 256"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["mask", "sample", "--rows", "100000", "--cols", "100000"],
+                 "the longest sequence, 10000000000 patches and 9 tokens, "
+                 "exceeds 256", id="mask-sample-grid"),
+    pytest.param(["data", "gen", "--n", "3", "--rows", "100000", "--cols",
+                  "100000", "--out", "{out}"],
+                 "the longest sequence, 10000000000 patches and 9 tokens, "
+                 "exceeds 256", id="data-gen-grid"),
+    pytest.param(["mask", "sample", "--rows", "4", "--cols", "4", "--k",
+                  "1000000000"],
+                 "k=1000000000 target blocks exceed the grid's 16 patches",
+                 id="mask-sample-k"),
+    pytest.param(["train", "align", "--config", "{cfg}", "--out", "{out}"],
+                 "ModelBundle rejected: k=17 target blocks exceed the "
+                 "grid's 16 patches", id="train-k"),
+])
+def test_extents_over_their_limits_exit_code(tmp_path, monkeypatch, capsys,
+                                             argv, message):
+    """A grid whose longest sequence exceeds 256 rows, or more target blocks
+    than the grid has patches, exits 2 with one line before any grid-sized
+    array is built or any block is sampled."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("sampled or generated")
+
+    for name in ("sample_mask", "generate"):
+        monkeypatch.setattr(cli, name, not_reached)
+    monkeypatch.setattr(training, "sample_mask", not_reached)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"k": 17}}))
+    paths = {"cfg": cfg, "out": tmp_path / "out"}
+    assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == [
+        f"bad input: {message}"]
+    assert not paths["out"].exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["train", "align", "--out", "{file}"], id="train-align"),
     pytest.param(["data", "gen", "--n", "2", "--out", "{file}"],
@@ -438,9 +474,17 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     if init == "huge-declared-shape":
         with open(out / "align_ckpt.bin", "ab") as fh:
             fh.write(b"\0" * 64)
-    _assert_input_error(capsys, ["train", "sft", "--config", str(cfg),
-                                 "--init", str(out / "align_ckpt.bin"),
-                                 "--out", str(out)])
+    def tree(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    # an --out that exists stays as it was; one the run made is gone
+    before = tree(out) if out.exists() else None
+    for dest in (out, tmp_path / "new" / "sft"):
+        _assert_input_error(capsys, ["train", "sft", "--config", str(cfg),
+                                     "--init", str(out / "align_ckpt.bin"),
+                                     "--out", str(dest)])
+    assert (tree(out) if out.exists() else None) == before
+    assert not (tmp_path / "new").exists()
 
 
 def test_near_zero_norm_step_exit_code(tmp_path, monkeypatch, capsys):

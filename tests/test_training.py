@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from latentalign import training, verify
 from latentalign.attention import (CONTEXT, PAD_ROLE, TARGET, TEXT,
                                    TokenRole, oracle_mask, roles_for_mask)
 from latentalign.autodiff import NonFiniteError, Tensor
-from latentalign.config import bundle_from, default_config
+from latentalign.config import bundle_from, default_config, merge
 from latentalign.data import generate
 from latentalign.encoders import StubEncoder
 from latentalign.masking import PatchGrid, SamplerConfig
@@ -125,6 +126,33 @@ def test_align_stage_leaves_frozen_parts_untouched():
     for k in ("weight", "bias"):
         for enc, snapshot in zip(encoders, enc_before):
             assert np.array_equal(snapshot[k], getattr(enc, k))
+
+
+@pytest.mark.parametrize("stage", ["sft", "align"])
+def test_backward_frees_the_graph_as_it_walks(stage):
+    """An 8x8/d=64 sft step and a default masked align step, batch 8: the
+    walk frees each node's saved arrays as it passes them, so its peak stays
+    near what the forward left live, and after it, with the loss still
+    held, little more than the trainable grads is live."""
+    over = {"grid": {"rows": 8, "cols": 8}, "predictor": {"d": 64}}
+    b = bundle_from(merge(default_config(), over if stage == "sft" else {}))
+    trainer = Trainer(b, TrainConfig(stage=stage))
+    masks = [trainer.mask_for(i) if stage == "align" else trainer.unmasked
+             for i in range(8)]
+    plan = b.plan(generate(0, 8, b.grid, b.vocab), masks)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total, _ = combine(*trainer._forward(plan), b.loss, 0)
+        forward = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        total.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in trainer.trainable.values())
+    assert peak - base <= 1.15 * forward
+    assert after - base <= grads + 0.1 * forward
 
 
 def test_align_step_freezes_the_predictor_in_the_graph():
