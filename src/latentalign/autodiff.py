@@ -167,14 +167,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.data.T @ g if b.requires_grad else None))
 
 
+def _check_affine(shape: tuple, w: Tensor, b: Tensor, op: str) -> None:
+    """``x @ w + b`` for an input of ``shape`` is 2-D and shapes match."""
+    if len(shape) != 2 or w.data.ndim != 2:
+        raise ValueError(f"{op} expects a 2-D input and weight")
+    if shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"{op} shape mismatch: {shape} @ "
+                         f"{w.data.shape} + {b.data.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, bit-identical to ``matmul`` then ``add``."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError("linear expects a 2-D input and weight")
-    if x.data.shape[1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
-        raise ValueError(f"linear shape mismatch: {x.data.shape} @ "
-                         f"{w.data.shape} + {b.data.shape}")
-    data = x.data @ w.data + b.data
+    _check_affine(x.data.shape, w, b, "linear")
+    data = x.data @ w.data
+    data += b.data
     return _from_op(data, (x, w, b), lambda g: (
         g @ w.data.T if x.requires_grad else None,
         x.data.T @ g if w.requires_grad else None,
@@ -201,17 +207,58 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), in one fresh array."""
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x * phi(x)), gelu's vjp, in one fresh array."""
+    out = x * x
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += cdf
+    out *= g
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error formulation x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    data = x * cdf
+    cdf = _normal_cdf(x)
+    return _from_op(x * cdf, (a,), lambda g: (_gelu_grad(x, cdf, g),))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node, bit-identical
+    to it.  It keeps the pre-activation u and Phi(u) for backward, not the
+    hidden output u * Phi(u): the vjp rebuilds that only when ``w2`` needs
+    a gradient.  Only the output is checked for non-finite values; a
+    non-finite u or hidden output always reaches it."""
+    _check_affine(x.data.shape, w1, b1, "mlp")
+    _check_affine((x.data.shape[0], w1.data.shape[1]), w2, b2, "mlp")
+    u = x.data @ w1.data
+    u += b1.data
+    cdf = _normal_cdf(u)
+    data = (u * cdf) @ w2.data
+    data += b2.data
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        gu = (_gelu_grad(u, cdf, g @ w2.data.T) if x.requires_grad
+              or w1.requires_grad or b1.requires_grad else None)
+        return (gu @ w1.data.T if x.requires_grad else None,
+                x.data.T @ gu if w1.requires_grad else None,
+                gu.sum(axis=0) if b1.requires_grad else None,
+                (u * cdf).T @ g if w2.requires_grad else None,
+                g.sum(axis=0) if b2.requires_grad else None)
 
-    return _from_op(data, (a,), vjp)
+    return _from_op(data, (x, w1, b1, w2, b2), vjp)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -221,17 +268,23 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         raise ValueError("layernorm gain/bias must match the last extent")
     # centred, then scaled in place; sum / d is how np.mean and np.var divide
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    data = xhat * xhat              # the squared deviations, then the output
+    var = data.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    data = xhat * gain.data + bias.data
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def vjp(g):
         dx = None
         if x.requires_grad:
-            dxhat = g * gain.data
-            dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
-                        - xhat * ((dxhat * xhat).sum(-1, keepdims=True) / d))
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            dx = g * gain.data
+            proj = dx * xhat
+            np.multiply(xhat, proj.sum(-1, keepdims=True) / d, out=proj)
+            dx -= dx.sum(axis=-1, keepdims=True) / d
+            dx -= proj
+            dx *= inv
         axes = tuple(range(g.ndim - 1))
         return (dx,
                 (g * xhat).sum(axis=axes) if gain.requires_grad else None,
@@ -250,8 +303,8 @@ def _masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     """
     if not allow.any(axis=-1).all():
         raise ValueError("attention row with zero permitted columns")
-    m = np.where(allow, logits, -np.inf).max(axis=-1, keepdims=True)
-    e = logits - m
+    e = np.where(allow, logits, -np.inf)
+    np.subtract(logits, e.max(axis=-1, keepdims=True), out=e)
     np.minimum(e, 0.0, out=e)   # a denied cell may sit above the allowed max
     np.exp(e, out=e)
     e *= allow
@@ -313,22 +366,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
     def split(a):       # (B*R) x d -> B x H x R x dh
         return a.reshape(bsz, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):       # B x H x R x dh -> (B*R) x d
-        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+    def merged(a, b):   # a @ b, B x H x R x dh, written as (B*R) x d
+        out = np.empty((bsz * a.shape[2], d))
+        np.matmul(a, b, out=split(out))
+        return out
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # a contiguous K^T keeps QK^T bit-identical to the per-head composition
     kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
-    probs = _masked_softmax((qh @ kt) * scale, allow[:, None])
-    data = merge(probs @ vh)
+    logits = qh @ kt
+    logits *= scale
+    probs = _masked_softmax(logits, allow[:, None])
+    data = merged(probs, vh)
 
     def vjp(g):
         gh = split(g)
         gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
         gs *= scale
-        return (merge(gs @ kh) if q.requires_grad else None,
-                merge(gs.swapaxes(-1, -2) @ qh) if k.requires_grad else None,
-                merge(probs.swapaxes(-1, -2) @ gh) if v.requires_grad
+        return (merged(gs, kh) if q.requires_grad else None,
+                merged(gs.swapaxes(-1, -2), qh) if k.requires_grad else None,
+                merged(probs.swapaxes(-1, -2), gh) if v.requires_grad
                 else None)
 
     return _from_op(data, (q, k, v), vjp)

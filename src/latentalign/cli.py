@@ -91,7 +91,6 @@ def cmd_data_gen(args) -> int:
     _print_resolved({"seed": args.seed, "n": args.n, "rows": args.rows,
                      "cols": args.cols, "out": args.out})
     grid = config._build(PatchGrid, {"rows": args.rows, "cols": args.cols})
-    check_extents(grid)
     samples = _dataset({"seed": args.seed, "n": args.n}, grid)
     os.makedirs(args.out, exist_ok=True)
     np.save(os.path.join(args.out, "pixels.npy"),
@@ -110,6 +109,7 @@ def _dataset(data: dict, grid: PatchGrid, vocab=None) -> list:
     ``grid``, checked as outside input."""
     if data["seed"] < 0 or data["n"] < 1:
         raise InputError("data wants seed >= 0 and n >= 1")
+    check_extents(grid, sizes={"data.n": data["n"]})
     return config._build(generate, {**data, "grid": grid, "vocab": vocab})
 
 

@@ -108,8 +108,7 @@ class Projector:
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "linear":
             return ad.linear(x, self.w, self.b)
-        return ad.linear(ad.gelu(ad.linear(x, self.w1, self.b1)),
-                         self.w2, self.b2)
+        return ad.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
     def named_parameters(self) -> dict:
         if self.kind == "linear":
@@ -203,10 +202,9 @@ class Predictor:
             a = ad.linear(ad.attention(q, k, v, mask, self.cfg.H),
                           blk["wo"], blk["bo"])
             x = x + a
-            up = ad.linear(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
-                           blk["w_up"], blk["b_up"])
-            m = ad.linear(ad.gelu(up), blk["w_down"], blk["b_down"])
-            x = x + m
+            x = x + ad.mlp(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
+                           blk["w_up"], blk["b_up"], blk["w_down"],
+                           blk["b_down"])
             if i == self.cfg.tap_layer:
                 tap = x
         logits = ad.linear(ad.layernorm(x, self.lnf_g, self.lnf_b),

@@ -33,17 +33,29 @@ STAGE_LR = {"align": 1e-3, "sft": 2e-5}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
+# the most a run may ask for of each size, by config key; each is far
+# above any size the project runs (the widest is d=64 on an 8x8 grid)
+SIZE_LIMITS = {"ctx_dim": 512, "tgt_dim": 512, "predictor.d": 512,
+               "predictor.L": 32, "predictor.V": 65536,
+               "train.batch_size": 256, "data.n": 10000}
 
 
-def check_extents(grid: PatchGrid, k: int = 1) -> None:
-    """Reject a grid whose longest sequence exceeds MAX_SEQ rows, and more
-    target blocks than it has patches, before anything grid-sized is built."""
+def check_extents(grid: PatchGrid, k: int = 1,
+                  sizes: dict | None = None) -> None:
+    """Reject a grid whose longest sequence exceeds MAX_SEQ rows, more
+    target blocks than it has patches, and a size in ``sizes`` (config
+    key -> value) above its SIZE_LIMITS entry, before anything of their
+    extent is built."""
     if grid.n + MAX_CAPTION_LEN > MAX_SEQ:
         raise InputError(f"the longest sequence, {grid.n} patches and "
                          f"{MAX_CAPTION_LEN} tokens, exceeds {MAX_SEQ}")
     if k > grid.n:
         raise InputError(f"k={k} target blocks exceed the grid's "
                          f"{grid.n} patches")
+    for key, value in (sizes or {}).items():
+        if value > SIZE_LIMITS[key]:
+            raise InputError(f"{key}={value} exceeds its limit of "
+                             f"{SIZE_LIMITS[key]}")
 
 
 def derive_seed(*parts: int) -> int:
@@ -164,7 +176,9 @@ class ModelBundle:
         if min(ctx_dim, tgt_dim) < 1:
             raise ValueError("ctx_dim and tgt_dim must be at least 1")
         self.sampler = sampler or SamplerConfig()
-        check_extents(grid, self.sampler.k)
+        check_extents(grid, self.sampler.k, {
+            "ctx_dim": ctx_dim, "tgt_dim": tgt_dim, "predictor.d": predictor.d,
+            "predictor.L": predictor.L, "predictor.V": predictor.V})
         self.grid = grid
         self.predictor_cfg = predictor
         self.loss = loss or LossConfig()
@@ -261,6 +275,7 @@ class ModelBundle:
 
 class Trainer:
     def __init__(self, bundle: ModelBundle, cfg: TrainConfig):
+        check_extents(bundle.grid, sizes={"train.batch_size": cfg.batch_size})
         self.bundle = bundle
         self.cfg = cfg
         self.gate_rng = random.Random(derive_seed(cfg.seed, 0xA7E))

@@ -574,6 +574,7 @@ _FREEZABLE = {
         q, k, v, np.ones((1, 3, 3), bool), 2), [(3, 4)] * 3),
     "concat": (lambda a, b: ad.concat([a, b], axis=0), [(2, 4), (3, 4)]),
     "mul": (ad.mul, [(3, 4), (4,)]),
+    "mlp": (ad.mlp, [(3, 4), (4, 8), (8,), (8, 4), (4,)]),
 }
 
 
@@ -716,3 +717,91 @@ def test_a_graph_is_walked_once():
         loss.backward()
     with pytest.raises(RuntimeError, match="graph already walked"):
         ad.tsum(ad.mul(h, x)).backward()    # a new loss over a walked node
+
+
+# -- the MLP node and in-place arithmetic -----------------------------
+
+
+def test_mlp_grad_matches_fd():
+    rng = np.random.default_rng(9)
+    ops = _operands(rng, [(4, 3), (3, 6), (6,), (6, 2), (2,)])
+    weight = Tensor(rng.normal(size=(4, 2)))
+
+    def f():
+        return ad.tsum(ad.mul(ad.mlp(*ops), weight))
+
+    assert ad.fd_check(f, ops) < 1e-6
+
+
+@pytest.mark.parametrize("w1_trains", [True, False], ids=["w1", "w1-frozen"])
+@pytest.mark.parametrize("w2_trains", [True, False], ids=["w2", "w2-frozen"])
+def test_mlp_is_bit_identical_to_linear_gelu_linear(w1_trains, w2_trains):
+    """Output and every gradient equal the three-node composition bit for
+    bit; a frozen weight gets no gradient on either side."""
+    def run(build):
+        rng = np.random.default_rng(3)
+        ops = _operands(rng, [(9, 8), (8, 32), (32,), (32, 8), (8,)])
+        ops[1].requires_grad, ops[3].requires_grad = w1_trains, w2_trains
+        out = build(*ops)
+        ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        return [out.data] + [t.grad for t in ops]
+
+    fused = run(ad.mlp)
+    composed = run(lambda x, w1, b1, w2, b2: ad.linear(
+        ad.gelu(ad.linear(x, w1, b1)), w2, b2))
+    for got, want in zip(fused, composed):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x0, w1_0, w2_0", [
+    (1e200, 1e200, 0.0),    # u = inf, hidden inf, inf * 0 in the output
+    (-1e200, 1e200, 1.0),   # u = -inf, hidden -inf * Phi(-inf) = nan
+    (1e200, 1.0, 1e200),    # finite u and hidden, the output overflows
+], ids=["u-inf", "hidden-nan", "output-overflow"])
+def test_mlp_rejects_a_non_finite_u_hidden_or_output(x0, w1_0, w2_0):
+    x = Tensor(np.array([[x0, 1.0]]))
+    w1 = Tensor(np.array([[w1_0, 0.0], [0.0, 1.0]]))
+    w2 = Tensor(np.array([[w2_0], [1.0]]))
+    zero1, zero2 = Tensor(np.zeros(2)), Tensor(np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="^non-finite value in tensor$"):
+        ad.mlp(x, w1, zero1, w2, zero2)
+
+
+# a padded B*S batch: 3 sequences of 3, 1 and 2 rows padded to S = 3
+_PADDED_ALLOW = _ragged_allow(np.random.default_rng(11), (3, 1, 2), 3)
+_PADDED_BATCH = {
+    "linear": (ad.linear, [(9, 8), (8, 16), (16,)]),
+    "gelu": (ad.gelu, [(9, 8)]),
+    "layernorm": (ad.layernorm, [(9, 8), (8,), (8,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, _PADDED_ALLOW, 2),
+                  [(9, 8)] * 3),
+    "mlp": (ad.mlp, [(9, 8), (8, 32), (32,), (32, 8), (8,)]),
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("op", sorted(_PADDED_BATCH))
+def test_ops_leave_inputs_and_incoming_grad_untouched(op, frozen):
+    """Forward then backward leaves every input's data and the incoming
+    gradient byte-equal to copies taken before, and a second backward
+    gives the same gradients: no op writes into an array it did not make.
+    ``frozen`` freezes every operand but the first."""
+    fn, shapes = _PADDED_BATCH[op]
+    rng = np.random.default_rng(12)
+    ops = _operands(rng, shapes)
+    for t in ops[1:]:
+        t.requires_grad = not frozen
+    before = [t.data.copy() for t in ops]
+    out = fn(*ops)
+    g = rng.normal(size=out.shape)
+    g_before = g.copy()
+    grads = out._vjp(g)
+    again = out._vjp(g)
+    for t, copy in zip(ops, before):
+        assert t.data.tobytes() == copy.tobytes()
+    assert g.tobytes() == g_before.tobytes()
+    for got, want in zip(grads, again):
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()

@@ -268,15 +268,18 @@ def test_sequence_over_256_rows_exit_code(tmp_path, rows, cols, capsys):
                   "1000000000"],
                  "k=1000000000 target blocks exceed the grid's 16 patches",
                  id="mask-sample-k"),
+    pytest.param(["data", "gen", "--n", "10001", "--out", "{out}"],
+                 "data.n=10001 exceeds its limit of 10000", id="data-gen-n"),
     pytest.param(["train", "align", "--config", "{cfg}", "--out", "{out}"],
                  "ModelBundle rejected: k=17 target blocks exceed the "
                  "grid's 16 patches", id="train-k"),
 ])
 def test_extents_over_their_limits_exit_code(tmp_path, monkeypatch, capsys,
                                              argv, message):
-    """A grid whose longest sequence exceeds 256 rows, or more target blocks
-    than the grid has patches, exits 2 with one line before any grid-sized
-    array is built or any block is sampled."""
+    """A grid whose longest sequence exceeds 256 rows, more target blocks
+    than the grid has patches, or more samples than ``data.n``'s limit
+    exits 2 with one line before any grid-sized array is built, any block
+    is sampled or any sample generated."""
     def not_reached(*args, **kwargs):
         raise AssertionError("sampled or generated")
 
@@ -290,6 +293,53 @@ def test_extents_over_their_limits_exit_code(tmp_path, monkeypatch, capsys,
     assert _bad_input_lines(capsys.readouterr().err) == [
         f"bad input: {message}"]
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("doc, message, builder", [
+    pytest.param({"ctx_dim": 100000000}, "ModelBundle rejected: "
+                 "ctx_dim=100000000 exceeds its limit of 512",
+                 "StubEncoder", id="ctx-dim"),
+    pytest.param({"tgt_dim": 513}, "ModelBundle rejected: tgt_dim=513 "
+                 "exceeds its limit of 512", "StubEncoder", id="tgt-dim"),
+    pytest.param({"predictor": {"d": 1000000, "H": 4}}, "ModelBundle "
+                 "rejected: predictor.d=1000000 exceeds its limit of 512",
+                 "Predictor", id="predictor-d"),
+    pytest.param({"predictor": {"L": 33}}, "ModelBundle rejected: "
+                 "predictor.L=33 exceeds its limit of 32", "Predictor",
+                 id="predictor-L"),
+    pytest.param({"predictor": {"V": 1000000000}}, "ModelBundle rejected: "
+                 "predictor.V=1000000000 exceeds its limit of 65536",
+                 "Predictor", id="predictor-V"),
+    pytest.param({"train": {"batch_size": 100000}, "data": {"n": 100000}},
+                 "data.n=100000 exceeds its limit of 10000", "generate",
+                 id="batch-and-data-n"),
+    pytest.param({"train": {"batch_size": 257}},
+                 "train.batch_size=257 exceeds its limit of 256",
+                 "build_mask", id="batch-size"),
+])
+def test_sizes_over_their_limits_exit_code(tmp_path, monkeypatch, capsys,
+                                           doc, message, builder):
+    """A width, depth, vocabulary, batch or sample count above its limit
+    exits 2 with one line before the first builder of its size runs."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{builder} ran")
+
+    monkeypatch.setattr(cli if builder == "generate" else training, builder,
+                        not_reached)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["train", "align", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert _bad_input_lines(capsys.readouterr().err) == [
+        f"bad input: {message}"]
+    assert not out.exists()
+
+
+def test_sizes_at_their_limits_pass_the_check():
+    """Each limit itself is a valid size."""
+    grid = PatchGrid(4, 4)
+    training.check_extents(grid, sizes=dict(training.SIZE_LIMITS))
 
 
 @pytest.mark.parametrize("argv", [

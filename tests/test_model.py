@@ -182,12 +182,11 @@ def test_forward_shapes_and_tap_position():
     assert tap.shape == (s, CFG.d)
 
 
-def test_forward_builds_twelve_nodes_per_block(monkeypatch):
+def test_forward_builds_ten_nodes_per_block(monkeypatch):
     """Position add, then per block two layernorms, four attention linears,
-    one attention node, two residual adds, two MLP linears and a GELU, plus
-    the last block's two window gathers (residual and query input), then
-    the final layernorm and the head, however many sequences the batch
-    holds."""
+    one attention node, two residual adds and one MLP node, plus the last
+    block's two window gathers (residual and query input), then the final
+    layernorm and the head, however many sequences the batch holds."""
     plan, tokens, b, *_ = _packed_batch([0, 1, 2])
     assert PAD in plan.layout.roles, "fixture must pad"
     nodes = []
@@ -199,7 +198,7 @@ def test_forward_builds_twelve_nodes_per_block(monkeypatch):
 
     monkeypatch.setattr(ad, "_from_op", counting)
     _forward(b.predictor, tokens, plan.allow)
-    assert len(nodes) == 1 + 12 * CFG.L + 2 + 2
+    assert len(nodes) == 1 + 10 * CFG.L + 2 + 2
 
 
 def test_window_logits_are_the_tail_rows_of_every_sequence():
