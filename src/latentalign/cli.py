@@ -77,7 +77,9 @@ def cmd_mask_attn(args) -> int:
     spec = MaskSpec.from_json_obj({
         "context": [rank[p] for p in spec.context],
         "targets": [[rank[p] for p in t] for t in spec.targets]})
-    layout = pack([spec], PatchGrid(1, len(rank)), [range(args.caption_len)])
+    grid = PatchGrid(1, len(rank))
+    check_extents(grid)
+    layout = pack([spec], grid, [range(args.caption_len)])
     payload = dump_mask(build_mask(*layout.columns(), variant), args.format)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -33,16 +33,14 @@ MAX_CAPTION_LEN = 3 + 2 * len(COUNTS)
 @dataclass
 class SyntheticVocab:
     size: int = 64
-    bos: int = 1
-    eos: int = 2
-    word_ids: dict = field(default_factory=dict)
+    bos: int = field(default=1, init=False)
+    eos: int = field(default=2, init=False)
+    word_ids: dict = field(init=False)
 
     def __post_init__(self):
-        nxt = 3
-        for w in COUNTS + tuple(COLORS) + QUADRANTS:
-            self.word_ids[w] = nxt
-            nxt += 1
-        if nxt > self.size:
+        words = COUNTS + tuple(COLORS) + QUADRANTS
+        self.word_ids = {w: i for i, w in enumerate(words, self.eos + 1)}
+        if self.eos + 1 + len(words) > self.size:
             raise ValueError("vocabulary too small for the caption grammar")
 
     def id_of(self, word: str) -> int:
@@ -51,7 +49,6 @@ class SyntheticVocab:
 
 @dataclass
 class SyntheticSample:
-    grid: PatchGrid
     pixels: np.ndarray          # (N, PATCH_PIXELS) in [0, 1]
     caption: np.ndarray         # token ids, BOS ... EOS
     scene: list                 # [(color, quadrant), ...]
@@ -99,7 +96,7 @@ def make_sample(seed: int, index: int, grid: PatchGrid,
     quads = list(rng.choice(len(QUADRANTS), size=count, replace=False))
     scene = [(list(COLORS)[int(rng.integers(len(COLORS)))], QUADRANTS[q])
              for q in quads]
-    return SyntheticSample(grid=grid, pixels=render(grid, scene),
+    return SyntheticSample(pixels=render(grid, scene),
                            caption=caption_for(scene, vocab), scene=scene)
 
 

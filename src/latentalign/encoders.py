@@ -17,7 +17,6 @@ class StubEncoder:
 
     def __init__(self, seed: int, out_dim: int, nonlinear: bool = False):
         rng = np.random.default_rng([seed, 0x5E])
-        self.seed = seed
         self.nonlinear = nonlinear
         self.weight = rng.normal(0.0, 1.0 / np.sqrt(PATCH_PIXELS),
                                  size=(PATCH_PIXELS, out_dim))

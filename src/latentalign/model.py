@@ -9,6 +9,7 @@ embedding space.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -305,6 +306,21 @@ def project_tap(proj_tgt: Projector, tap: Tensor, rows) -> Tensor:
 # checkpoint persistence ---------------------------------------------
 
 
+@contextlib.contextmanager
+def replaced_on_success(path, mode: str):
+    """A file opened with ``mode`` beside ``path`` that replaces it when
+    the block completes; if the block raises, it is removed and ``path``
+    is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):    # gone once replaced
+            os.remove(tmp)
+
+
 def save_checkpoint(path, step: int, config: dict, named_params: dict) -> None:
     """JSON header line followed by little-endian float64 payload."""
     header = {
@@ -314,7 +330,7 @@ def save_checkpoint(path, step: int, config: dict, named_params: dict) -> None:
         "config": config,
         "params": [[name, list(p.data.shape)] for name, p in named_params.items()],
     }
-    with open(path, "wb") as fh:
+    with replaced_on_success(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for p in named_params.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())

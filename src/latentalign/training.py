@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
 from .model import (LatentTarget, PackedBatch, Predictor, PredictorConfig,
                     Projector, load_checkpoint, load_into, pack, project_tap,
-                    save_checkpoint, sincos_1d)
+                    replaced_on_success, save_checkpoint, sincos_1d)
 from .objective import (LossConfig, LossReport, combine, jepa_loss,
                         lambda_gate, mean_of_means, ntp_loss, ntp_targets)
 
@@ -172,7 +171,7 @@ class ModelBundle:
                  sampler: SamplerConfig | None = None,
                  loss: LossConfig | None = None,
                  attn: AttnVariant | None = None,
-                 jepa: bool = True, tgt_nonlinear: bool = True):
+                 jepa: bool = True):
         if min(ctx_dim, tgt_dim) < 1:
             raise ValueError("ctx_dim and tgt_dim must be at least 1")
         self.sampler = sampler or SamplerConfig()
@@ -190,8 +189,7 @@ class ModelBundle:
         self.proj = Projector(proj_kind, ctx_dim, predictor.d,
                               seed=model_seed * 4 + 1)
         if jepa:
-            self.tgt_encoder = StubEncoder(tgt_seed, tgt_dim,
-                                           nonlinear=tgt_nonlinear)
+            self.tgt_encoder = StubEncoder(tgt_seed, tgt_dim, nonlinear=True)
             self.proj_tgt = Projector(proj_kind, predictor.d, tgt_dim,
                                       seed=model_seed * 4 + 2)
             self.latent = LatentTarget(predictor.d, grid.rows, grid.cols,
@@ -344,21 +342,6 @@ class Trainer:
             raise NonFiniteError(f"step {step_idx}: {e}") from e
 
 
-@contextlib.contextmanager
-def _replaced_on_success(path):
-    """A text file written beside ``path`` that replaces it when the block
-    completes; if the block raises, it is removed and ``path`` is left as
-    it was."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):    # gone once replaced
-            os.remove(tmp)
-
-
 def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
               log_path=None, ckpt_path=None, init_ckpt=None,
               config_header: dict | None = None):
@@ -374,7 +357,7 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     reports = []
-    with (_replaced_on_success(log_path) if log_path
+    with (replaced_on_success(log_path, "w") if log_path
           else contextlib.nullcontext()) as log_fh:
         step_idx = 0
         for epoch in range(cfg.epochs):

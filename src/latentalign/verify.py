@@ -217,7 +217,8 @@ def run_gradcheck(cfg: dict | None = None, distances=("cosine", "smooth_l1"),
         c = dict(cfg)
         c["loss"] = dict(cfg["loss"], distance=dist)
         bundle = config.bundle_from(c)
-        sample = generate(0, 1, bundle.grid, bundle.vocab)[0]
+        sample = config._build(generate, {
+            "seed": 0, "n": 1, "grid": bundle.grid, "vocab": bundle.vocab})[0]
         trainer = Trainer(bundle, TrainConfig(stage="align",
                                               batch_size=1, seed=0))
         mask = trainer.mask_for(0)

@@ -157,7 +157,7 @@ def _criterion6_run(tmp_path_factory):
     if _RUN6:
         return _RUN6
     samples = generate(0, 2400, GRID44)
-    bundle = ModelBundle(GRID44, PredictorConfig(), tgt_nonlinear=False)
+    bundle = ModelBundle(GRID44, PredictorConfig())
     # an affine target stub: target embeddings are exactly linear in patch
     # pixels, so masked prediction is solvable
     bundle.tgt_encoder = StubEncoder(1, 8, nonlinear=False)
@@ -291,7 +291,7 @@ def test_criterion_9_frozen_contracts(tmp_path_factory):
                        getattr(getattr(bundle, f"{enc}_encoder"), k))
         for enc in ("ctx", "tgt") for k in ("weight", "bias"))
 
-    resumed = ModelBundle(GRID44, PredictorConfig(), tgt_nonlinear=False)
+    resumed = ModelBundle(GRID44, PredictorConfig())
     resumed.tgt_encoder = run["bundle"].tgt_encoder
     # warmup 0 so the single resume step applies a nonzero learning rate
     run_stage(resumed,

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,7 @@ def test_truncated_config_exit_code(tmp_path, capsys):
     pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
     pytest.param('{"predictor": {"max_seq": 256}}', id="removed-max-seq"),
+    pytest.param('{"tgt_nonlinear": false}', id="removed-tgt-nonlinear"),
     pytest.param('{"loss": {"jepa_weight": "x"}}', id="jepa-weight-not-real"),
     pytest.param("[" * 100000, id="nested-too-deep"),
     *(pytest.param(json.dumps({**doc, "data": {"n": 8}}), id=name)
@@ -270,25 +272,31 @@ def test_sequence_over_256_rows_exit_code(tmp_path, rows, cols, capsys):
                  id="mask-sample-k"),
     pytest.param(["data", "gen", "--n", "10001", "--out", "{out}"],
                  "data.n=10001 exceeds its limit of 10000", id="data-gen-n"),
+    pytest.param(["mask", "attn", "--spec", "{spec}", "--caption-len", "3",
+                  "--out", "{out}"],
+                 "the longest sequence, 248 patches and 9 tokens, "
+                 "exceeds 256", id="mask-attn-spec"),
     pytest.param(["train", "align", "--config", "{cfg}", "--out", "{out}"],
                  "ModelBundle rejected: k=17 target blocks exceed the "
                  "grid's 16 patches", id="train-k"),
 ])
 def test_extents_over_their_limits_exit_code(tmp_path, monkeypatch, capsys,
                                              argv, message):
-    """A grid whose longest sequence exceeds 256 rows, more target blocks
-    than the grid has patches, or more samples than ``data.n``'s limit
-    exits 2 with one line before any grid-sized array is built, any block
-    is sampled or any sample generated."""
+    """A grid or mask spec whose longest sequence exceeds 256 rows, more
+    target blocks than the grid has patches, or more samples than
+    ``data.n``'s limit exits 2 with one line before any grid-sized array
+    is built, any block is sampled, any sample generated or any spec
+    packed."""
     def not_reached(*args, **kwargs):
-        raise AssertionError("sampled or generated")
+        raise AssertionError("sampled, generated or packed")
 
-    for name in ("sample_mask", "generate"):
+    for name in ("sample_mask", "generate", "pack"):
         monkeypatch.setattr(cli, name, not_reached)
     monkeypatch.setattr(training, "sample_mask", not_reached)
-    cfg = tmp_path / "cfg.json"
+    cfg, spec = tmp_path / "cfg.json", tmp_path / "spec.json"
     cfg.write_text(json.dumps({"sampler": {"k": 17}}))
-    paths = {"cfg": cfg, "out": tmp_path / "out"}
+    spec.write_text(json.dumps({"context": list(range(248)), "targets": []}))
+    paths = {"cfg": cfg, "spec": spec, "out": tmp_path / "out"}
     assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
     assert _bad_input_lines(capsys.readouterr().err) == [
         f"bad input: {message}"]
@@ -370,18 +378,24 @@ def test_oversized_gradcheck_config_exit_code(tmp_path, capsys):
     _assert_input_error(capsys, ["gradcheck", "--config", str(cfg)])
 
 
-def test_gradcheck_without_latent_objective_exit_code(tmp_path, capsys):
-    """A tiny config with ``jepa: false`` has no latent loss to check."""
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"jepa": False}, "gradcheck checks the latent objective, "
+                 "so it wants jepa: true", id="jepa-false"),
+    pytest.param({"grid": {"rows": 1, "cols": 4}}, "generate rejected: "
+                 "grid too small for quadrant scenes", id="grid-below-2x2"),
+])
+def test_gradcheck_without_latent_objective_exit_code(tmp_path, capsys, doc,
+                                                      message):
+    """A tiny config with ``jepa: false`` has no latent loss to check, and
+    one with a grid below 2x2 has no sample to check it on."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"jepa": False, "predictor": {
+    cfg.write_text(json.dumps({**doc, "predictor": {
         "d": 16, "L": 2, "H": 2, "V": 16, "tap_layer": 1}}))
     assert main(["gradcheck", "--config", str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines()
-            if line.startswith("bad input:")] == \
-        ["bad input: gradcheck checks the latent objective, "
-         "so it wants jepa: true"]
+            if line.startswith("bad input:")] == [f"bad input: {message}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -583,6 +597,19 @@ def test_nonfinite_gradient_exit_code(tmp_path, capsys, earlier_log):
         ([] if earlier_log is None else ["align_log.jsonl"])
     if earlier_log is not None:
         assert log.read_bytes() == earlier_log
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Every line of the README's CLI block, run in order in an empty
+    directory, exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines()]
+    assert commands and all(c[0] == "latentalign" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == EXIT_OK, argv
 
 
 def test_resolved_config_echoed_to_stderr():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latentalign import config
+from latentalign.encoders import StubEncoder
 from latentalign.model import Predictor
 from latentalign.training import ModelBundle, TrainConfig
 
@@ -23,7 +24,7 @@ NON_DEFAULT = {
     "train.weight_decay": 0.01, "train.epochs": 2, "train.batch_size": 4,
     "train.seed": 5,
     "proj_kind": "linear", "ctx_dim": 12, "tgt_dim": 6, "ctx_seed": 5,
-    "tgt_seed": 6, "model_seed": 7, "jepa": False, "tgt_nonlinear": False,
+    "tgt_seed": 6, "model_seed": 7, "jepa": False,
 }
 
 # the bundle attribute holding each section's object
@@ -38,16 +39,21 @@ def _predictor_seed(bundle):
         bundle.predictor.tok_emb.data))
 
 
+def _encoder_seed(encoder):
+    """The seed that reproduces the encoder's weights."""
+    return next(s for s in range(10) if np.array_equal(
+        StubEncoder(s, encoder.bias.size).weight, encoder.weight))
+
+
 # where each top-level key shows up on the bundle
 TOP_LEVEL = {
     "proj_kind": lambda b: b.proj.kind,
     "ctx_dim": lambda b: b.ctx_encoder.bias.size,
     "tgt_dim": lambda b: b.tgt_encoder.bias.size,
-    "ctx_seed": lambda b: b.ctx_encoder.seed,
-    "tgt_seed": lambda b: b.tgt_encoder.seed,
+    "ctx_seed": lambda b: _encoder_seed(b.ctx_encoder),
+    "tgt_seed": lambda b: _encoder_seed(b.tgt_encoder),
     "model_seed": _predictor_seed,
     "jepa": lambda b: b.jepa,
-    "tgt_nonlinear": lambda b: b.tgt_encoder.nonlinear,
 }
 
 
@@ -64,6 +70,7 @@ def test_defaults_are_internally_consistent():
     assert isinstance(bundle, ModelBundle)
     assert bundle.grid.n == 16
     assert bundle.predictor_cfg.d % bundle.predictor_cfg.H == 0
+    assert bundle.tgt_encoder.nonlinear and not bundle.ctx_encoder.nonlinear
     tc = config.train_config_from(cfg)
     assert tc.stage == "align" and tc.lr == 1e-3
 

@@ -19,6 +19,9 @@ def test_vocab_layout():
     assert ids == list(range(3, 3 + len(ids)))
     with pytest.raises(ValueError):
         SyntheticVocab(size=5)
+    # the grammar fixes every id: only the size is a choice
+    with pytest.raises(TypeError):
+        SyntheticVocab(bos=3)
 
 
 def test_caption_grammar():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from latentalign.masking import (RETRY_BUDGET, BlockSpec, MaskSpec, PatchGrid,
                                  ResampleExhausted, SamplerConfig,
-                                 _block_dims, block_indices, sample_block,
-                                 sample_mask)
+                                 _block_dims, _place_disjoint,
+                                 block_indices, sample_block, sample_mask)
 
 
 def test_block_dims_hand_values():
@@ -219,3 +219,47 @@ def test_context_and_targets_partition_cleanly(rows, cols, seed):
     assert set(m.context) <= universe
     assert set(m.target_union) <= universe
     assert not (set(m.context) & set(m.target_union))
+
+
+@st.composite
+def _block_on(draw, grid):
+    h, w = draw(st.integers(1, grid.rows)), draw(st.integers(1, grid.cols))
+    return BlockSpec(draw(st.integers(0, grid.rows - h)),
+                     draw(st.integers(0, grid.cols - w)), h, w)
+
+
+class _Pick:
+    """An rng whose ``randrange(n)`` records ``n`` and returns ``i``."""
+
+    def __init__(self, i):
+        self.i, self.n = i, None
+
+    def randrange(self, n):
+        self.n = n
+        return self.i
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_place_disjoint_picks_among_the_brute_force_free_positions(data):
+    """The i-th pick is the i-th (top, left), in raster order, whose h x w
+    block shares no patch with an accepted block; the rng is asked for one
+    of exactly that many, and not at all when none is free."""
+    grid = PatchGrid(data.draw(st.integers(1, 8)),
+                     data.draw(st.integers(1, 8)))
+    h = data.draw(st.integers(1, grid.rows))
+    w = data.draw(st.integers(1, grid.cols))
+    accepted = data.draw(st.lists(_block_on(grid), max_size=4))
+    taken = frozenset().union(*(block_indices(b, grid) for b in accepted))
+    free = [(top, left) for top in range(grid.rows - h + 1)
+            for left in range(grid.cols - w + 1)
+            if not block_indices(BlockSpec(top, left, h, w), grid) & taken]
+    for i, pos in enumerate(free):
+        rng = _Pick(i)
+        got = _place_disjoint(grid, h, w, accepted, rng)
+        assert got == pos and rng.n == len(free)
+        assert all(type(x) is int for x in got)
+    if not free:
+        rng = _Pick(0)
+        assert _place_disjoint(grid, h, w, accepted, rng) is None
+        assert rng.n is None

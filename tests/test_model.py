@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -552,6 +553,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     load_into(other.named_parameters(), loaded)
     for name, p in other.named_parameters().items():
         assert np.array_equal(p.data, params[name].data)
+
+
+def test_checkpoint_save_that_raises_leaves_the_earlier_file(tmp_path):
+    """A checkpoint is written beside its path and moved there once
+    complete: a save that raises after its header leaves the earlier file
+    byte for byte, and no temporary file."""
+    path = tmp_path / "m.ckpt"
+    params = Predictor(CFG, seed=6).named_parameters()
+    save_checkpoint(path, 1, {}, params)
+    before = path.read_bytes()
+    broken = {"first": next(iter(params.values())),
+              "second": SimpleNamespace(data=np.array([object()]))}
+    with pytest.raises(TypeError):
+        save_checkpoint(path, 2, {}, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

@@ -261,7 +261,7 @@ def test_learnability_fixture_wires_into_bundle():
     bundle's target encoder."""
     samples = generate(0, 8, GRID)
     b = ModelBundle(GRID, SMALL, ctx_dim=8, tgt_dim=8,
-                    sampler=SamplerConfig(k=2), tgt_nonlinear=False)
+                    sampler=SamplerConfig(k=2))
     b.tgt_encoder = StubEncoder(1, 8, nonlinear=False)
     reports = run_stage(b, TrainConfig(stage="align", batch_size=4, seed=0),
                         samples)
