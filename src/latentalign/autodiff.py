@@ -9,6 +9,7 @@ raises immediately instead of propagating it.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy.special import erf
@@ -161,10 +162,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    return _from_op(data, (a, b), lambda g: (
-        g @ b.data.T if a.requires_grad else None,
-        a.data.T @ g if b.requires_grad else None))
+    return _from_op(a.data @ b.data, (a, b), lambda g: _affine_vjp(
+        g, a.data, b.data, (a.requires_grad, b.requires_grad, False))[:2])
 
 
 def _check_affine(shape: tuple, w: Tensor, b: Tensor, op: str) -> None:
@@ -176,15 +175,31 @@ def _check_affine(shape: tuple, w: Tensor, b: Tensor, op: str) -> None:
                          f"{w.data.shape} + {b.data.shape}")
 
 
+def _wants(*ts) -> tuple:
+    """Which of ``ts`` need a gradient; a vjp asks when it runs."""
+    return tuple(t.requires_grad for t in ts)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` in one fresh array."""
+    out = x @ w
+    out += b
+    return out
+
+
+def _affine_vjp(g, x, w, wants) -> tuple:
+    """The gradients of ``x @ w + b`` for x, w and b; None where ``wants``
+    says none is needed."""
+    return (g @ w.T if wants[0] else None,
+            x.T @ g if wants[1] else None,
+            g.sum(axis=0) if wants[2] else None)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, bit-identical to ``matmul`` then ``add``."""
     _check_affine(x.data.shape, w, b, "linear")
-    data = x.data @ w.data
-    data += b.data
-    return _from_op(data, (x, w, b), lambda g: (
-        g @ w.data.T if x.requires_grad else None,
-        x.data.T @ g if w.requires_grad else None,
-        g.sum(axis=0) if b.requires_grad else None))
+    return _from_op(_affine(x.data, w.data, b.data), (x, w, b),
+                    lambda g: _affine_vjp(g, x.data, w.data, _wants(x, w, b)))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -235,62 +250,74 @@ def gelu(a: Tensor) -> Tensor:
     return _from_op(x * cdf, (a,), lambda g: (_gelu_grad(x, cdf, g),))
 
 
+def _mlp(x, w1, b1, w2, b2) -> tuple:
+    """``mlp`` on arrays: (output, u, Phi(u)) for the pre-activation u."""
+    u = _affine(x, w1, b1)
+    cdf = _normal_cdf(u)
+    return _affine(u * cdf, w2, b2), u, cdf
+
+
+def _mlp_vjp(g, x, w1, w2, u, cdf, wants) -> tuple:
+    """``mlp``'s gradients for x, w1, b1, w2 and b2; the hidden output
+    u * Phi(u) is rebuilt only when ``w2`` needs a gradient."""
+    gu = _gelu_grad(u, cdf, g @ w2.T) if any(wants[:3]) else None
+    return (*_affine_vjp(gu, x, w1, wants[:3]),
+            (u * cdf).T @ g if wants[3] else None,
+            g.sum(axis=0) if wants[4] else None)
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(gelu(linear(x, w1, b1)), w2, b2)`` as one node, bit-identical
     to it.  It keeps the pre-activation u and Phi(u) for backward, not the
-    hidden output u * Phi(u): the vjp rebuilds that only when ``w2`` needs
-    a gradient.  Only the output is checked for non-finite values; a
-    non-finite u or hidden output always reaches it."""
+    hidden output u * Phi(u).  Only the output is checked for non-finite
+    values; a non-finite u or hidden output always reaches it."""
     _check_affine(x.data.shape, w1, b1, "mlp")
     _check_affine((x.data.shape[0], w1.data.shape[1]), w2, b2, "mlp")
-    u = x.data @ w1.data
-    u += b1.data
-    cdf = _normal_cdf(u)
-    data = (u * cdf) @ w2.data
-    data += b2.data
-
-    def vjp(g):
-        gu = (_gelu_grad(u, cdf, g @ w2.data.T) if x.requires_grad
-              or w1.requires_grad or b1.requires_grad else None)
-        return (gu @ w1.data.T if x.requires_grad else None,
-                x.data.T @ gu if w1.requires_grad else None,
-                gu.sum(axis=0) if b1.requires_grad else None,
-                (u * cdf).T @ g if w2.requires_grad else None,
-                g.sum(axis=0) if b2.requires_grad else None)
-
-    return _from_op(data, (x, w1, b1, w2, b2), vjp)
+    data, u, cdf = _mlp(x.data, w1.data, b1.data, w2.data, b2.data)
+    return _from_op(data, (x, w1, b1, w2, b2), lambda g: _mlp_vjp(
+        g, x.data, w1.data, w2.data, u, cdf, _wants(x, w1, b1, w2, b2)))
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError("layernorm gain/bias must match the last extent")
+def _layernorm(x: np.ndarray, gain, bias, eps: float = 1e-5) -> tuple:
+    """``layernorm`` on arrays: (output, xhat, 1 / std)."""
+    d = x.shape[-1]
     # centred, then scaled in place; sum / d is how np.mean and np.var divide
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
     data = xhat * xhat              # the squared deviations, then the output
     var = data.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=data)
-    data += bias.data
+    np.multiply(xhat, gain, out=data)
+    data += bias
+    return data, xhat, inv
 
-    def vjp(g):
-        dx = None
-        if x.requires_grad:
-            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            dx = g * gain.data
-            proj = dx * xhat
-            np.multiply(xhat, proj.sum(-1, keepdims=True) / d, out=proj)
-            dx -= dx.sum(axis=-1, keepdims=True) / d
-            dx -= proj
-            dx *= inv
-        axes = tuple(range(g.ndim - 1))
-        return (dx,
-                (g * xhat).sum(axis=axes) if gain.requires_grad else None,
-                g.sum(axis=axes) if bias.requires_grad else None)
 
-    return _from_op(data, (x, gain, bias), vjp)
+def _layernorm_vjp(g, gain, xhat, inv, wants) -> tuple:
+    """``layernorm``'s gradients for x, gain and bias."""
+    dx = None
+    if wants[0]:
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        d = xhat.shape[-1]
+        dx = g * gain
+        proj = dx * xhat
+        np.multiply(xhat, proj.sum(-1, keepdims=True) / d, out=proj)
+        dx -= dx.sum(axis=-1, keepdims=True) / d
+        dx -= proj
+        dx *= inv
+    axes = tuple(range(g.ndim - 1))
+    return (dx, (g * xhat).sum(axis=axes) if wants[1] else None,
+            g.sum(axis=axes) if wants[2] else None)
+
+
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor,
+              eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ValueError("layernorm gain/bias must match the last extent")
+    data, xhat, inv = _layernorm(x.data, gain.data, bias.data, eps)
+    return _from_op(data, (x, gain, bias), lambda g: _layernorm_vjp(
+        g, gain.data, xhat, inv, _wants(x, gain, bias)))
 
 
 def _masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
@@ -328,6 +355,40 @@ def softmax_masked(logits: Tensor, allow: np.ndarray) -> Tensor:
     return _from_op(y, (logits,), lambda g: (_masked_softmax_vjp(y, g),))
 
 
+def _split_heads(a: np.ndarray, bsz: int, heads: int) -> np.ndarray:
+    """(B*R) x d as a B x H x R x dh view."""
+    return a.reshape(bsz, -1, heads, a.shape[1] // heads).transpose(0, 2, 1, 3)
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over B x H x R x dh operands, written as (B*R) x d."""
+    bsz, heads, r = a.shape[:3]
+    out = np.empty((bsz * r, heads * b.shape[-1]))
+    np.matmul(a, b, out=_split_heads(out, bsz, heads))
+    return out
+
+
+def _attention(q, k, v, allow: np.ndarray, heads: int) -> tuple:
+    """``attention`` on arrays: (output, softmax probabilities)."""
+    qh, kh, vh = [_split_heads(a, allow.shape[0], heads) for a in (q, k, v)]
+    # a contiguous K^T keeps QK^T bit-identical to the per-head composition
+    logits = qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))
+    logits *= 1.0 / math.sqrt(qh.shape[-1])
+    probs = _masked_softmax(logits, allow[:, None])
+    return _merged(probs, vh), probs
+
+
+def _attention_vjp(g, q, k, v, probs, wants) -> tuple:
+    """``attention``'s gradients for q, k and v."""
+    bsz, heads = probs.shape[:2]
+    qh, kh, vh, gh = [_split_heads(a, bsz, heads) for a in (q, k, v, g)]
+    gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
+    gs *= 1.0 / math.sqrt(qh.shape[-1])
+    return (_merged(gs, kh) if wants[0] else None,
+            _merged(gs.swapaxes(-1, -2), qh) if wants[1] else None,
+            _merged(probs.swapaxes(-1, -2), gh) if wants[2] else None)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
               heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a batch of sequences
@@ -360,35 +421,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
         raise ValueError("attention k and v must share one shape")
     if heads < 1 or d % heads:
         raise ValueError("attention width must be divisible by the heads")
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(a):       # (B*R) x d -> B x H x R x dh
-        return a.reshape(bsz, -1, heads, dh).transpose(0, 2, 1, 3)
-
-    def merged(a, b):   # a @ b, B x H x R x dh, written as (B*R) x d
-        out = np.empty((bsz * a.shape[2], d))
-        np.matmul(a, b, out=split(out))
-        return out
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # a contiguous K^T keeps QK^T bit-identical to the per-head composition
-    kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
-    logits = qh @ kt
-    logits *= scale
-    probs = _masked_softmax(logits, allow[:, None])
-    data = merged(probs, vh)
-
-    def vjp(g):
-        gh = split(g)
-        gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
-        gs *= scale
-        return (merged(gs, kh) if q.requires_grad else None,
-                merged(gs.swapaxes(-1, -2), qh) if k.requires_grad else None,
-                merged(probs.swapaxes(-1, -2), gh) if v.requires_grad
-                else None)
-
-    return _from_op(data, (q, k, v), vjp)
+    data, probs = _attention(q.data, k.data, v.data, allow, heads)
+    return _from_op(data, (q, k, v), lambda g: _attention_vjp(
+        g, q.data, k.data, v.data, probs, _wants(q, k, v)))
 
 
 def _row_weights(weights, n: int) -> np.ndarray:
@@ -474,16 +509,18 @@ def cosine_distance(pred: Tensor, tgt: Tensor, weights) -> Tensor:
     return _from_op(data, (pred, tgt), vjp)
 
 
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """An n-row zero array with the rows of ``g`` added at ``idx``: the
+    gradient of ``a[idx]`` for an n-row ``a``."""
+    out = np.zeros((n,) + g.shape[1:])
+    np.add.at(out, idx, g)
+    return out
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
-    data = x.data[idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _from_op(data, (x,), vjp)
+    return _from_op(x.data[idx], (x,),
+                    lambda g: (_scatter_rows(g, idx, x.data.shape[0]),))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -508,6 +545,91 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
                      for i, p in enumerate(parts))
 
     return _from_op(data, tuple(parts), vjp)
+
+
+# the transformer block ----------------------------------------------
+
+# a block's tensors in its parents' order; there is no key bias: softmax
+# ignores q.bk, a shift shared by a whole row
+BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
+                "ln2_g", "ln2_b", "w_up", "b_up", "w_down", "b_down")
+_block_tensors = operator.itemgetter(*BLOCK_PARAMS)
+
+
+def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
+          rows=None) -> Tensor:
+    """One pre-layernorm transformer block as one node: ``x1 = x +
+    linear(attention(q, k, v), wo, bo)`` over ``h = layernorm(x, ln1)``, then
+    ``x1 + mlp(layernorm(x1, ln2))``, bit-identical (output and every
+    gradient) to that composition of the ops.  ``blk`` maps BLOCK_PARAMS to
+    tensors; ``x`` is (B*S) x d and ``allow`` B x Sq x S, as for
+    ``attention``.  With ``rows`` (B*Sq indices) the queries and the
+    residual, and so the output, are those rows of h and x; without, Sq = S.
+    The vjp sums h's gradient as the engine did, query term, then key,
+    then value, and drops each saved array once its last reader has run.
+    Besides the output, k and v are checked for non-finite values: softmax
+    weighs a -inf logit 0, and a mask may let no query read a row."""
+    ps = _block_tensors(blk)
+    arrays = [p.data for p in ps]
+    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, wu, bu, wd, bd = arrays
+    allow = np.asarray(allow, dtype=bool)
+    n, d = x.data.shape
+    if allow.ndim != 3 or (n, n if rows is None else len(rows)) != (
+            allow.shape[0] * allow.shape[2], allow.shape[0] * allow.shape[1]):
+        raise ValueError("block wants a B x Sq x S mask, B*S rows of x and "
+                         "B*Sq query rows")
+    if heads < 1 or d % heads:
+        raise ValueError("block width must be divisible by the heads")
+    f, vec, mat = wu.shape[-1], (d,), (d, d)
+    if [a.shape for a in arrays] != [vec, vec, mat, vec, mat, mat, vec, mat,
+                                     vec, vec, vec, (d, f), (f,), (f, d), vec]:
+        raise ValueError(f"block tensors must fit a width of {d}")
+    h, xhat1, inv1 = _layernorm(x.data, g1, b1)
+    k, v = h @ wk, _affine(h, wv, bv)
+    _check_finite(k)
+    _check_finite(v)
+    hq, res = h, x.data
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        hq, res = h[rows], res[rows]
+    q = _affine(hq, wq, bq)
+    att, probs = _attention(q, k, v, allow, heads)
+    x1 = _affine(att, wo, bo)
+    x1 += res
+    h2, xhat2, inv2 = _layernorm(x1, g2, b2)
+    out, u, cdf = _mlp(h2, wu, bu, wd, bd)
+    out += x1
+    saved = {"h": h, "xhat1": xhat1, "inv1": inv1, "hq": hq, "q": q, "k": k,
+             "v": v, "probs": probs, "att": att, "xhat2": xhat2,
+             "inv2": inv2, "h2": h2, "u": u, "cdf": cdf}
+
+    def vjp(g):
+        pop, wants = saved.pop, _wants(x, *ps)
+        dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), pop("cdf"),
+                              (True,) + wants[12:])
+        dx1, dg2, db2 = _layernorm_vjp(dh2, g2, pop("xhat2"), pop("inv2"),
+                                       (True,) + wants[10:12])
+        dx1 += g
+        datt, dwo, dbo = _affine_vjp(dx1, pop("att"), wo,
+                                     (True,) + wants[8:10])
+        dq, dk, dv = _attention_vjp(datt, pop("q"), pop("k"), pop("v"),
+                                    pop("probs"), (True,) * 3)
+        dh, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
+        if rows is not None:
+            dh = _scatter_rows(dh, rows, n)
+        h = pop("h")
+        dhk, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
+        dh += dhk
+        dhv, dwv, dbv = _affine_vjp(dv, h, wv, (True,) + wants[6:8])
+        dh += dhv
+        dx, dg1, db1 = _layernorm_vjp(dh, g1, pop("xhat1"), pop("inv1"),
+                                      wants[:3])
+        if dx is not None:
+            dx += dx1 if rows is None else _scatter_rows(dx1, rows, n)
+        return (dx, dg1, db1, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg2, db2,
+                *dmlp)
+
+    return _from_op(out, (x,) + ps, vjp)
 
 
 # gradient checking --------------------------------------------------

@@ -188,24 +188,11 @@ class Predictor:
                              "cover every row")
         x = tokens + pos
         tap = None
+        rows = (np.arange(bsz)[:, None] * s + np.arange(s - window, s)).ravel()
         for i, blk in enumerate(self.blocks, 1):
-            h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
-            # no key bias: softmax ignores q.bk, a shift shared by a whole row
-            k = ad.matmul(h, blk["wk"])
-            v = ad.linear(h, blk["wv"], blk["bv"])
-            mask = allow
-            if i == self.cfg.L:
-                rows = (np.arange(bsz)[:, None] * s
-                        + np.arange(s - window, s)).ravel()
-                x, h, mask = (ad.gather_rows(x, rows), ad.gather_rows(h, rows),
-                              allow[:, s - window:])
-            q = ad.linear(h, blk["wq"], blk["bq"])
-            a = ad.linear(ad.attention(q, k, v, mask, self.cfg.H),
-                          blk["wo"], blk["bo"])
-            x = x + a
-            x = x + ad.mlp(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
-                           blk["w_up"], blk["b_up"], blk["w_down"],
-                           blk["b_down"])
+            last = i == self.cfg.L
+            x = ad.block(x, blk, allow[:, s - window:] if last else allow,
+                         self.cfg.H, rows if last else None)
             if i == self.cfg.tap_layer:
                 tap = x
         logits = ad.linear(ad.layernorm(x, self.lnf_g, self.lnf_b),

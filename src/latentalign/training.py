@@ -348,8 +348,8 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
     """One or more epochs over the dataset; returns the per-step reports."""
     if init_ckpt is not None:
         try:
-            _, loaded = load_checkpoint(init_ckpt)
-            load_into(bundle.named_parameters(), loaded)
+            # no name keeps the loaded arrays past the copy
+            load_into(bundle.named_parameters(), load_checkpoint(init_ckpt)[1])
         except (OSError, ValueError) as e:
             raise InputError(f"init checkpoint {init_ckpt}: {e}") from e
     trainer = Trainer(bundle, cfg)

@@ -805,3 +805,119 @@ def test_ops_leave_inputs_and_incoming_grad_untouched(op, frozen):
     for got, want in zip(grads, again):
         assert (got is None) == (want is None)
         assert got is None or got.tobytes() == want.tobytes()
+
+
+# -- the transformer block node ----------------------------------------
+
+
+def _block_operands(rng, n, d=8, f=16):
+    """x (n x d) and a block's tensors, keyed by ``BLOCK_PARAMS``."""
+    v, m = (d,), (d, d)
+    x, *ps = _operands(rng, [(n, d), v, v, m, v, m, m, v, m, v, v, v,
+                             (d, f), (f,), (f, d), v])
+    return x, dict(zip(ad.BLOCK_PARAMS, ps))
+
+
+def _composed_block(x, blk, allow, heads, rows=None):
+    """The composition ``block`` replaces, as ``Predictor.forward`` ran it."""
+    h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
+    k = ad.matmul(h, blk["wk"])
+    v = ad.linear(h, blk["wv"], blk["bv"])
+    if rows is not None:
+        x, h = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
+    q = ad.linear(h, blk["wq"], blk["bq"])
+    x = x + ad.linear(ad.attention(q, k, v, allow, heads), blk["wo"],
+                      blk["bo"])
+    return x + ad.mlp(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
+                      blk["w_up"], blk["b_up"], blk["w_down"], blk["b_down"])
+
+
+# 3 sequences of 4, 2 and 3 rows padded to S = 4, and the last T = 2 rows
+# of each as a caption window
+_S, _T = 4, 2
+_BLOCK_ALLOW = _ragged_allow(np.random.default_rng(21), (4, 2, 3), _S)
+_WINDOW = (np.arange(3)[:, None] * _S + np.arange(_S - _T, _S)).ravel()
+
+
+def _block_case(window):
+    """(mask, rows) of the whole padded batch or of its window."""
+    return (_BLOCK_ALLOW[:, _S - _T:], _WINDOW) if window else (_BLOCK_ALLOW,
+                                                                 None)
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+def test_block_grad_matches_fd(window):
+    rng = np.random.default_rng(22)
+    allow, rows = _block_case(window)
+    x, blk = _block_operands(rng, 3 * _S)
+    weight = Tensor(rng.normal(size=(3 * allow.shape[1], 8)))
+
+    def f():
+        return ad.tsum(ad.mul(ad.block(x, blk, allow, 2, rows), weight))
+
+    assert ad.fd_check(f, [x, *blk.values()]) < 1e-6
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+@pytest.mark.parametrize("trainable", [True, False], ids=["sft", "align"])
+def test_block_is_bit_identical_to_its_composition(trainable, window):
+    """Output and every gradient equal the composition's bit for bit on a
+    padded batch, with the block's tensors trainable (sft) or frozen
+    (align: only x gets a gradient); forward then backward leaves every
+    input byte-equal."""
+    allow, rows = _block_case(window)
+
+    def run(build):
+        rng = np.random.default_rng(23)
+        x, blk = _block_operands(rng, 3 * _S)
+        for p in blk.values():
+            p.requires_grad = trainable
+        inputs = [x, *blk.values()]
+        before = [t.data.tobytes() for t in inputs]
+        out = build(x, blk, allow, 2, rows)
+        ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        assert [t.data.tobytes() for t in inputs] == before
+        return [out.data] + [t.grad for t in inputs]
+
+    for got, want in zip(run(ad.block), run(_composed_block)):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("weight", ["wk", "wv"], ids=["key", "value"])
+def test_block_rejects_a_non_finite_key_or_value_no_query_reads(weight):
+    """Row 0 of a 3-row sequence lies outside a 1-row window whose query
+    may not read it.  Only row 0 deviates from its mean in column 3, where
+    a huge ln1 gain and one huge entry of ``wk`` or ``wv`` make that row's
+    key or value overflow and nothing else.  An infinite key gives the
+    denied cell weight 0, so the output stays finite: only the check on k
+    and v sees it."""
+    d = 4
+    x = Tensor(np.array([[0.0, 0.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0],
+                         [1.0, -1.0, 0.0, 0.0]]))
+    arrays = {name: np.zeros(d) for name in ad.BLOCK_PARAMS}
+    arrays.update({name: np.eye(d) for name in
+                   ("wq", "wk", "wv", "wo", "w_up", "w_down")})
+    arrays["ln1_g"] = np.array([1.0, 1.0, 1.0, 1e300])
+    arrays["ln2_g"] = np.ones(d)
+    arrays[weight][3, 0] = 1e10
+    blk = {name: Tensor(a) for name, a in arrays.items()}
+    allow = np.array([[[False, True, True]]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="^non-finite value in tensor$"):
+        ad.block(x, blk, allow, 2, np.array([2]))
+
+
+def test_block_rejects_bad_shapes():
+    x, blk = _block_operands(np.random.default_rng(24), 3 * _S)
+    allow, rows = _block_case(True)
+    for args, match in [
+            ((blk, allow[0], 2), "B x Sq x S mask"),
+            ((blk, _BLOCK_ALLOW[:2], 2), r"B\*S rows of x"),
+            ((blk, allow, 2), r"B\*Sq query rows"),    # a window, no rows
+            ((blk, allow, 2, rows[1:]), r"B\*Sq query rows"),
+            ((blk, _BLOCK_ALLOW, 3), "divisible by the heads"),
+            ((dict(blk, bv=Tensor(np.zeros(1))), _BLOCK_ALLOW, 2),
+             "width of 8")]:
+        with pytest.raises(ValueError, match=match):
+            ad.block(x, *args)

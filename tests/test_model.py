@@ -183,10 +183,8 @@ def test_forward_shapes_and_tap_position():
     assert tap.shape == (s, CFG.d)
 
 
-def test_forward_builds_ten_nodes_per_block(monkeypatch):
-    """Position add, then per block two layernorms, four attention linears,
-    one attention node, two residual adds and one MLP node, plus the last
-    block's two window gathers (residual and query input), then the final
+def test_forward_builds_one_node_per_block(monkeypatch):
+    """Position add, then one ``block`` node per block, then the final
     layernorm and the head, however many sequences the batch holds."""
     plan, tokens, b, *_ = _packed_batch([0, 1, 2])
     assert PAD in plan.layout.roles, "fixture must pad"
@@ -199,7 +197,7 @@ def test_forward_builds_ten_nodes_per_block(monkeypatch):
 
     monkeypatch.setattr(ad, "_from_op", counting)
     _forward(b.predictor, tokens, plan.allow)
-    assert len(nodes) == 1 + 10 * CFG.L + 2 + 2
+    assert len(nodes) == 1 + CFG.L + 2
 
 
 def test_window_logits_are_the_tail_rows_of_every_sequence():
