@@ -10,6 +10,9 @@ import numpy as np
 
 from .data import PATCH_PIXELS
 
+# fixed seeds: no run varies the frozen pretrained encoders stubbed here
+CTX_SEED, TGT_SEED = 11, 22
+
 
 class StubEncoder:
     """Per-patch affine map (optionally tanh-squashed) with seeded weights,

@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttnVariant, build_mask
 from .autodiff import NonFiniteError, Tensor, concat, gather_rows
 from .data import MAX_CAPTION_LEN, SyntheticVocab
-from .encoders import StubEncoder
+from .encoders import CTX_SEED, TGT_SEED, StubEncoder
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
                       sample_mask)
 from .model import (LatentTarget, PackedBatch, Predictor, PredictorConfig,
@@ -69,7 +69,6 @@ class TrainConfig:
     stage: str = "align"
     lr: float | None = None
     warmup_ratio: float = 0.03
-    weight_decay: float = 0.0
     epochs: int = 1
     batch_size: int = 8
     seed: int = 0
@@ -81,8 +80,6 @@ class TrainConfig:
             self.lr = STAGE_LR[self.stage]
         if isinstance(self.lr, bool) or not 0 < self.lr < math.inf:
             raise ValueError("lr must be a finite number above 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be at least 0")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ValueError("warmup_ratio must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
@@ -103,13 +100,13 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive-moment update over named tensors."""
+    """Adaptive-moment update over named tensors; it applies no weight
+    decay."""
 
-    def __init__(self, params: dict, cfg: TrainConfig):
+    def __init__(self, params: dict):
         self.params = params
         self.b1, self.b2 = ADAM_BETAS
         self.eps = ADAM_EPS
-        self.weight_decay = cfg.weight_decay
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.t = 0
@@ -127,8 +124,7 @@ class AdamW:
                 v = self.b2 * self.v[name] + (1 - self.b2) * g * g
                 mhat = m / (1 - self.b1 ** self.t)
                 vhat = v / (1 - self.b2 ** self.t)
-                step = lr * (mhat / (np.sqrt(vhat) + self.eps)
-                             + self.weight_decay * p.data)
+                step = lr * (mhat / (np.sqrt(vhat) + self.eps))
                 if not np.isfinite(step).all():
                     raise NonFiniteError(f"non-finite update of {name}")
                 self.m[name], self.v[name] = m, v
@@ -167,8 +163,7 @@ class ModelBundle:
 
     def __init__(self, grid: PatchGrid, predictor: PredictorConfig,
                  proj_kind: str = "mlp", ctx_dim: int = 16, tgt_dim: int = 8,
-                 ctx_seed: int = 11, tgt_seed: int = 22, model_seed: int = 0,
-                 sampler: SamplerConfig | None = None,
+                 model_seed: int = 0, sampler: SamplerConfig | None = None,
                  loss: LossConfig | None = None,
                  attn: AttnVariant | None = None,
                  jepa: bool = True):
@@ -184,12 +179,12 @@ class ModelBundle:
         self.attn = attn or AttnVariant()
         self.jepa = jepa
         self.vocab = SyntheticVocab(size=predictor.V)
-        self.ctx_encoder = StubEncoder(ctx_seed, ctx_dim)
+        self.ctx_encoder = StubEncoder(CTX_SEED, ctx_dim)
         self.predictor = Predictor(predictor, seed=model_seed)
         self.proj = Projector(proj_kind, ctx_dim, predictor.d,
                               seed=model_seed * 4 + 1)
         if jepa:
-            self.tgt_encoder = StubEncoder(tgt_seed, tgt_dim, nonlinear=True)
+            self.tgt_encoder = StubEncoder(TGT_SEED, tgt_dim, nonlinear=True)
             self.proj_tgt = Projector(proj_kind, predictor.d, tgt_dim,
                                       seed=model_seed * 4 + 2)
             self.latent = LatentTarget(predictor.d, grid.rows, grid.cols,
@@ -282,7 +277,7 @@ class Trainer:
                           for n in bundle.trainable_names(cfg.stage)}
         self.all_params = all_params
         self.freeze()
-        self.opt = AdamW(self.trainable, cfg)
+        self.opt = AdamW(self.trainable)
         # plain captioning: every patch is context, no latent targets
         self.unmasked = MaskSpec(context=frozenset(range(bundle.grid.n)))
 

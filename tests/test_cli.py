@@ -164,7 +164,7 @@ def test_usage_error_exit_code():
 
 def _assert_input_error(capsys, argv):
     """``main(argv)`` in-process exits 2 with no traceback, and its stderr
-    ends in its one ``bad input:`` line."""
+    ends in its one ``bad input:`` line, which this returns."""
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
@@ -173,6 +173,7 @@ def _assert_input_error(capsys, argv):
     lines = err.splitlines()
     assert lines[-1].startswith("bad input: ")
     assert sum(line.startswith("bad input:") for line in lines) == 1
+    return lines[-1]
 
 
 def test_impossible_sampler_settings_exit_code(capsys):
@@ -209,6 +210,8 @@ def test_truncated_config_exit_code(tmp_path, capsys):
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
     pytest.param('{"predictor": {"max_seq": 256}}', id="removed-max-seq"),
     pytest.param('{"tgt_nonlinear": false}', id="removed-tgt-nonlinear"),
+    pytest.param('{"ctx_seed": 11}', id="removed-ctx-seed"),
+    pytest.param('{"tgt_seed": 22}', id="removed-tgt-seed"),
     pytest.param('{"loss": {"jepa_weight": "x"}}', id="jepa-weight-not-real"),
     pytest.param("[" * 100000, id="nested-too-deep"),
     *(pytest.param(json.dumps({**doc, "data": {"n": 8}}), id=name)
@@ -226,12 +229,16 @@ def test_truncated_config_exit_code(tmp_path, capsys):
           "lam-bool": {"loss": {"lam": True}},
           "tap-layer-bool": {"predictor": {"tap_layer": True}},
           "seed-float": {"train": {"seed": 1.5}},
-          "weight-decay-negative": {"train": {"weight_decay": -5.0}},
+          "removed-weight-decay": {"train": {"weight_decay": 0.0}},
           "lr-nan": {"train": {"lr": float("nan")}},
           "lr-infinity": {"train": {"lr": float("inf")}},
           "lr-bool": {"train": {"lr": True}},
-          "weight-decay-nan": {"train": {"weight_decay": float("nan")}},
+          "removed-weight-decay-nan": {"train": {"weight_decay":
+                                                 float("nan")}},
           "tgt-dim-zero": {"tgt_dim": 0},
+          "proj-kind-unknown": {"proj_kind": "conv"},
+          "width-not-divisible-by-4": {"predictor": {"d": 6, "H": 2}},
+          "warmup-ratio-one": {"train": {"warmup_ratio": 1.0}},
       }.items()),
 ])
 def test_bad_config_exit_code(tmp_path, text, capsys):
@@ -504,9 +511,9 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc, capsys):
 
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
-                                  "header-not-object", "params-not-pairs",
-                                  "trailing-bytes", "huge-declared-shape",
-                                  "nested-too-deep"])
+                                  "other-tensors", "header-not-object",
+                                  "params-not-pairs", "trailing-bytes",
+                                  "huge-declared-shape", "nested-too-deep"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
@@ -526,12 +533,16 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
         (out / "align_ckpt.bin").write_bytes(
             (header if isinstance(header, str) else json.dumps(header))
             .encode() + b"\n")
-    if init in ("other-config", "trailing-bytes"):
+    if init == "other-tensors":
+        cfg.write_text(json.dumps({**TINY_CONFIG, "proj_kind": "linear"}))
+    if init in ("other-config", "other-tensors", "trailing-bytes"):
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
     if init == "other-config":
         other = {**TINY_CONFIG["predictor"], "d": 8}
         cfg.write_text(json.dumps({**TINY_CONFIG, "predictor": other}))
+    if init == "other-tensors":
+        cfg.write_text(json.dumps(TINY_CONFIG))
     if init == "trailing-bytes":
         with open(out / "align_ckpt.bin", "ab") as fh:
             fh.write(b"\0" * 4)
@@ -544,9 +555,15 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     # an --out that exists stays as it was; one the run made is gone
     before = tree(out) if out.exists() else None
     for dest in (out, tmp_path / "new" / "sft"):
-        _assert_input_error(capsys, ["train", "sft", "--config", str(cfg),
-                                     "--init", str(out / "align_ckpt.bin"),
-                                     "--out", str(dest)])
+        line = _assert_input_error(
+            capsys, ["train", "sft", "--config", str(cfg), "--init",
+                     str(out / "align_ckpt.bin"), "--out", str(dest)])
+        if init == "other-tensors":
+            assert line.endswith(
+                ": checkpoint/config mismatch on: ['proj.b', 'proj.b1', "
+                "'proj.b2', 'proj.w', 'proj.w1', 'proj.w2', 'proj_tgt.b', "
+                "'proj_tgt.b1', 'proj_tgt.b2', 'proj_tgt.w', 'proj_tgt.w1', "
+                "'proj_tgt.w2']")
     assert (tree(out) if out.exists() else None) == before
     assert not (tmp_path / "new").exists()
 

@@ -16,7 +16,6 @@ from latentalign.attention import (CONTEXT, PAD, PAD_ROLE, TARGET, TEXT,
                                    oracle_mask, roles_for_mask)
 from latentalign.autodiff import Tensor
 from latentalign.data import make_sample
-from latentalign.encoders import StubEncoder
 from latentalign.masking import (MaskSpec, PatchGrid, ResampleExhausted,
                                  SamplerConfig, sample_mask)
 from latentalign.model import (Predictor, PredictorConfig, Projector,
@@ -33,7 +32,7 @@ def _packed_batch(seeds, grid=PatchGrid(3, 3), masked=True):
     """A planned batch of one sample per seed, each with its own mask, and
     its padded input rows."""
     b = ModelBundle(grid, CFG, proj_kind="linear", ctx_dim=8, tgt_dim=8,
-                    ctx_seed=1, model_seed=4, sampler=SamplerConfig(k=2))
+                    model_seed=4, sampler=SamplerConfig(k=2))
     samples = [make_sample(seed, 0, grid, b.vocab) for seed in seeds]
     masks = [sample_mask(grid, b.sampler, random.Random(seed))
              if masked else MaskSpec(context=frozenset(range(grid.n)))
@@ -145,7 +144,7 @@ def test_pack_follows_roles_for_mask(masked):
     plan, tokens, b, mask, sample = _packed(masked=masked)
     roles = _roles(plan.layout)
     assert roles == roles_for_mask(mask, PatchGrid(3, 3), len(sample.caption))
-    ctx = StubEncoder(1, 8).encode(sample.pixels)
+    ctx = b.ctx_encoder.encode(sample.pixels)
     for row, r, p in zip(tokens.data, roles, _patches(plan.layout)):
         if r.kind == TEXT:
             want = b.predictor.tok_emb.data[sample.caption[r.text_position]]

@@ -73,14 +73,14 @@ def test_adamw_first_step_size():
     # with a constant grad, step 1 moves by ~lr regardless of grad scale
     p = Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.array([123.0])
-    opt = AdamW({"p": p}, TrainConfig(stage="align"))
+    opt = AdamW({"p": p})
     opt.update(0.5)
     np.testing.assert_allclose(p.data, [-0.5], atol=1e-6)
 
 
 def test_adamw_skips_params_without_grad():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, TrainConfig(stage="align"))
+    opt = AdamW({"p": p})
     opt.update(0.5)
     np.testing.assert_array_equal(p.data, [1.0])
     assert np.array_equal(opt.m["p"], [0.0])
@@ -93,7 +93,7 @@ def test_adamw_rejects_nonfinite_update_and_names_the_parameter():
     bad = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     good.grad = np.array([1.0])
     bad.grad = np.array([0.5, np.inf])
-    opt = AdamW({"good": good, "bad": bad}, TrainConfig(stage="align"))
+    opt = AdamW({"good": good, "bad": bad})
     with pytest.raises(NonFiniteError, match="^non-finite update of bad$"):
         opt.update(0.5)
     np.testing.assert_array_equal(bad.data, [2.0, 3.0])
