@@ -12,7 +12,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.special import erf
 
 
 class NonFiniteError(ArithmeticError):
@@ -218,36 +217,58 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# GELU in its tanh form (Hendrycks & Gimpel 2016, as in GPT-2 and BERT):
+# Phi(x) ~ 0.5 * (1 + tanh(c * (x + a * x^3))), within 4.8e-4 of x * Phi(x)
+_TANH_C = math.sqrt(2.0 / math.pi)
+_TANH_A = 0.044715
+# past +-10 the tanh is exactly +-1, so x is clamped there before it is
+# squared and x^2 cannot overflow
+_CLAMP = 10.0
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), in one fresh array."""
-    cdf = x / _SQRT2
-    erf(cdf, out=cdf)
+    """Phi(x) in the tanh form, in one fresh array.  The argument is
+    x * (c + c * a * x^2) with x^2 from x clamped to +-10; only |x| above
+    about 4e307 overflows it, to an infinity that tanh maps to +-1."""
+    cdf = np.minimum(x, _CLAMP)     # two ufunc calls cost less than np.clip
+    np.maximum(cdf, -_CLAMP, out=cdf)
+    cdf *= cdf
+    cdf *= _TANH_A * _TANH_C
+    cdf += _TANH_C
+    cdf *= x
+    np.tanh(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (Phi(x) + x * phi(x)), gelu's vjp, in one fresh array."""
-    out = x * x
-    out *= -0.5
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= x
-    out += cdf
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray,
+               spare: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x * Phi'(x)), gelu's vjp for the tanh form, where
+    Phi' = 2 Phi (1 - Phi) * c * (1 + 3 a x^2), in one fresh array.  It
+    overwrites ``g`` and ``spare``, an array of x's shape that may be
+    ``cdf`` itself.  Past +-10 Phi (1 - Phi) is exactly 0, and it is
+    applied before x, so a huge x gives a gradient of g or 0, not NaN."""
+    out = np.minimum(x, _CLAMP)
+    np.maximum(out, -_CLAMP, out=out)
+    out *= out
+    out *= 6.0 * _TANH_A * _TANH_C
+    out += 2.0 * _TANH_C
+    g *= cdf
+    np.subtract(1.0, cdf, out=spare)
+    out *= spare
     out *= g
+    out *= x
+    out += g
     return out
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error formulation x * Phi(x)."""
+    """GELU in the tanh form, x * Phi(x)."""
     x = a.data
     cdf = _normal_cdf(x)
-    return _from_op(x * cdf, (a,), lambda g: (_gelu_grad(x, cdf, g),))
+    return _from_op(x * cdf, (a,), lambda g: (
+        _gelu_grad(x, cdf, g.copy(), np.empty_like(x)),))
 
 
 def _mlp(x, w1, b1, w2, b2) -> tuple:
@@ -257,12 +278,22 @@ def _mlp(x, w1, b1, w2, b2) -> tuple:
     return _affine(u * cdf, w2, b2), u, cdf
 
 
-def _mlp_vjp(g, x, w1, w2, u, cdf, wants) -> tuple:
-    """``mlp``'s gradients for x, w1, b1, w2 and b2; the hidden output
-    u * Phi(u) is rebuilt only when ``w2`` needs a gradient."""
-    gu = _gelu_grad(u, cdf, g @ w2.T) if any(wants[:3]) else None
-    return (*_affine_vjp(gu, x, w1, wants[:3]),
-            (u * cdf).T @ g if wants[3] else None,
+def _mlp_vjp(g, x, w1, w2, u, cdf, wants, spare=None) -> tuple:
+    """``mlp``'s gradients for x, w1, b1, w2 and b2.  The hidden output
+    u * Phi(u) is rebuilt only when ``w2`` needs a gradient, and is then
+    ``_gelu_grad``'s spare array unless the caller gives one."""
+    gw2 = gu = None
+    if wants[3]:
+        hidden = u * cdf
+        gw2 = hidden.T @ g
+        if spare is None:
+            spare = hidden
+        del hidden      # unread once the caller's spare stands in for it
+    if any(wants[:3]):
+        if spare is None:
+            spare = np.empty_like(u)
+        gu = _gelu_grad(u, cdf, g @ w2.T, spare)
+    return (*_affine_vjp(gu, x, w1, wants[:3]), gw2,
             g.sum(axis=0) if wants[4] else None)
 
 
@@ -605,8 +636,9 @@ def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
 
     def vjp(g):
         pop, wants = saved.pop, _wants(x, *ps)
-        dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), pop("cdf"),
-                              (True,) + wants[12:])
+        cdf = pop("cdf")    # spent here, so it is _gelu_grad's spare too
+        dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), cdf,
+                              (True,) + wants[12:], cdf)
         dx1, dg2, db2 = _layernorm_vjp(dh2, g2, pop("xhat2"), pop("inv2"),
                                        (True,) + wants[10:12])
         dx1 += g

@@ -39,7 +39,8 @@ class LossReport:
 
     def to_json_obj(self, step: int) -> dict:
         return {"step": step, "ntp": self.ntp, "jepa": self.jepa,
-                "total": self.total, "skipped": self.skipped}
+                "total": self.total, "skipped": self.skipped,
+                "n_target_tokens": self.n_target_tokens}
 
 
 def mean_of_means(sizes) -> np.ndarray:

@@ -364,8 +364,10 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
                 report = trainer.step(batch, step_idx, total_steps)
                 reports.append(report)
                 if log_fh:
-                    log_fh.write(json.dumps(report.to_json_obj(step_idx),
-                                            sort_keys=True) + "\n")
+                    row = report.to_json_obj(step_idx)
+                    row.update(epoch=epoch,
+                               lr=lr_at(step_idx, total_steps, cfg))
+                    log_fh.write(json.dumps(row, sort_keys=True) + "\n")
                 step_idx += 1
         if ckpt_path:
             save_checkpoint(ckpt_path, len(reports), config_header or {},

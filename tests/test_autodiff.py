@@ -4,12 +4,12 @@ Hand-computed values anchor each op; finite differences check the vjps.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from latentalign import autodiff as ad
 from latentalign.autodiff import NonFiniteError, Tensor
@@ -17,6 +17,19 @@ from latentalign.autodiff import NonFiniteError, Tensor
 
 def _scalar_fd(f, x, eps=1e-6):
     return (f(x + eps) - f(x - eps)) / (2 * eps)
+
+
+# gelu's tanh form: Phi(x) ~ 0.5 * (1 + tanh(C * (x + A * x^3)))
+_C, _A = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def _tanh_phi(t: float) -> float:
+    return 0.5 * (1.0 + math.tanh(_C * (t + _A * t ** 3)))
+
+
+def _exact_gelu(x: np.ndarray) -> np.ndarray:
+    """x * Phi(x) with the Gaussian cdf from ``math.erf``."""
+    return x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
 
 # -- forward values -------------------------------------------------
@@ -48,10 +61,10 @@ def test_softmax_all_denied_row_rejected():
 
 
 def test_gelu_hand_value():
-    # exact form x * Phi(x): gelu(1) = 1 * Phi(1) = 0.8413447...
+    # tanh form: gelu(1) = 0.5 * (1 + tanh(C * 1.044715)) = 0.8411920...,
+    # 1.5e-4 below the exact 1 * Phi(1) = 0.8413447...
     out = ad.gelu(Tensor(np.array([1.0])))
-    phi = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-    np.testing.assert_allclose(out.data, [phi], atol=1e-12)
+    np.testing.assert_allclose(out.data, [_tanh_phi(1.0)], atol=1e-12)
 
 
 def test_cross_entropy_uniform_logits():
@@ -170,8 +183,8 @@ def test_softmax_rows_sum_to_one(vals):
 def test_gelu_grad_matches_fd(x0):
     x = Tensor(np.array([x0]), requires_grad=True)
     ad.gelu(x).backward()
-    phi = lambda t: 0.5 * t * (1.0 + math.erf(t / math.sqrt(2.0)))
-    np.testing.assert_allclose(x.grad[0], _scalar_fd(phi, x0), atol=1e-7)
+    gelu = lambda t: t * _tanh_phi(t)
+    np.testing.assert_allclose(x.grad[0], _scalar_fd(gelu, x0), atol=1e-7)
 
 
 def test_layernorm_grad_matches_fd():
@@ -652,13 +665,51 @@ def test_masked_softmax_matches_inf_composition(seed, lengths, pad, heads,
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-40, 40), min_size=1, max_size=8))
 def test_gelu_matches_reference_formula(vals):
+    """Bit for bit the tanh form in gelu's float order: the argument is
+    x * (C + C * A * x^2), the derivative g Phi + x * g Phi (1 - Phi) *
+    (2C + 6CA x^2), with x clamped to +-10 wherever it is squared."""
     x = np.array(vals)
     out = ad.gelu(Tensor(x, requires_grad=True))
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    xc = np.clip(x, -10.0, 10.0)
+    cdf = 0.5 * (1.0 + np.tanh((xc * xc * (_A * _C) + _C) * x))
     g = np.linspace(-1.0, 2.0, x.size)
+    gcdf = g * cdf
+    slope = (xc * xc * (6.0 * _A * _C) + 2.0 * _C) * (1.0 - cdf)
     assert np.array_equal(out.data, x * cdf)
-    assert np.array_equal(out._vjp(g)[0], g * (cdf + x * pdf))
+    assert np.array_equal(out._vjp(g)[0], slope * gcdf * x + gcdf)
+
+
+def test_gelu_stays_within_its_bound_of_the_exact_form():
+    """The tanh form is within 4.8e-4 of x * Phi(x) on a 1e-4 grid over
+    [-12, 12]; the largest gap is 4.73e-4, at |x| = 2.699."""
+    x = np.arange(-120_000, 120_001) * 1e-4
+    gap = np.abs(ad.gelu(Tensor(x)).data - _exact_gelu(x))
+    assert gap.max() < 4.8e-4
+    assert abs(abs(x[gap.argmax()]) - 2.699) < 1e-3
+
+
+@pytest.mark.parametrize("u", [1e200, -1e200, 1e300, -1e300])
+def test_gelu_and_mlp_saturate_without_overflow(u):
+    """Far out, gelu is x or -0.0 with slope 1 or 0, as the exact form is:
+    the cubic sees x clamped to +-10, and no inf * 0 reaches a gradient.
+    Any numpy RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = Tensor(np.array([u]), requires_grad=True)
+        out = ad.gelu(x)
+        ad.tsum(out).backward()
+        if u > 0:
+            assert out.data[0] == u and x.grad[0] == 1.0
+        else:
+            assert out.data[0] == 0.0 and np.signbit(out.data[0])
+            assert x.grad[0] == 0.0
+        ops = [Tensor(np.array(v), requires_grad=True)
+               for v in ([[u]], [[1.0]], [0.0], [[1.0]], [0.0])]
+        out = ad.mlp(*ops)
+        ad.tsum(out).backward()
+        assert out.data[0, 0] == max(u, 0.0)
+        assert ops[0].grad[0, 0] == (1.0 if u > 0 else 0.0)
+        assert ops[3].grad[0, 0] == max(u, 0.0)
 
 
 def test_add_gives_each_parent_its_own_grad():
@@ -698,11 +749,11 @@ def test_backward_releases_the_graph_it_walks():
     loss.backward()
     for node in (z, h, loss):
         assert node.grad is None and node._parents == ()
-    # d/dz sum(gelu(z)^2) = 2 gelu(z) gelu'(z)
+    # d/dz sum(gelu(z)^2) = 2 gelu(z) gelu'(z), with gelu's tanh form
     zd = x0 @ w0
-    cdf = 0.5 * (1.0 + erf(zd / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * zd * zd) / math.sqrt(2.0 * math.pi)
-    dz = 2.0 * zd * cdf * (cdf + zd * pdf)
+    cdf = 0.5 * (1.0 + np.tanh(_C * (zd + _A * zd ** 3)))
+    dcdf = 2.0 * cdf * (1.0 - cdf) * _C * (1.0 + 3.0 * _A * zd * zd)
+    dz = 2.0 * zd * cdf * (cdf + zd * dcdf)
     np.testing.assert_allclose(x.grad, dz @ w0.T, rtol=1e-14)
     np.testing.assert_allclose(w.grad, x0.T @ dz, rtol=1e-14)
 

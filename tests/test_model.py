@@ -488,8 +488,9 @@ def test_forward_matches_plain_numpy_reference():
         var = x.var(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * g + b
 
-    def gelu(x):
-        return x * 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+    def gelu(x):    # the tanh form
+        c, a = math.sqrt(2.0 / math.pi), 0.044715
+        return x * 0.5 * (1.0 + np.tanh(c * (x + a * x ** 3)))
 
     s = len(plan.layout.roles)
     x = tokens.data + sincos_1d(s, pred.cfg.d)

@@ -161,4 +161,4 @@ def test_report_json_shape():
                      n_target_tokens=0)
     obj = rep.to_json_obj(step=4)
     assert obj == {"step": 4, "ntp": 1.0, "jepa": None, "total": 1.0,
-                   "skipped": True}
+                   "skipped": True, "n_target_tokens": 0}

@@ -201,16 +201,22 @@ def test_different_seed_changes_the_run(tmp_path):
 
 
 def test_log_lines_are_json_with_expected_keys(tmp_path):
+    """One row per step, with the step's epoch, learning rate and count of
+    target tokens (none when the step skipped the latent loss)."""
     b = _bundle()
     path = tmp_path / "log.jsonl"
-    run_stage(b, TrainConfig(stage="align", batch_size=4, seed=0),
-              _dataset(), log_path=path)
+    cfg = TrainConfig(stage="align", epochs=2, batch_size=4, seed=0)
+    run_stage(b, cfg, _dataset(), log_path=path)
     lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2     # 8 samples / batch 4
+    assert len(lines) == 4     # 2 epochs of 8 samples / batch 4
     for i, line in enumerate(lines):
         obj = json.loads(line)
         assert obj["step"] == i
-        assert set(obj) == {"step", "ntp", "jepa", "total", "skipped"}
+        assert set(obj) == {"step", "ntp", "jepa", "total", "skipped",
+                            "n_target_tokens", "lr", "epoch"}
+        assert obj["epoch"] == i // 2
+        assert obj["lr"] == lr_at(i, 4, cfg)
+        assert (obj["n_target_tokens"] == 0) == obj["skipped"]
 
 
 def test_sft_resumes_from_checkpoint_and_updates_predictor(tmp_path):

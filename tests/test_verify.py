@@ -54,8 +54,8 @@ def test_sampler_check_fails_on_a_faulty_sampler(monkeypatch, fault, detail):
 
 def test_lambda_check_fails_when_a_step_computes_the_latent_loss(
         monkeypatch):
-    """With lam=1, a gate that lets the first step through masks its
-    image, so the caption losses leave the control's."""
+    """With lam=1, a gate that lets the first step through is named as
+    such, though its masked image also moves the caption losses."""
     assert verify.check_lambda_equivalence(n_samples=8)[0]
     calls = []
 
@@ -65,8 +65,23 @@ def test_lambda_check_fails_when_a_step_computes_the_latent_loss(
 
     monkeypatch.setattr(training, "lambda_gate", leaky)
     assert verify.check_lambda_equivalence(n_samples=8) == \
-        (False, "NTP traces differ between skip-always and control")
+        (False, "lam=1 run still computed the latent loss")
     assert len(calls) == 2
+
+
+def test_lambda_check_fails_when_the_control_differs(monkeypatch):
+    """Every lam=1 step skips the latent loss, but a control built from
+    another model seed gives other caption losses."""
+    build = verify.config.bundle_from
+
+    def other_seed_control(cfg):
+        if not cfg["jepa"]:
+            cfg = dict(cfg, model_seed=cfg["model_seed"] + 1)
+        return build(cfg)
+
+    monkeypatch.setattr(verify.config, "bundle_from", other_seed_control)
+    assert verify.check_lambda_equivalence(n_samples=8) == \
+        (False, "NTP traces differ between skip-always and control")
 
 
 def test_lambda_check_fails_when_a_step_reports_unskipped(monkeypatch):
