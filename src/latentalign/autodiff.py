@@ -221,21 +221,21 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # Phi(x) ~ 0.5 * (1 + tanh(c * (x + a * x^3))), within 4.8e-4 of x * Phi(x)
 _TANH_C = math.sqrt(2.0 / math.pi)
 _TANH_A = 0.044715
-# past +-10 the tanh is exactly +-1, so x is clamped there before it is
-# squared and x^2 cannot overflow
+# past +-10 the tanh is exactly +-1, so x is clamped there and neither
+# x^2 nor the tanh's argument can overflow
 _CLAMP = 10.0
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) in the tanh form, in one fresh array.  The argument is
-    x * (c + c * a * x^2) with x^2 from x clamped to +-10; only |x| above
-    about 4e307 overflows it, to an infinity that tanh maps to +-1."""
-    cdf = np.minimum(x, _CLAMP)     # two ufunc calls cost less than np.clip
-    np.maximum(cdf, -_CLAMP, out=cdf)
-    cdf *= cdf
+    """Phi(x) in the tanh form.  The argument is xc * (c + c * a * xc^2)
+    for x clamped to +-10, bit-equal to the unclamped one wherever that is
+    finite: past +-10 both exceed 43 in size, where tanh is exactly +-1."""
+    xc = np.minimum(x, _CLAMP)      # two ufunc calls cost less than np.clip
+    np.maximum(xc, -_CLAMP, out=xc)
+    cdf = xc * xc
     cdf *= _TANH_A * _TANH_C
     cdf += _TANH_C
-    cdf *= x
+    cdf *= xc
     np.tanh(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5

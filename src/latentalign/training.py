@@ -9,6 +9,7 @@ is derived from integer seeds so identical configs replay bit-identically.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import random
@@ -37,6 +38,15 @@ MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
 SIZE_LIMITS = {"ctx_dim": 512, "tgt_dim": 512, "predictor.d": 512,
                "predictor.L": 32, "predictor.V": 65536,
                "train.batch_size": 256, "data.n": 10000}
+# glibc's mallopt parameters, and the values that keep a step's memory in
+# the process heap: arrays below 16 MiB (a step's largest is about 1.4 MB)
+# come from the heap instead of their own mmap, and up to 256 MiB freed at
+# its top stays mapped, so the next step reuses the last one's pages
+# instead of faulting them in again.  Both are set: setting either turns
+# off glibc's dynamic mmap threshold, and the trim threshold alone faults
+# more than neither.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD, MMAP_THRESHOLD = 256 << 20, 16 << 20
 
 
 def check_extents(grid: PatchGrid, k: int = 1,
@@ -55,6 +65,23 @@ def check_extents(grid: PatchGrid, k: int = 1,
         if value > SIZE_LIMITS[key]:
             raise InputError(f"{key}={value} exceeds its limit of "
                              f"{SIZE_LIMITS[key]}")
+
+
+@functools.cache
+def _keep_step_memory() -> None:
+    """Sets glibc's malloc thresholds for the process, once; does nothing
+    where the C library has no ``mallopt``.  glibc reads its ``MALLOC_*``
+    variables only at start-up, before a library is imported, so the
+    library sets the thresholds through ``mallopt``."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, no dlopen
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def derive_seed(*parts: int) -> int:
@@ -269,6 +296,7 @@ class ModelBundle:
 class Trainer:
     def __init__(self, bundle: ModelBundle, cfg: TrainConfig):
         check_extents(bundle.grid, sizes={"train.batch_size": cfg.batch_size})
+        _keep_step_memory()
         self.bundle = bundle
         self.cfg = cfg
         self.gate_rng = random.Random(derive_seed(cfg.seed, 0xA7E))
@@ -337,14 +365,39 @@ class Trainer:
             raise NonFiniteError(f"step {step_idx}: {e}") from e
 
 
+def _check_saved_predictor(saved, cfg: PredictorConfig) -> None:
+    """Rejects a checkpoint whose header config ``saved`` records another
+    predictor than ``cfg``, compared resolved, so a null ``tap_layer``
+    equals its default: the head count and the tap change no tensor
+    shape, which is all ``load_into`` compares.  A config that records no
+    predictor (``run_stage`` without ``config_header`` writes ``{}``)
+    leaves the names and shapes to check."""
+    if not isinstance(saved, dict):
+        raise ValueError("checkpoint header has no config object")
+    if "predictor" not in saved:
+        return
+    try:
+        saved = PredictorConfig(**saved["predictor"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint predictor rejected: {e}") from e
+    for name, theirs in vars(saved).items():
+        if getattr(cfg, name) != theirs:
+            raise ValueError(f"predictor.{name} is {theirs} in the "
+                             f"checkpoint and {getattr(cfg, name)} in the "
+                             "config")
+
+
 def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
               log_path=None, ckpt_path=None, init_ckpt=None,
               config_header: dict | None = None):
     """One or more epochs over the dataset; returns the per-step reports."""
     if init_ckpt is not None:
         try:
-            # no name keeps the loaded arrays past the copy
-            load_into(bundle.named_parameters(), load_checkpoint(init_ckpt)[1])
+            header, loaded = load_checkpoint(init_ckpt)
+            _check_saved_predictor(header.get("config"),
+                                   bundle.predictor_cfg)
+            load_into(bundle.named_parameters(), loaded)
+            del loaded      # no name keeps the loaded arrays past the copy
         except (OSError, ValueError) as e:
             raise InputError(f"init checkpoint {init_ckpt}: {e}") from e
     trainer = Trainer(bundle, cfg)

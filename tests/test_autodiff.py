@@ -688,7 +688,24 @@ def test_gelu_stays_within_its_bound_of_the_exact_form():
     assert abs(abs(x[gap.argmax()]) - 2.699) < 1e-3
 
 
-@pytest.mark.parametrize("u", [1e200, -1e200, 1e300, -1e300])
+def test_normal_cdf_equals_the_unclamped_argument_bit_for_bit():
+    """Multiplying by x clamped to +-10 gives what multiplying by x gave,
+    bit for bit, wherever that product is finite: past +-10 both exceed 43
+    in size, where tanh is exactly +-1.  The grid crosses +-10 by single
+    ulps and runs out to 1e307."""
+    near = np.array([10.0, -10.0])
+    x = np.concatenate([
+        np.arange(-400_000, 400_001) * 5e-5,
+        np.nextafter(near, 0.0), near, np.nextafter(near, 2 * near),
+        np.geomspace(10.0, 1e307, 2000), -np.geomspace(10.0, 1e307, 2000)])
+    xc = np.clip(x, -10.0, 10.0)
+    unclamped = (xc * xc * (_A * _C) + _C) * x
+    assert np.isfinite(unclamped).all()
+    assert np.array_equal(ad._normal_cdf(x), 0.5 * (np.tanh(unclamped) + 1.0))
+
+
+@pytest.mark.parametrize("u", [1e200, -1e200, 1e300, -1e300, 1e308, -1e308,
+                               np.finfo(float).max, -np.finfo(float).max])
 def test_gelu_and_mlp_saturate_without_overflow(u):
     """Far out, gelu is x or -0.0 with slope 1 or 0, as the exact form is:
     the cubic sees x clamped to +-10, and no inf * 0 reaches a gradient.

@@ -19,6 +19,7 @@ from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
                                    roles_for_mask)
 from latentalign.data import MAX_CAPTION_LEN, generate
 from latentalign.masking import MaskSpec, PatchGrid
+from latentalign.model import load_checkpoint
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
 
@@ -123,6 +124,22 @@ def test_train_align_then_sft(tmp_path):
     assert main(["train", "sft", "--config", str(cfg), "--out", str(out),
                  "--init", str(out / "align_ckpt.bin")]) == EXIT_OK
     assert (out / "sft_ckpt.bin").exists()
+
+
+def test_sft_init_compares_the_resolved_predictor(tmp_path):
+    """A null tap layer in the checkpoint's config equals its default, so
+    an sft config that spells the default out loads the checkpoint."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "run"
+    assert main(["train", "align", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    header, _ = load_checkpoint(out / "align_ckpt.bin")
+    assert header["config"]["predictor"]["tap_layer"] is None
+    spelled = {**TINY_CONFIG["predictor"], "tap_layer": 1}
+    cfg.write_text(json.dumps({**TINY_CONFIG, "predictor": spelled}))
+    assert main(["train", "sft", "--config", str(cfg), "--out", str(out),
+                 "--init", str(out / "align_ckpt.bin")]) == EXIT_OK
 
 
 def test_gradcheck_passes_by_default(capsys):
@@ -511,9 +528,11 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc, capsys):
 
 
 @pytest.mark.parametrize("init", ["missing-file", "other-config",
-                                  "other-tensors", "header-not-object",
-                                  "params-not-pairs", "trailing-bytes",
-                                  "huge-declared-shape", "nested-too-deep"])
+                                  "other-tensors", "other-heads",
+                                  "header-not-object", "params-not-pairs",
+                                  "no-config", "predictor-not-object",
+                                  "trailing-bytes", "huge-declared-shape",
+                                  "nested-too-deep"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
@@ -521,6 +540,10 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     headers = {"header-not-object": [1],
                "params-not-pairs": {"format": "latentalign-ckpt",
                                     "params": 5},
+               "no-config": {"format": "latentalign-ckpt", "params": []},
+               "predictor-not-object": {"format": "latentalign-ckpt",
+                                        "config": {"predictor": [16]},
+                                        "params": []},
                # 8e12 bytes declared, 64 present
                "huge-declared-shape": {
                    "format": "latentalign-ckpt", "version": 1, "step": 0,
@@ -535,11 +558,14 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
             .encode() + b"\n")
     if init == "other-tensors":
         cfg.write_text(json.dumps({**TINY_CONFIG, "proj_kind": "linear"}))
-    if init in ("other-config", "other-tensors", "trailing-bytes"):
+    if init in ("other-config", "other-tensors", "other-heads",
+                "trailing-bytes"):
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
-    if init == "other-config":
-        other = {**TINY_CONFIG["predictor"], "d": 8}
+    if init in ("other-config", "other-heads"):
+        # the head count changes no tensor shape; only the header tells
+        other = {**TINY_CONFIG["predictor"],
+                 **({"d": 8} if init == "other-config" else {"H": 4})}
         cfg.write_text(json.dumps({**TINY_CONFIG, "predictor": other}))
     if init == "other-tensors":
         cfg.write_text(json.dumps(TINY_CONFIG))
@@ -564,6 +590,13 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
                 "'proj.b2', 'proj.w', 'proj.w1', 'proj.w2', 'proj_tgt.b', "
                 "'proj_tgt.b1', 'proj_tgt.b2', 'proj_tgt.w', 'proj_tgt.w1', "
                 "'proj_tgt.w2']")
+        if init == "other-heads":
+            assert line.endswith(": predictor.H is 2 in the checkpoint "
+                                 "and 4 in the config")
+        if init == "no-config":
+            assert line.endswith(": checkpoint header has no config object")
+        if init == "predictor-not-object":
+            assert ": checkpoint predictor rejected: " in line
     assert (tree(out) if out.exists() else None) == before
     assert not (tmp_path / "new").exists()
 

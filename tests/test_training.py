@@ -1,5 +1,6 @@
 """Schedule, optimizer, stage contracts, and deterministic replay."""
 
+import ctypes
 import dataclasses
 import json
 import tracemalloc
@@ -240,6 +241,108 @@ def test_sft_resumes_from_checkpoint_and_updates_predictor(tmp_path):
     for n in saved:
         if n.startswith(("proj_tgt.", "latent.")):
             assert np.array_equal(saved[n], after[n].data)
+
+
+def test_init_checkpoint_without_a_recorded_predictor_loads(tmp_path):
+    """``run_stage`` without ``config_header`` records an empty config, so
+    nothing tells its predictor: names and shapes alone are checked, and a
+    bundle with another head count loads it."""
+    ckpt = tmp_path / "align.ckpt"
+    run_stage(_bundle(), TrainConfig(stage="align", batch_size=4, seed=0),
+              _dataset(), ckpt_path=ckpt)
+    header, saved = load_checkpoint(ckpt)
+    assert header["config"] == {}
+    b = _bundle(predictor=dataclasses.replace(SMALL, H=4))
+    run_stage(b, TrainConfig(stage="sft", batch_size=8, seed=0),
+              _dataset()[:8], init_ckpt=ckpt)
+    for n in saved:
+        if n.startswith(("proj_tgt.", "latent.")):
+            assert np.array_equal(saved[n], b.named_parameters()[n].data)
+
+
+def _wide_sft_trainer():
+    cfg = default_config()
+    b = bundle_from(dict(cfg, grid={"rows": 8, "cols": 8},
+                         predictor=dict(cfg["predictor"], d=64)))
+    batch = list(enumerate(generate(0, 8, b.grid, b.vocab)))
+    return Trainer(b, TrainConfig(stage="sft")), batch
+
+
+@pytest.fixture
+def heap_setting_unmade():
+    """``_keep_step_memory`` as if no Trainer had been built; the next
+    Trainer after the test makes the real setting again."""
+    training._keep_step_memory.cache_clear()
+    yield
+    training._keep_step_memory.cache_clear()
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_warmed_sft_steps_take_few_page_faults():
+    """A step's freed arrays stay in the process heap for the next step:
+    three 8x8/d=64 sft steps take fewer than 100 minor page faults once
+    six steps have grown the heap (7,500 to 15,000 when glibc unmaps and
+    trims them)."""
+    import resource     # POSIX only, like mallopt
+    trainer, batch = _wide_sft_trainer()
+    for step in range(6):
+        trainer.step(batch, step, 9)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for step in range(6, 9):
+        trainer.step(batch, step, 9)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+class _NoMallopt:
+    """A C library without ``mallopt``, as on macOS."""
+
+
+@pytest.mark.parametrize("lookup", [OSError, TypeError, _NoMallopt],
+                         ids=["no-dlopen", "no-default-library", "no-mallopt"])
+def test_trainer_without_mallopt_builds_and_changes_nothing(
+        monkeypatch, heap_setting_unmade, lookup):
+    """Where the C library cannot be opened (``OSError``; ``TypeError`` on
+    Windows) or has no ``mallopt``, a Trainer builds and steps as it does
+    with one."""
+    trainer, batch = _wide_sft_trainer()
+    want = trainer.step(batch, 0, 1)
+    training._keep_step_memory.cache_clear()
+
+    def lookup_away(name):
+        if lookup is _NoMallopt:
+            return _NoMallopt()
+        raise lookup("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", lookup_away)
+    trainer, batch = _wide_sft_trainer()
+    assert trainer.step(batch, 0, 1) == want
+
+
+def test_second_trainer_does_not_call_mallopt_again(monkeypatch,
+                                                    heap_setting_unmade):
+    """The thresholds are set once per process, when the first Trainer is
+    built: the mmap threshold, then the trim threshold."""
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    for _ in range(2):
+        Trainer(_bundle(), TrainConfig(stage="align"))
+    assert calls == [(-3, 16 << 20), (-1, 256 << 20)]
 
 
 def test_control_bundle_has_no_latent_machinery():
