@@ -8,8 +8,11 @@ raises immediately instead of propagating it.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
 import operator
+import os
 
 import numpy as np
 
@@ -587,22 +590,134 @@ BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
 _block_tensors = operator.itemgetter(*BLOCK_PARAMS)
 
 
+def _block_forward(x, arrays, allow, heads, rows) -> tuple:
+    """``block`` on arrays: (output, what its vjp reads)."""
+    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, wu, bu, wd, bd = arrays
+    h, xhat1, inv1 = _layernorm(x, g1, b1)
+    k, v = h @ wk, _affine(h, wv, bv)
+    _check_finite(k)
+    _check_finite(v)
+    hq, res = (h, x) if rows is None else (h[rows], x[rows])
+    q = _affine(hq, wq, bq)
+    att, probs = _attention(q, k, v, allow, heads)
+    x1 = _affine(att, wo, bo)
+    x1 += res
+    h2, xhat2, inv2 = _layernorm(x1, g2, b2)
+    out, u, cdf = _mlp(h2, wu, bu, wd, bd)
+    out += x1
+    return out, {"h": h, "xhat1": xhat1, "inv1": inv1, "hq": hq, "q": q,
+                 "k": k, "v": v, "probs": probs, "att": att, "xhat2": xhat2,
+                 "inv2": inv2, "h2": h2, "u": u, "cdf": cdf}
+
+
+def _block_vjp(g, saved, arrays, wants, rows, n) -> tuple:
+    """``block``'s gradients for x and its 15 tensors, from the ``saved``
+    arrays of an ``n``-row input, each popped once its last reader has
+    run."""
+    g1, _, wq, _, wk, wv, _, wo, _, g2, _, wu, _, wd, _ = arrays
+    pop = saved.pop
+    cdf = pop("cdf")    # spent here, so it is _gelu_grad's spare too
+    dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), cdf,
+                          (True,) + wants[12:], cdf)
+    dx1, dg2, db2 = _layernorm_vjp(dh2, g2, pop("xhat2"), pop("inv2"),
+                                   (True,) + wants[10:12])
+    dx1 += g
+    datt, dwo, dbo = _affine_vjp(dx1, pop("att"), wo, (True,) + wants[8:10])
+    dq, dk, dv = _attention_vjp(datt, pop("q"), pop("k"), pop("v"),
+                                pop("probs"), (True,) * 3)
+    dh, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
+    if rows is not None:
+        dh = _scatter_rows(dh, rows, n)
+    h = pop("h")
+    dhk, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
+    dh += dhk
+    dhv, dwv, dbv = _affine_vjp(dv, h, wv, (True,) + wants[6:8])
+    dh += dhv
+    dx, dg1, db1 = _layernorm_vjp(dh, g1, pop("xhat1"), pop("inv1"),
+                                  wants[:3])
+    if dx is not None:
+        dx += dx1 if rows is None else _scatter_rows(dx1, rows, n)
+    return (dx, dg1, db1, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg2, db2, *dmlp)
+
+
+# a block whose input holds at least this many values (B*S*d) runs its
+# sequences in two halves, the first on a worker thread where there is one;
+# below it numpy's calls are too short to release the GIL for long enough
+SPLIT_MIN = 16_384
+
+
+def _blas_threads():
+    """The thread count numpy's OpenBLAS reports, or None where the
+    library exports no such function."""
+    import ctypes
+    try:
+        return ctypes.CDLL(np._core._multiarray_umath.__file__) \
+            .scipy_openblas_get_num_threads64_()
+    except (AttributeError, OSError):
+        return None
+
+
+@functools.cache
+def _split_pool():
+    """A one-worker pool for a split block's first half, or None, and then
+    both halves run on the caller.  The worker pays only where the process
+    may use two CPUs and BLAS runs on one thread: with more, the worker's
+    BLAS calls compete with BLAS's own threads."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call: macOS, Windows
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or _blas_threads() != 1:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="latentalign-block")
+
+
+if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_split_pool.cache_clear)
+
+
+def _in_halves(fn, first: tuple, second: tuple) -> tuple:
+    """(fn(*first), fn(*second)), the first on the worker if there is one.
+    The worker runs in a copy of the caller's context, so an
+    ``np.errstate`` around the call reaches it.  When both raise, the
+    first's error is the one raised."""
+    pool = _split_pool()
+    if pool is None:
+        return fn(*first), fn(*second)
+    future = pool.submit(contextvars.copy_context().run, fn, *first)
+    try:
+        out = fn(*second)
+    except BaseException:
+        future.result()
+        raise
+    return future.result(), out
+
+
 def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
           rows=None) -> Tensor:
     """One pre-layernorm transformer block as one node: ``x1 = x +
     linear(attention(q, k, v), wo, bo)`` over ``h = layernorm(x, ln1)``, then
-    ``x1 + mlp(layernorm(x1, ln2))``, bit-identical (output and every
-    gradient) to that composition of the ops.  ``blk`` maps BLOCK_PARAMS to
+    ``x1 + mlp(layernorm(x1, ln2))``.  ``blk`` maps BLOCK_PARAMS to
     tensors; ``x`` is (B*S) x d and ``allow`` B x Sq x S, as for
-    ``attention``.  With ``rows`` (B*Sq indices) the queries and the
-    residual, and so the output, are those rows of h and x; without, Sq = S.
+    ``attention``.  With ``rows`` (B*Sq indices, sequence b's among its
+    own rows ``b*S:(b+1)*S``) the queries and the residual, and so the
+    output, are those rows of h and x; without, Sq = S.
     The vjp sums h's gradient as the engine did, query term, then key,
     then value, and drops each saved array once its last reader has run.
     Besides the output, k and v are checked for non-finite values: softmax
-    weighs a -inf logit 0, and a mask may let no query read a row."""
+    weighs a -inf logit 0, and a mask may let no query read a row.
+
+    Below SPLIT_MIN input values, or at B = 1, output and every gradient
+    are bit-identical to that composition of the ops.  From SPLIT_MIN
+    values, sequences [0, ceil(B/2)) and the rest run as two halves,
+    forward and vjp, the first on the worker of ``_split_pool`` if there
+    is one.  Output and x's gradient are the halves' joined, and each
+    tensor's gradient is the first half's plus the second's, so its float
+    sums are reordered (within rtol 1e-12 of the composition).  Whether
+    the worker runs changes no byte."""
     ps = _block_tensors(blk)
     arrays = [p.data for p in ps]
-    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, wu, bu, wd, bd = arrays
     allow = np.asarray(allow, dtype=bool)
     n, d = x.data.shape
     if allow.ndim != 3 or (n, n if rows is None else len(rows)) != (
@@ -611,57 +726,38 @@ def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
                          "B*Sq query rows")
     if heads < 1 or d % heads:
         raise ValueError("block width must be divisible by the heads")
-    f, vec, mat = wu.shape[-1], (d,), (d, d)
+    f, vec, mat = blk["w_up"].data.shape[-1], (d,), (d, d)
     if [a.shape for a in arrays] != [vec, vec, mat, vec, mat, mat, vec, mat,
                                      vec, vec, vec, (d, f), (f,), (f, d), vec]:
         raise ValueError(f"block tensors must fit a width of {d}")
-    h, xhat1, inv1 = _layernorm(x.data, g1, b1)
-    k, v = h @ wk, _affine(h, wv, bv)
-    _check_finite(k)
-    _check_finite(v)
-    hq, res = h, x.data
+    bsz, sq, s = allow.shape
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        hq, res = h[rows], res[rows]
-    q = _affine(hq, wq, bq)
-    att, probs = _attention(q, k, v, allow, heads)
-    x1 = _affine(att, wo, bo)
-    x1 += res
-    h2, xhat2, inv2 = _layernorm(x1, g2, b2)
-    out, u, cdf = _mlp(h2, wu, bu, wd, bd)
-    out += x1
-    saved = {"h": h, "xhat1": xhat1, "inv1": inv1, "hq": hq, "q": q, "k": k,
-             "v": v, "probs": probs, "att": att, "xhat2": xhat2,
-             "inv2": inv2, "h2": h2, "u": u, "cdf": cdf}
+        if not np.array_equal(rows // s, np.arange(bsz * sq) // sq):
+            raise ValueError("block query rows must lie in their own "
+                             "sequence")
+    if bsz == 1 or x.data.size < SPLIT_MIN:
+        out, saved = _block_forward(x.data, arrays, allow, heads, rows)
+        return _from_op(out, (x,) + ps, lambda g: _block_vjp(
+            g, saved, arrays, _wants(x, *ps), rows, n))
+    m = (bsz + 1) // 2
+    n0, r0 = m * s, m * sq      # the first half's input rows and output rows
+    rows0, rows1 = (None, None) if rows is None else (rows[:r0],
+                                                      rows[r0:] - n0)
+    (out0, saved0), (out1, saved1) = _in_halves(
+        _block_forward, (x.data[:n0], arrays, allow[:m], heads, rows0),
+        (x.data[n0:], arrays, allow[m:], heads, rows1))
 
     def vjp(g):
-        pop, wants = saved.pop, _wants(x, *ps)
-        cdf = pop("cdf")    # spent here, so it is _gelu_grad's spare too
-        dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), cdf,
-                              (True,) + wants[12:], cdf)
-        dx1, dg2, db2 = _layernorm_vjp(dh2, g2, pop("xhat2"), pop("inv2"),
-                                       (True,) + wants[10:12])
-        dx1 += g
-        datt, dwo, dbo = _affine_vjp(dx1, pop("att"), wo,
-                                     (True,) + wants[8:10])
-        dq, dk, dv = _attention_vjp(datt, pop("q"), pop("k"), pop("v"),
-                                    pop("probs"), (True,) * 3)
-        dh, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
-        if rows is not None:
-            dh = _scatter_rows(dh, rows, n)
-        h = pop("h")
-        dhk, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
-        dh += dhk
-        dhv, dwv, dbv = _affine_vjp(dv, h, wv, (True,) + wants[6:8])
-        dh += dhv
-        dx, dg1, db1 = _layernorm_vjp(dh, g1, pop("xhat1"), pop("inv1"),
-                                      wants[:3])
-        if dx is not None:
-            dx += dx1 if rows is None else _scatter_rows(dx1, rows, n)
-        return (dx, dg1, db1, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg2, db2,
-                *dmlp)
+        wants = _wants(x, *ps)
+        a, b = _in_halves(
+            _block_vjp, (g[:r0], saved0, arrays, wants, rows0, n0),
+            (g[r0:], saved1, arrays, wants, rows1, n - n0))
+        dx = None if a[0] is None else np.concatenate((a[0], b[0]))
+        return (dx, *(None if ga is None else ga + gb
+                      for ga, gb in zip(a[1:], b[1:])))
 
-    return _from_op(out, (x,) + ps, vjp)
+    return _from_op(np.concatenate((out0, out1)), (x,) + ps, vjp)
 
 
 # gradient checking --------------------------------------------------

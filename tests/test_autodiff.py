@@ -4,6 +4,10 @@ Hand-computed values anchor each op; finite differences check the vjps.
 """
 
 import math
+import os
+import signal
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -985,7 +989,247 @@ def test_block_rejects_bad_shapes():
             ((blk, allow, 2), r"B\*Sq query rows"),    # a window, no rows
             ((blk, allow, 2, rows[1:]), r"B\*Sq query rows"),
             ((blk, _BLOCK_ALLOW, 3), "divisible by the heads"),
+            # sequence 1's first query is row 1 of sequence 0
+            ((blk, allow, 2, np.array([2, 3, 1, 7, 10, 11])),
+             "in their own sequence"),
             ((dict(blk, bv=Tensor(np.zeros(1))), _BLOCK_ALLOW, 2),
              "width of 8")]:
         with pytest.raises(ValueError, match=match):
             ad.block(x, *args)
+
+
+# -- a wide block's two halves -----------------------------------------
+
+
+def _wide_block(rng, lengths, s, d=64):
+    """x, tensors and a ragged mask for sequences of ``lengths`` padded to
+    ``s`` rows of width ``d``."""
+    x, blk = _block_operands(rng, len(lengths) * s, d, 2 * d)
+    return x, blk, _ragged_allow(rng, lengths, s)
+
+
+def _block_pass(x, blk, allow, heads, rows=None, build=ad.block):
+    """Output and every gradient of a forward and backward pass."""
+    inputs = [x, *blk.values()]
+    for t in inputs:
+        t.zero_grad()
+    out = build(x, blk, allow, heads, rows)
+    weight = np.random.default_rng(0).normal(size=out.shape)
+    ad.tsum(ad.mul(out, Tensor(weight))).backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("bsz, s, splits", [
+    (4, 64, True),      # 16,384 values: SPLIT_MIN
+    (4, 63, False),     # 16,128 values
+    (1, 256, False)])   # 16,384 values in one sequence
+def test_block_splits_from_split_min_values(live_pool, bsz, s, splits):
+    """The split is set by the input's size and batch alone: one half goes
+    to the worker in forward and one in backward."""
+    x, blk, allow = _wide_block(np.random.default_rng(30), [s] * bsz, s)
+    assert (x.data.size >= ad.SPLIT_MIN) == (bsz * s == 256)
+    out = ad.block(x, blk, allow, 4)
+    assert live_pool.submits == int(splits)
+    ad.tsum(out).backward()
+    assert live_pool.submits == 2 * int(splits)
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+def test_split_block_matches_its_composition(monkeypatch, live_pool,
+                                             window):
+    """Three ragged sequences split 2 + 1: output and every gradient are
+    byte-equal with the first half on the worker or inline, and within
+    rtol 1e-12 of the unsplit composition, the gradients with an absolute
+    floor scaled by the largest of them: a half's sums round apart from
+    the whole's, and BLAS may sum a product of fewer rows in another
+    order."""
+    s, t = 86, 9
+    rng = np.random.default_rng(31)
+    x, blk, allow = _wide_block(rng, [86, 40, 73], s)
+    rows = None
+    if window:
+        allow = allow[:, s - t:]
+        rows = (np.arange(3)[:, None] * s + np.arange(s - t, s)).ravel()
+    got = _block_pass(x, blk, allow, 4, rows)
+    assert live_pool.submits == 2
+    monkeypatch.setattr(ad, "_split_pool", lambda: None)
+    inline = _block_pass(x, blk, allow, 4, rows)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in inline]
+    want = _block_pass(x, blk, allow, 4, rows, _composed_block)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+    floor = 1e-14 * max(np.abs(g).max() for g in want[1:])
+    for name, a, b in zip(("x",) + ad.BLOCK_PARAMS, got[1:], want[1:]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=floor,
+                                   err_msg=name)
+
+
+def test_split_block_under_the_process_pool_matches_inline(monkeypatch):
+    """The pool ``_split_pool`` gives this process, a live worker where
+    BLAS runs on one thread, leaves every byte as the inline run does."""
+    x, blk, allow = _wide_block(np.random.default_rng(35), [64, 64, 30], 86)
+    got = _block_pass(x, blk, allow, 4)
+    monkeypatch.setattr(ad, "_split_pool", lambda: None)
+    assert [a.tobytes() for a in got] == [
+        a.tobytes() for a in _block_pass(x, blk, allow, 4)]
+
+
+def _first_half_overflow():
+    """A block over 4 sequences of 64 rows at d = 64 whose key overflows in
+    the first half alone.  Every row's entries are integers summing to 0,
+    so its mean is exactly 0; only first-half rows are non-zero in column
+    3, where a huge ln1 gain and one huge entry of ``wk`` reach the key."""
+    rng = np.random.default_rng(32)
+    x, blk, allow = _wide_block(rng, [64] * 4, 64)
+    data = rng.integers(-3, 4, size=x.shape).astype(np.float64)
+    data[:128, 3], data[128:, 3] = 3.0, 0.0
+    data[:, -1] -= data.sum(axis=1)
+    x.data = data
+    blk["ln1_g"].data[3] = 1e300
+    blk["wk"].data[3, 0] = 1e10
+    return x, blk, allow
+
+
+def test_a_non_finite_first_half_raises_as_inline(monkeypatch, live_pool):
+    """The worker's NonFiniteError reaches the caller with the message the
+    inline run gives, and the next call runs on the same worker."""
+    x, blk, allow = _first_half_overflow()
+    raised = []
+    for pool in (None, live_pool):
+        monkeypatch.setattr(ad, "_split_pool", lambda: pool)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            ad.block(x, blk, allow, 4)
+        raised.append(str(err.value))
+    assert raised == ["non-finite value in tensor"] * 2
+    assert live_pool.submits == 1
+    x, blk, allow = _wide_block(np.random.default_rng(33), [64] * 4, 64)
+    got = _block_pass(x, blk, allow, 4)
+    assert live_pool.submits == 3
+    monkeypatch.setattr(ad, "_split_pool", lambda: None)
+    assert [a.tobytes() for a in got] == [
+        a.tobytes() for a in _block_pass(x, blk, allow, 4)]
+
+
+@pytest.mark.parametrize("state, error", [
+    ({"all": "ignore"}, NonFiniteError),
+    ({"over": "raise"}, FloatingPointError)], ids=["ignore", "raise"])
+def test_the_worker_runs_under_the_callers_errstate(live_pool, state,
+                                                    error):
+    """The first half's overflow happens on the worker under the caller's
+    ``np.errstate``: ignored, it warns of nothing and the key check
+    raises; set to raise, numpy raises there."""
+    x, blk, allow = _first_half_overflow()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**state), pytest.raises(error):
+            ad.block(x, blk, allow, 4)
+    assert live_pool.submits == 1
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker",
+                                                       "inline"])
+def test_a_failed_half_waits_for_the_other(monkeypatch, live_pool,
+                                           on_worker):
+    """When the second half raises, the call returns only once the first
+    has ended; when both raise, the first half's error is the one raised."""
+    if not on_worker:
+        monkeypatch.setattr(ad, "_split_pool", lambda: None)
+    ended = []
+
+    def half(i, fails):
+        if i == 0:
+            time.sleep(0.05)
+            ended.append(i)
+        if fails:
+            raise ValueError(f"half {i}")
+
+    with pytest.raises(ValueError, match="^half 1$"):
+        ad._in_halves(half, (0, False), (1, True))
+    assert ended == [0]
+    with pytest.raises(ValueError, match="^half 0$"):
+        ad._in_halves(half, (0, True), (1, True))
+    assert live_pool.submits == 2 * on_worker
+
+
+def test_split_block_replays_under_a_tiny_switch_interval(live_pool):
+    """20 forward and backward passes with the GIL handed over every
+    microsecond give the same bytes."""
+    x, blk, allow = _wide_block(np.random.default_rng(34), [64, 50, 64, 20],
+                                64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {b"".join(a.tobytes() for a in _block_pass(x, blk, allow, 4))
+                for _ in range(20)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 1
+    assert live_pool.submits == 40
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_gets_a_worker_of_its_own(monkeypatch):
+    """A child forked after the worker started has no worker thread; it
+    builds its own pool instead of waiting on the parent's forever."""
+    monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    x, blk, allow = _wide_block(np.random.default_rng(36), [64] * 4, 64)
+    ad._split_pool.cache_clear()
+    try:
+        parent_pool = ad._split_pool()
+        ad.block(x, blk, allow, 4)          # starts the worker thread
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                if ad._split_pool() in (None, parent_pool):
+                    code = 2
+                else:
+                    ad.block(x, blk, allow, 4)
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on a split block")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        ad._split_pool().shutdown()
+        ad._split_pool.cache_clear()
+
+
+def test_split_pool_needs_two_cpus_and_one_blas_thread(monkeypatch):
+    """A worker only where the process may use two CPUs (the CPU count
+    stands in where there is no affinity call) and BLAS reports exactly
+    one thread."""
+    threads = ad._blas_threads()
+    assert threads is None or threads >= 1
+    cases = [({0, 1}, 1, True), ({0}, 1, False), ({0, 1}, 2, False),
+             ({0, 1}, None, False)]
+    try:
+        for cpus, blas, live in cases:
+            monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            monkeypatch.setattr(ad, "_blas_threads", lambda: blas)
+            ad._split_pool.cache_clear()
+            pool = ad._split_pool()
+            assert (pool is not None) == live
+            assert ad._split_pool() is pool
+            if pool is not None:
+                pool.shutdown()
+        monkeypatch.delattr(ad.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
+        for count, live in [(1, False), (2, True), (None, False)]:
+            monkeypatch.setattr(ad.os, "cpu_count", lambda: count)
+            ad._split_pool.cache_clear()
+            pool = ad._split_pool()
+            assert (pool is not None) == live
+            if pool is not None:
+                pool.shutdown()
+    finally:
+        ad._split_pool.cache_clear()

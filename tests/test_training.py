@@ -522,6 +522,62 @@ def test_batched_step_equals_per_sample_composition(seed, n, mode, dist):
                                    err_msg=name)
 
 
+# perfbench's sft-d64 config: every block input of a batch of 4 or more
+# holds at least autodiff.SPLIT_MIN values
+WIDE = merge(default_config(), {"grid": {"rows": 8, "cols": 8},
+                                "predictor": {"d": 64}})
+
+
+@pytest.mark.parametrize("mode, n", [("sft", 4), ("masked", 8)])
+def test_split_batch_equals_per_sample_composition(monkeypatch, live_pool,
+                                                   mode, n):
+    """A wide batch, whose blocks run in two halves, gives the same bytes
+    with the first half on the worker or inline, and matches the
+    per-sample composition (B = 1, never split) to the bounds of
+    test_batched_step_equals_per_sample_composition."""
+    b = bundle_from(merge(WIDE, {"model_seed": 41}))
+    trainer = Trainer(b, TrainConfig(stage="sft" if mode == "sft"
+                                     else "align", seed=41))
+    samples = generate(41, n, b.grid, b.vocab)
+    masks = [trainer.mask_for(i) if mode == "masked" else trainer.unmasked
+             for i in range(n)]
+    plan = b.plan(samples, masks)
+    assert plan.allow.shape[1] * n * 64 >= ad.SPLIT_MIN
+    got = _losses_and_grads(trainer, _plan_and_run, samples, masks)
+    assert live_pool.submits == 2 * b.predictor.cfg.L
+    monkeypatch.setattr(ad, "_split_pool", lambda: None)
+    inline = _losses_and_grads(trainer, _plan_and_run, samples, masks)
+    assert got[0] == inline[0]
+    assert {k: g.tobytes() for k, g in got[1].items()} == {
+        k: g.tobytes() for k, g in inline[1].items()}
+    want = _losses_and_grads(trainer, _per_sample_losses, samples, masks)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+    assert set(got[1]) == set(want[1])
+    floor = 1e-14 * max(np.abs(g).max() for g in want[1].values())
+    for name, g in want[1].items():
+        np.testing.assert_allclose(got[1][name], g, rtol=1e-12, atol=floor,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("stage", ["align", "sft"])
+def test_split_steps_write_the_same_bytes_with_or_without_the_worker(
+        tmp_path, monkeypatch, live_pool, stage):
+    """Three wide steps write the same log and checkpoint whether the
+    first half of each block runs on the worker or inline."""
+    outs = []
+    for i, pool in enumerate((live_pool, None)):
+        monkeypatch.setattr(ad, "_split_pool", lambda: pool)
+        log, ckpt = tmp_path / f"log{i}.jsonl", tmp_path / f"ckpt{i}.bin"
+        b = bundle_from(WIDE)
+        run_stage(b, TrainConfig(stage=stage, batch_size=8, seed=41),
+                  generate(41, 24, b.grid, b.vocab), log_path=log,
+                  ckpt_path=ckpt)
+        outs.append((log.read_bytes(), ckpt.read_bytes()))
+    assert live_pool.submits > 0
+    assert len(outs[0][0].splitlines()) == 3
+    assert outs[0] == outs[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**16), st.lists(st.integers(2, 9), min_size=1,
                                        max_size=4),
