@@ -312,14 +312,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         g, x.data, w1.data, w2.data, u, cdf, _wants(x, w1, b1, w2, b2)))
 
 
-def _layernorm(x: np.ndarray, gain, bias, eps: float = 1e-5) -> tuple:
+# added to a layernorm's variance before its square root
+LN_EPS = 1e-5
+
+
+def _layernorm(x: np.ndarray, gain, bias) -> tuple:
     """``layernorm`` on arrays: (output, xhat, 1 / std)."""
     d = x.shape[-1]
     # centred, then scaled in place; sum / d is how np.mean and np.var divide
     xhat = x - x.sum(axis=-1, keepdims=True) / d
     data = xhat * xhat              # the squared deviations, then the output
     var = data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain, out=data)
     data += bias
@@ -343,13 +347,12 @@ def _layernorm_vjp(g, gain, xhat, inv, wants) -> tuple:
             g.sum(axis=axes) if wants[2] else None)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor,
-              eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layernorm gain/bias must match the last extent")
-    data, xhat, inv = _layernorm(x.data, gain.data, bias.data, eps)
+    data, xhat, inv = _layernorm(x.data, gain.data, bias.data)
     return _from_op(data, (x, gain, bias), lambda g: _layernorm_vjp(
         g, gain.data, xhat, inv, _wants(x, gain, bias)))
 
@@ -543,18 +546,15 @@ def cosine_distance(pred: Tensor, tgt: Tensor, weights) -> Tensor:
     return _from_op(data, (pred, tgt), vjp)
 
 
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """An n-row zero array with the rows of ``g`` added at ``idx``: the
-    gradient of ``a[idx]`` for an n-row ``a``."""
-    out = np.zeros((n,) + g.shape[1:])
-    np.add.at(out, idx, g)
-    return out
-
-
 def gather_rows(x: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
-    return _from_op(x.data[idx], (x,),
-                    lambda g: (_scatter_rows(g, idx, x.data.shape[0]),))
+
+    def vjp(g):
+        gx = np.zeros(x.data.shape)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return _from_op(x.data[idx], (x,), vjp)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -590,16 +590,18 @@ BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
 _block_tensors = operator.itemgetter(*BLOCK_PARAMS)
 
 
-def _block_forward(x, arrays, allow, heads, rows) -> tuple:
+def _block_forward(x, arrays, allow, heads, t) -> tuple:
     """``block`` on arrays: (output, what its vjp reads)."""
     g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, wu, bu, wd, bd = arrays
+    bsz, s, _ = allow.shape
     h, xhat1, inv1 = _layernorm(x, g1, b1)
     k, v = h @ wk, _affine(h, wv, bv)
     _check_finite(k)
     _check_finite(v)
-    hq, res = (h, x) if rows is None else (h[rows], x[rows])
+    hq, res = (h, x) if t == s else [
+        a.reshape(bsz, s, -1)[:, s - t:].reshape(bsz * t, -1) for a in (h, x)]
     q = _affine(hq, wq, bq)
-    att, probs = _attention(q, k, v, allow, heads)
+    att, probs = _attention(q, k, v, allow[:, s - t:], heads)
     x1 = _affine(att, wo, bo)
     x1 += res
     h2, xhat2, inv2 = _layernorm(x1, g2, b2)
@@ -610,12 +612,12 @@ def _block_forward(x, arrays, allow, heads, rows) -> tuple:
                  "inv2": inv2, "h2": h2, "u": u, "cdf": cdf}
 
 
-def _block_vjp(g, saved, arrays, wants, rows, n) -> tuple:
-    """``block``'s gradients for x and its 15 tensors, from the ``saved``
-    arrays of an ``n``-row input, each popped once its last reader has
-    run."""
+def _block_vjp(g, saved, arrays, wants) -> tuple:
+    """``block``'s gradients for x and its 15 tensors, from its ``saved``
+    arrays, each popped once its last reader has run."""
     g1, _, wq, _, wk, wv, _, wo, _, g2, _, wu, _, wd, _ = arrays
     pop = saved.pop
+    bsz, _, t, s = saved["probs"].shape
     cdf = pop("cdf")    # spent here, so it is _gelu_grad's spare too
     dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), cdf,
                           (True,) + wants[12:], cdf)
@@ -625,18 +627,18 @@ def _block_vjp(g, saved, arrays, wants, rows, n) -> tuple:
     datt, dwo, dbo = _affine_vjp(dx1, pop("att"), wo, (True,) + wants[8:10])
     dq, dk, dv = _attention_vjp(datt, pop("q"), pop("k"), pop("v"),
                                 pop("probs"), (True,) * 3)
-    dh, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
-    if rows is not None:
-        dh = _scatter_rows(dh, rows, n)
+    dhq, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
     h = pop("h")
-    dhk, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
-    dh += dhk
+    dh, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
+    # h's gradient is the query, key and value terms summed in that order
+    # (key + query is query + key); the queries are each sequence's last t
+    dh.reshape(bsz, s, -1)[:, s - t:] += dhq.reshape(bsz, t, -1)
     dhv, dwv, dbv = _affine_vjp(dv, h, wv, (True,) + wants[6:8])
     dh += dhv
     dx, dg1, db1 = _layernorm_vjp(dh, g1, pop("xhat1"), pop("inv1"),
                                   wants[:3])
     if dx is not None:
-        dx += dx1 if rows is None else _scatter_rows(dx1, rows, n)
+        dx.reshape(bsz, s, -1)[:, s - t:] += dx1.reshape(bsz, t, -1)
     return (dx, dg1, db1, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg2, db2, *dmlp)
 
 
@@ -695,14 +697,14 @@ def _in_halves(fn, first: tuple, second: tuple) -> tuple:
 
 
 def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
-          rows=None) -> Tensor:
+          window=None) -> Tensor:
     """One pre-layernorm transformer block as one node: ``x1 = x +
     linear(attention(q, k, v), wo, bo)`` over ``h = layernorm(x, ln1)``, then
     ``x1 + mlp(layernorm(x1, ln2))``.  ``blk`` maps BLOCK_PARAMS to
-    tensors; ``x`` is (B*S) x d and ``allow`` B x Sq x S, as for
-    ``attention``.  With ``rows`` (B*Sq indices, sequence b's among its
-    own rows ``b*S:(b+1)*S``) the queries and the residual, and so the
-    output, are those rows of h and x; without, Sq = S.
+    tensors; ``x`` is (B*S) x d and ``allow`` B x S x S, as for
+    ``attention``.  With a ``window`` of T rows the queries and the
+    residual, and so the output, are the last T rows of each sequence,
+    (B*T) x d, under ``allow[:, S-T:]``; None means T = S.
     The vjp sums h's gradient as the engine did, query term, then key,
     then value, and drops each saved array once its last reader has run.
     Besides the output, k and v are checked for non-finite values: softmax
@@ -720,39 +722,32 @@ def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
     arrays = [p.data for p in ps]
     allow = np.asarray(allow, dtype=bool)
     n, d = x.data.shape
-    if allow.ndim != 3 or (n, n if rows is None else len(rows)) != (
-            allow.shape[0] * allow.shape[2], allow.shape[0] * allow.shape[1]):
-        raise ValueError("block wants a B x Sq x S mask, B*S rows of x and "
-                         "B*Sq query rows")
+    if allow.ndim != 3 or allow.shape[1] != allow.shape[2] or (
+            n != allow.shape[0] * allow.shape[1]):
+        raise ValueError("block wants a B x S x S mask and B*S rows of x")
+    bsz, s, _ = allow.shape
+    t = s if window is None else window
+    if not 0 <= t <= s:
+        raise ValueError(f"window of {t} rows outside a sequence of {s}")
     if heads < 1 or d % heads:
         raise ValueError("block width must be divisible by the heads")
     f, vec, mat = blk["w_up"].data.shape[-1], (d,), (d, d)
     if [a.shape for a in arrays] != [vec, vec, mat, vec, mat, mat, vec, mat,
                                      vec, vec, vec, (d, f), (f,), (f, d), vec]:
         raise ValueError(f"block tensors must fit a width of {d}")
-    bsz, sq, s = allow.shape
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if not np.array_equal(rows // s, np.arange(bsz * sq) // sq):
-            raise ValueError("block query rows must lie in their own "
-                             "sequence")
     if bsz == 1 or x.data.size < SPLIT_MIN:
-        out, saved = _block_forward(x.data, arrays, allow, heads, rows)
+        out, saved = _block_forward(x.data, arrays, allow, heads, t)
         return _from_op(out, (x,) + ps, lambda g: _block_vjp(
-            g, saved, arrays, _wants(x, *ps), rows, n))
+            g, saved, arrays, _wants(x, *ps)))
     m = (bsz + 1) // 2
-    n0, r0 = m * s, m * sq      # the first half's input rows and output rows
-    rows0, rows1 = (None, None) if rows is None else (rows[:r0],
-                                                      rows[r0:] - n0)
     (out0, saved0), (out1, saved1) = _in_halves(
-        _block_forward, (x.data[:n0], arrays, allow[:m], heads, rows0),
-        (x.data[n0:], arrays, allow[m:], heads, rows1))
+        _block_forward, (x.data[:m * s], arrays, allow[:m], heads, t),
+        (x.data[m * s:], arrays, allow[m:], heads, t))
 
     def vjp(g):
         wants = _wants(x, *ps)
-        a, b = _in_halves(
-            _block_vjp, (g[:r0], saved0, arrays, wants, rows0, n0),
-            (g[r0:], saved1, arrays, wants, rows1, n - n0))
+        a, b = _in_halves(_block_vjp, (g[:m * t], saved0, arrays, wants),
+                          (g[m * t:], saved1, arrays, wants))
         dx = None if a[0] is None else np.concatenate((a[0], b[0]))
         return (dx, *(None if ga is None else ga + gb
                       for ga, gb in zip(a[1:], b[1:])))

@@ -179,20 +179,14 @@ class Predictor:
         and the head run on the window alone.  Nothing at or before the
         tap is restricted: with the tap at the last block the window must
         be S."""
-        bsz, s = allow.shape[:2]
-        if not 0 <= window <= s:
-            raise ValueError(f"window of {window} rows outside a sequence "
-                             f"of {s}")
-        if window < s and self.cfg.tap_layer == self.cfg.L:
+        if window < allow.shape[1] and self.cfg.tap_layer == self.cfg.L:
             raise ValueError("the tap is the last block: the window must "
                              "cover every row")
         x = tokens + pos
         tap = None
-        rows = (np.arange(bsz)[:, None] * s + np.arange(s - window, s)).ravel()
         for i, blk in enumerate(self.blocks, 1):
-            last = i == self.cfg.L
-            x = ad.block(x, blk, allow[:, s - window:] if last else allow,
-                         self.cfg.H, rows if last else None)
+            x = ad.block(x, blk, allow, self.cfg.H,
+                         window if i == self.cfg.L else None)
             if i == self.cfg.tap_layer:
                 tap = x
         logits = ad.linear(ad.layernorm(x, self.lnf_g, self.lnf_b),

@@ -890,13 +890,16 @@ def _block_operands(rng, n, d=8, f=16):
     return x, dict(zip(ad.BLOCK_PARAMS, ps))
 
 
-def _composed_block(x, blk, allow, heads, rows=None):
+def _composed_block(x, blk, allow, heads, window=None):
     """The composition ``block`` replaces, as ``Predictor.forward`` ran it."""
     h = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
     k = ad.matmul(h, blk["wk"])
     v = ad.linear(h, blk["wv"], blk["bv"])
-    if rows is not None:
+    if window is not None:
+        bsz, s = allow.shape[:2]
+        rows = (np.arange(bsz)[:, None] * s + np.arange(s - window, s)).ravel()
         x, h = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
+        allow = allow[:, s - window:]
     q = ad.linear(h, blk["wq"], blk["bq"])
     x = x + ad.linear(ad.attention(q, k, v, allow, heads), blk["wo"],
                       blk["bo"])
@@ -908,36 +911,28 @@ def _composed_block(x, blk, allow, heads, rows=None):
 # of each as a caption window
 _S, _T = 4, 2
 _BLOCK_ALLOW = _ragged_allow(np.random.default_rng(21), (4, 2, 3), _S)
-_WINDOW = (np.arange(3)[:, None] * _S + np.arange(_S - _T, _S)).ravel()
 
 
-def _block_case(window):
-    """(mask, rows) of the whole padded batch or of its window."""
-    return (_BLOCK_ALLOW[:, _S - _T:], _WINDOW) if window else (_BLOCK_ALLOW,
-                                                                 None)
-
-
-@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+@pytest.mark.parametrize("window", [None, _T], ids=["full", "window"])
 def test_block_grad_matches_fd(window):
     rng = np.random.default_rng(22)
-    allow, rows = _block_case(window)
     x, blk = _block_operands(rng, 3 * _S)
-    weight = Tensor(rng.normal(size=(3 * allow.shape[1], 8)))
+    weight = Tensor(rng.normal(size=(3 * (window or _S), 8)))
 
     def f():
-        return ad.tsum(ad.mul(ad.block(x, blk, allow, 2, rows), weight))
+        return ad.tsum(ad.mul(ad.block(x, blk, _BLOCK_ALLOW, 2, window),
+                              weight))
 
     assert ad.fd_check(f, [x, *blk.values()]) < 1e-6
 
 
-@pytest.mark.parametrize("window", [False, True], ids=["full", "window"])
+@pytest.mark.parametrize("window", [None, _T], ids=["full", "window"])
 @pytest.mark.parametrize("trainable", [True, False], ids=["sft", "align"])
 def test_block_is_bit_identical_to_its_composition(trainable, window):
     """Output and every gradient equal the composition's bit for bit on a
     padded batch, with the block's tensors trainable (sft) or frozen
     (align: only x gets a gradient); forward then backward leaves every
     input byte-equal."""
-    allow, rows = _block_case(window)
 
     def run(build):
         rng = np.random.default_rng(23)
@@ -946,7 +941,7 @@ def test_block_is_bit_identical_to_its_composition(trainable, window):
             p.requires_grad = trainable
         inputs = [x, *blk.values()]
         before = [t.data.tobytes() for t in inputs]
-        out = build(x, blk, allow, 2, rows)
+        out = build(x, blk, _BLOCK_ALLOW, 2, window)
         ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         assert [t.data.tobytes() for t in inputs] == before
         return [out.data] + [t.grad for t in inputs]
@@ -974,24 +969,24 @@ def test_block_rejects_a_non_finite_key_or_value_no_query_reads(weight):
     arrays["ln2_g"] = np.ones(d)
     arrays[weight][3, 0] = 1e10
     blk = {name: Tensor(a) for name, a in arrays.items()}
-    allow = np.array([[[False, True, True]]])
+    allow = np.array([[[True, False, False], [True, True, False],
+                       [False, True, True]]])
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonFiniteError, match="^non-finite value in tensor$"):
-        ad.block(x, blk, allow, 2, np.array([2]))
+        ad.block(x, blk, allow, 2, window=1)
 
 
 def test_block_rejects_bad_shapes():
     x, blk = _block_operands(np.random.default_rng(24), 3 * _S)
-    allow, rows = _block_case(True)
     for args, match in [
-            ((blk, allow[0], 2), "B x Sq x S mask"),
+            ((blk, _BLOCK_ALLOW[0], 2), "B x S x S mask"),
+            ((blk, _BLOCK_ALLOW[:, _S - _T:], 2), "B x S x S mask"),
             ((blk, _BLOCK_ALLOW[:2], 2), r"B\*S rows of x"),
-            ((blk, allow, 2), r"B\*Sq query rows"),    # a window, no rows
-            ((blk, allow, 2, rows[1:]), r"B\*Sq query rows"),
+            ((blk, _BLOCK_ALLOW, 2, -1), "^window of -1 rows outside a "
+             "sequence of 4$"),
+            ((blk, _BLOCK_ALLOW, 2, _S + 1), "^window of 5 rows outside a "
+             "sequence of 4$"),
             ((blk, _BLOCK_ALLOW, 3), "divisible by the heads"),
-            # sequence 1's first query is row 1 of sequence 0
-            ((blk, allow, 2, np.array([2, 3, 1, 7, 10, 11])),
-             "in their own sequence"),
             ((dict(blk, bv=Tensor(np.zeros(1))), _BLOCK_ALLOW, 2),
              "width of 8")]:
         with pytest.raises(ValueError, match=match):
@@ -1008,13 +1003,16 @@ def _wide_block(rng, lengths, s, d=64):
     return x, blk, _ragged_allow(rng, lengths, s)
 
 
-def _block_pass(x, blk, allow, heads, rows=None, build=ad.block):
-    """Output and every gradient of a forward and backward pass."""
+def _block_pass(x, blk, allow, heads, window=None, build=ad.block,
+                weight=None):
+    """Output and every gradient of a forward and backward pass whose
+    output gradient is ``weight``, by default normal draws of seed 0."""
     inputs = [x, *blk.values()]
     for t in inputs:
         t.zero_grad()
-    out = build(x, blk, allow, heads, rows)
-    weight = np.random.default_rng(0).normal(size=out.shape)
+    out = build(x, blk, allow, heads, window)
+    if weight is None:
+        weight = np.random.default_rng(0).normal(size=out.shape)
     ad.tsum(ad.mul(out, Tensor(weight))).backward()
     return [out.data] + [t.grad for t in inputs]
 
@@ -1046,21 +1044,46 @@ def test_split_block_matches_its_composition(monkeypatch, live_pool,
     s, t = 86, 9
     rng = np.random.default_rng(31)
     x, blk, allow = _wide_block(rng, [86, 40, 73], s)
-    rows = None
-    if window:
-        allow = allow[:, s - t:]
-        rows = (np.arange(3)[:, None] * s + np.arange(s - t, s)).ravel()
-    got = _block_pass(x, blk, allow, 4, rows)
+    window = t if window else None
+    got = _block_pass(x, blk, allow, 4, window)
     assert live_pool.submits == 2
     monkeypatch.setattr(ad, "_split_pool", lambda: None)
-    inline = _block_pass(x, blk, allow, 4, rows)
+    inline = _block_pass(x, blk, allow, 4, window)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in inline]
-    want = _block_pass(x, blk, allow, 4, rows, _composed_block)
+    want = _block_pass(x, blk, allow, 4, window, _composed_block)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
     floor = 1e-14 * max(np.abs(g).max() for g in want[1:])
     for name, a, b in zip(("x",) + ad.BLOCK_PARAMS, got[1:], want[1:]):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=floor,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("window", [None, 9], ids=["full", "window"])
+def test_split_block_is_its_halves_composed(window):
+    """Three ragged sequences split 2 + 1: output and x's gradient equal,
+    bit for bit, the composition run on sequences [0, 2) and then on
+    [2, 3), joined, and each tensor's gradient is the first half's plus
+    the second's.  Each matmul sees the rows the split gives it, so unlike
+    the test above this holds whatever BLAS kernel runs.  (Bytes may
+    differ in a zero's sign: a pad row outside the window gets -0.0 where
+    ``gather_rows`` adds +0.0.)"""
+    s, m = 86, 2
+    x, blk, allow = _wide_block(np.random.default_rng(31), [86, 40, 73], s)
+    assert x.data.size >= ad.SPLIT_MIN
+    got = _block_pass(x, blk, allow, 4, window)
+    t = window or s
+    weight = np.random.default_rng(0).normal(size=(3 * t, x.shape[1]))
+    halves = [_block_pass(Tensor(x.data[rows], requires_grad=True), blk,
+                          allow[seqs], 4, window, _composed_block,
+                          weight[out_rows])
+              for rows, seqs, out_rows in [
+                  (slice(0, m * s), slice(0, m), slice(0, m * t)),
+                  (slice(m * s, None), slice(m, None), slice(m * t, None))]]
+    (a, *ga), (b, *gb) = halves
+    want = [np.concatenate((a, b)), np.concatenate((ga[0], gb[0]))] + [
+        p + q for p, q in zip(ga[1:], gb[1:])]
+    for name, g, w in zip(("out", "x") + ad.BLOCK_PARAMS, got, want):
+        assert np.array_equal(g, w), name
 
 
 def test_split_block_under_the_process_pool_matches_inline(monkeypatch):

@@ -142,6 +142,26 @@ def test_sft_init_compares_the_resolved_predictor(tmp_path):
                  "--init", str(out / "align_ckpt.bin")]) == EXIT_OK
 
 
+def test_sft_init_ignores_what_an_sft_step_never_reads(tmp_path):
+    """Only the ``predictor`` section is compared: an sft step builds no
+    target rows, so ``attn``, ``loss`` and ``sampler`` never reach it,
+    and the grid changes S, not a tensor shape.  A 3x3 align checkpoint
+    loads into and trains a 4x5 sft run with other attention and loss
+    settings."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "run"
+    assert main(["train", "align", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    cfg.write_text(json.dumps({
+        **TINY_CONFIG, "grid": {"rows": 4, "cols": 5},
+        "attn": {"tgt_cross_block": True},
+        "loss": {"distance": "smooth_l1"}}))
+    assert main(["train", "sft", "--config", str(cfg), "--out", str(out),
+                 "--init", str(out / "align_ckpt.bin")]) == EXIT_OK
+    assert (out / "sft_ckpt.bin").exists()
+
+
 def test_gradcheck_passes_by_default(capsys):
     assert main(["gradcheck"]) == EXIT_OK
     out = capsys.readouterr().out
