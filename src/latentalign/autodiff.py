@@ -406,7 +406,8 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _attention(q, k, v, allow: np.ndarray, heads: int) -> tuple:
-    """``attention`` on arrays: (output, softmax probabilities)."""
+    """Multi-head scaled dot-product attention on arrays under a B x Sq x S
+    mask, q (B*Sq) x d, k and v (B*S) x d: (output, softmax probs)."""
     qh, kh, vh = [_split_heads(a, allow.shape[0], heads) for a in (q, k, v)]
     # a contiguous K^T keeps QK^T bit-identical to the per-head composition
     logits = qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))
@@ -416,7 +417,7 @@ def _attention(q, k, v, allow: np.ndarray, heads: int) -> tuple:
 
 
 def _attention_vjp(g, q, k, v, probs, wants) -> tuple:
-    """``attention``'s gradients for q, k and v."""
+    """``_attention``'s gradients for q, k and v."""
     bsz, heads = probs.shape[:2]
     qh, kh, vh, gh = [_split_heads(a, bsz, heads) for a in (q, k, v, g)]
     gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
@@ -424,43 +425,6 @@ def _attention_vjp(g, q, k, v, probs, wants) -> tuple:
     return (_merged(gs, kh) if wants[0] else None,
             _merged(gs.swapaxes(-1, -2), qh) if wants[1] else None,
             _merged(probs.swapaxes(-1, -2), gh) if wants[2] else None)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray,
-              heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over a batch of sequences
-    padded to one length S, as one node.
-
-    ``allow`` is B x Sq x S.  ``k`` and ``v`` are (B*S) x d and ``q`` is
-    (B*Sq) x d: sequence b owns key rows ``b*S:(b+1)*S``, query rows
-    ``b*Sq:(b+1)*Sq`` and output rows alike, and head i columns
-    ``i*dh:(i+1)*dh`` with ``dh = d // heads``.  Query row i of sequence b
-    may read key row j of the same sequence only where ``allow[b, i, j]``;
-    no row reads another sequence.  With Sq < S the queries are any Sq
-    rows of each sequence and ``allow`` holds their rows of the full
-    mask, so the output is those rows of the full call.  Per sequence it
-    matches the per-head composition slice_cols / transpose / matmul /
-    softmax_masked / matmul / concat to within rtol 1e-12 (float sums may
-    be reassociated by BLAS).
-    """
-    allow = np.asarray(allow, dtype=bool)
-    if allow.ndim != 3:
-        raise ValueError("mask shape must be B x Sq x S")
-    bsz, sq, s = allow.shape
-    n, d = k.data.shape
-    if n != bsz * s:
-        raise ValueError("attention k must have B*S rows for a B x Sq x S "
-                         "mask")
-    if q.data.shape != (bsz * sq, d):
-        raise ValueError("attention q must be (B*Sq) x d for a B x Sq x S "
-                         "mask")
-    if v.data.shape != (n, d):
-        raise ValueError("attention k and v must share one shape")
-    if heads < 1 or d % heads:
-        raise ValueError("attention width must be divisible by the heads")
-    data, probs = _attention(q.data, k.data, v.data, allow, heads)
-    return _from_op(data, (q, k, v), lambda g: _attention_vjp(
-        g, q.data, k.data, v.data, probs, _wants(q, k, v)))
 
 
 def _row_weights(weights, n: int) -> np.ndarray:
@@ -701,10 +665,11 @@ def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
     """One pre-layernorm transformer block as one node: ``x1 = x +
     linear(attention(q, k, v), wo, bo)`` over ``h = layernorm(x, ln1)``, then
     ``x1 + mlp(layernorm(x1, ln2))``.  ``blk`` maps BLOCK_PARAMS to
-    tensors; ``x`` is (B*S) x d and ``allow`` B x S x S, as for
-    ``attention``.  With a ``window`` of T rows the queries and the
-    residual, and so the output, are the last T rows of each sequence,
-    (B*T) x d, under ``allow[:, S-T:]``; None means T = S.
+    tensors; ``x`` is (B*S) x d, S rows per sequence, and row i of
+    sequence b reads row j of it only where ``allow[b, i, j]`` (B x S x S).
+    With a ``window`` of T rows the queries and the residual, and so the
+    output, are the last T rows of each sequence, (B*T) x d, under
+    ``allow[:, S-T:]``; None means T = S.
     The vjp sums h's gradient as the engine did, query term, then key,
     then value, and drops each saved array once its last reader has run.
     Besides the output, k and v are checked for non-finite values: softmax

@@ -114,10 +114,6 @@ def _is_index_list(x) -> bool:
         type(i) is int and i >= 0 for i in x)
 
 
-def _round_half_up(x: float) -> int:
-    return int(x + 0.5)
-
-
 def sample_block(grid: PatchGrid, scale: float, aspect: float,
                  rng: random.Random) -> BlockSpec:
     """Sample a block whose area is ~scale*N with the given aspect ratio."""

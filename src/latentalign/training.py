@@ -260,9 +260,7 @@ class ModelBundle:
         parts = [self.proj(plan.ctx)]
         if plan.phi is not None:
             parts.append(self.latent.z + plan.phi)
-        if plan.ids.size:
-            parts.append(gather_rows(self.predictor.tok_emb, plan.ids))
-        parts.append(plan.pad)
+        parts += [gather_rows(self.predictor.tok_emb, plan.ids), plan.pad]
         return gather_rows(concat(parts, axis=0), plan.layout.order)
 
     def forward(self, plan: BatchPlan):

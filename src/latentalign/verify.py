@@ -19,7 +19,7 @@ from .attention import (PAD_ROLE, AttnVariant, build_mask, oracle_mask,
 from .autodiff import Tensor, fd_check
 from .data import generate
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
-                      sample_mask, _round_half_up)
+                      sample_mask)
 from .model import load_checkpoint, pack, save_checkpoint
 from .objective import combine, ntp_loss
 from .training import TrainConfig, Trainer, run_stage
@@ -65,6 +65,10 @@ def check_mask_oracle(n_configs: int = 200, seed: int = 0,
             if not np.array_equal(a, oracle_mask(roles, variant).allow):
                 return False, f"mismatch at config {i}"
     return True, f"{n_configs} configurations agree"
+
+
+def _round_half_up(x: float) -> int:
+    return int(x + 0.5)
 
 
 def check_sampler(n_draws: int = 2000, seed: int = 0):

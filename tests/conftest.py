@@ -1,12 +1,23 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import concurrent.futures
 
 import pytest
 
-from latentalign import autodiff
+from latentalign import autodiff as ad
 
 WAIT_S = 60.0   # a half that has not finished by then is taken as hung
+
+
+def attention_node(q, k, v, allow, heads):
+    """Multi-head attention as one node, over the array helpers that
+    ``autodiff.block`` runs, so the tests can check their arithmetic
+    alone.  ``allow`` is B x Sq x S, q (B*Sq) x d, k and v (B*S) x d:
+    query row i of sequence b reads key row j of the same sequence only
+    where ``allow[b, i, j]``, and head i owns columns i*dh:(i+1)*dh."""
+    data, probs = ad._attention(q.data, k.data, v.data, allow, heads)
+    return ad._from_op(data, (q, k, v), lambda g: ad._attention_vjp(
+        g, q.data, k.data, v.data, probs, ad._wants(q, k, v)))
 
 
 class LivePool:
@@ -38,6 +49,6 @@ class _Waited:
 def live_pool(monkeypatch):
     """Split blocks run their first half on a LivePool's worker."""
     pool = LivePool()
-    monkeypatch.setattr(autodiff, "_split_pool", lambda: pool)
+    monkeypatch.setattr(ad, "_split_pool", lambda: pool)
     yield pool
     pool.shutdown()

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from latentalign import autodiff as ad
 from latentalign.autodiff import NonFiniteError, Tensor
 
+from conftest import attention_node
+
 
 def _scalar_fd(f, x, eps=1e-6):
     return (f(x + eps) - f(x - eps)) / (2 * eps)
@@ -278,7 +280,7 @@ def _operands(rng, shapes):
 
 
 def _reference_attention(q, k, v, allow, heads):
-    """The per-head composition ``attention`` replaces."""
+    """The per-head composition that ``attention_node`` fuses."""
     dh = q.shape[1] // heads
     outs = []
     for i in range(heads):
@@ -310,7 +312,7 @@ def test_attention_grad_matches_fd(heads):
     weight = Tensor(rng.normal(size=(s, d)))
 
     def f():
-        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, heads), weight))
+        return ad.tsum(ad.mul(attention_node(q, k, v, allow, heads), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
 
@@ -349,8 +351,8 @@ def test_attention_matches_per_head_composition(seed, s, heads, dh):
     shapes = [(s, heads * dh)] * 3
     _assert_equivalent(
         _value_and_grads(
-            lambda q, k, v: ad.attention(q, k, v, allow[None], heads), shapes,
-            seed),
+            lambda q, k, v: attention_node(q, k, v, allow[None], heads),
+            shapes, seed),
         _value_and_grads(
             lambda q, k, v: _reference_attention(q, k, v, allow, heads),
             shapes, seed))
@@ -387,7 +389,7 @@ def test_batched_attention_grad_matches_fd(lengths):
     weight = Tensor(rng.normal(size=(len(lengths) * s, d)))
 
     def f():
-        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, 2), weight))
+        return ad.tsum(ad.mul(attention_node(q, k, v, allow, 2), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
 
@@ -402,7 +404,8 @@ def test_batched_attention_matches_per_sequence(seed, lengths, heads, dh):
     shapes = [(len(lengths) * s, heads * dh)] * 3
     _assert_equivalent(
         _value_and_grads(
-            lambda q, k, v: ad.attention(q, k, v, allow, heads), shapes, seed),
+            lambda q, k, v: attention_node(q, k, v, allow, heads), shapes,
+            seed),
         _value_and_grads(
             lambda q, k, v: _per_sequence_attention(q, k, v, allow, heads),
             shapes, seed))
@@ -433,7 +436,7 @@ def test_query_subset_attention_equals_rows_of_the_full_call(
                         [(len(lengths) * s, heads * dh)] * 3)
     weight = np.random.default_rng([seed, 2]).normal(size=(rows.size,
                                                            heads * dh))
-    full = ad.attention(q, k, v, allow, heads)
+    full = attention_node(q, k, v, allow, heads)
     full_weight = np.zeros(full.shape)
     full_weight[rows] = weight
     ad.tsum(ad.mul(full, Tensor(full_weight))).backward()
@@ -441,7 +444,7 @@ def test_query_subset_attention_equals_rows_of_the_full_call(
     kw, vw = (Tensor(t.data, requires_grad=True) for t in (k, v))
     sub_allow = allow[np.arange(len(lengths))[:, None],
                       (rows % s).reshape(len(lengths), sq)]
-    out = ad.attention(qw, kw, vw, sub_allow, heads)
+    out = attention_node(qw, kw, vw, sub_allow, heads)
     ad.tsum(ad.mul(out, Tensor(weight))).backward()
     _assert_equivalent([out.data, qw.grad, kw.grad, vw.grad],
                        [full.data[rows], q.grad[rows], k.grad, v.grad])
@@ -458,34 +461,9 @@ def test_query_subset_attention_grad_matches_fd(lengths):
     weight = Tensor(rng.normal(size=(len(lengths) * sq, d)))
 
     def f():
-        return ad.tsum(ad.mul(ad.attention(q, k, v, allow, 2), weight))
+        return ad.tsum(ad.mul(attention_node(q, k, v, allow, 2), weight))
 
     assert ad.fd_check(f, [q, k, v]) < 1e-6
-
-
-@pytest.mark.parametrize("q_shape, k_shape, v_shape, allow_shape, match", [
-    pytest.param((4, 4), (6, 4), (6, 4), (2, 3), "B x Sq x S",
-                 id="2-D-mask"),
-    pytest.param((6, 4), (6, 4), (6, 4), (2, 2, 3), "q must be",
-                 id="query-rows"),
-    pytest.param((3, 4), (6, 4), (6, 4), (2, 2, 3), "q must be",
-                 id="query-rows-short"),
-    pytest.param((4, 2), (6, 4), (6, 4), (2, 2, 3), "q must be",
-                 id="query-width"),
-    pytest.param((4, 4), (4, 4), (4, 4), (2, 2, 3), "k must have",
-                 id="key-rows"),
-    pytest.param((4, 4), (6, 4), (5, 4), (2, 2, 3), "k and v",
-                 id="value-rows"),
-    pytest.param((4, 4), (6, 4), (6, 2), (2, 2, 3), "k and v",
-                 id="value-width"),
-])
-def test_attention_rejects_bad_shapes(q_shape, k_shape, v_shape,
-                                      allow_shape, match):
-    """Under a B x Sq x S mask with B=2, Sq=2, S=3 and width 4."""
-    q, k, v = (Tensor(np.zeros(shape)) for shape in (q_shape, k_shape,
-                                                     v_shape))
-    with pytest.raises(ValueError, match=match):
-        ad.attention(q, k, v, np.ones(allow_shape, bool), 2)
 
 
 def test_query_subset_attention_all_denied_row_rejected():
@@ -493,7 +471,7 @@ def test_query_subset_attention_all_denied_row_rejected():
     allow[1, 0] = False
     q, kv = Tensor(np.zeros((4, 4))), Tensor(np.zeros((6, 4)))
     with pytest.raises(ValueError, match="zero permitted columns"):
-        ad.attention(q, kv, kv, allow, 2)
+        attention_node(q, kv, kv, allow, 2)
 
 
 def _weights(rng, n):
@@ -579,7 +557,7 @@ def test_attention_all_denied_row_rejected():
     q = Tensor(np.zeros((2, 4)))
     allow = np.array([[[True, False], [False, False]]])
     with pytest.raises(ValueError, match="zero permitted columns"):
-        ad.attention(q, q, q, allow, 2)
+        attention_node(q, q, q, allow, 2)
 
 
 _FREEZABLE = {
@@ -587,7 +565,7 @@ _FREEZABLE = {
     "add": (ad.add, [(3, 4), (4,)]),
     "linear": (ad.linear, [(3, 4), (4, 2), (2,)]),
     "layernorm": (ad.layernorm, [(3, 4), (4,), (4,)]),
-    "attention": (lambda q, k, v: ad.attention(
+    "attention": (lambda q, k, v: attention_node(
         q, k, v, np.ones((1, 3, 3), bool), 2), [(3, 4)] * 3),
     "concat": (lambda a, b: ad.concat([a, b], axis=0), [(2, 4), (3, 4)]),
     "mul": (ad.mul, [(3, 4), (4,)]),
@@ -847,7 +825,7 @@ _PADDED_BATCH = {
     "linear": (ad.linear, [(9, 8), (8, 16), (16,)]),
     "gelu": (ad.gelu, [(9, 8)]),
     "layernorm": (ad.layernorm, [(9, 8), (8,), (8,)]),
-    "attention": (lambda q, k, v: ad.attention(q, k, v, _PADDED_ALLOW, 2),
+    "attention": (lambda q, k, v: attention_node(q, k, v, _PADDED_ALLOW, 2),
                   [(9, 8)] * 3),
     "mlp": (ad.mlp, [(9, 8), (8, 32), (32,), (32, 8), (8,)]),
 }
@@ -901,7 +879,7 @@ def _composed_block(x, blk, allow, heads, window=None):
         x, h = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
         allow = allow[:, s - window:]
     q = ad.linear(h, blk["wq"], blk["bq"])
-    x = x + ad.linear(ad.attention(q, k, v, allow, heads), blk["wo"],
+    x = x + ad.linear(attention_node(q, k, v, allow, heads), blk["wo"],
                       blk["bo"])
     return x + ad.mlp(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
                       blk["w_up"], blk["b_up"], blk["w_down"], blk["b_down"])

@@ -28,6 +28,8 @@ from latentalign.training import (STAGE_LR, AdamW, ModelBundle, TrainConfig,
                                   Trainer, derive_seed, lr_at, run_stage)
 from latentalign.verify import run_gradcheck
 
+from conftest import attention_node
+
 GRID = PatchGrid(3, 3)
 SMALL = PredictorConfig(d=16, L=2, H=2, V=16, tap_layer=1)
 
@@ -421,7 +423,7 @@ def _full_row_forward(pred, tokens, allow):
         q = ad.linear(h, blk["wq"], blk["bq"])
         k = ad.matmul(h, blk["wk"])
         v = ad.linear(h, blk["wv"], blk["bv"])
-        x = x + ad.linear(ad.attention(q, k, v, allow, pred.cfg.H),
+        x = x + ad.linear(attention_node(q, k, v, allow, pred.cfg.H),
                           blk["wo"], blk["bo"])
         up = ad.linear(ad.layernorm(x, blk["ln2_g"], blk["ln2_b"]),
                        blk["w_up"], blk["b_up"])
@@ -733,6 +735,72 @@ def test_proj_tgt_does_not_reach_the_predictor():
             flat[i] = orig
             assert np.array_equal(nudged[0].data, logits.data), (name, i)
             assert np.array_equal(nudged[1].data, tap.data), (name, i)
+
+
+# the two training configs of the benchmark at seed 41: (overrides, stage,
+# the tensor whose gradient the negative control skews by 1%)
+_DIRECTIONAL = {
+    "align-d32": ({}, "align", "proj.w2"),
+    "sft-d64": ({"grid": {"rows": 8, "cols": 8}, "predictor": {"d": 64}},
+                "sft", "predictor.block1.w_up"),
+}
+# the checks err by at most 1.3e-9 (align-d32) and 1.4e-9 (sft-d64) in any
+# direction, their negative controls by at least 7.1e-6 and 1.0e-4 (at
+# most 6.8e-5 and 7.7e-3), so the bound sits over 10x from each
+DIRECTIONAL_BOUND = 1e-7
+
+
+def _directional_errors(name, eps=1e-5, n_dirs=4):
+    """The largest error |a - fd| / max(|a|, |fd|) over ``n_dirs`` random
+    unit directions v over every trainable entry at once, where a = v.grad
+    L and fd = (L(theta + eps v) - L(theta - eps v)) / (2 eps), on one
+    fixed 8-sample batch and plan; then the same with one tensor's
+    gradient skewed by 1%, from the same two losses per direction."""
+    overrides, stage, skewed = _DIRECTIONAL[name]
+    b = bundle_from(merge(default_config(), {"model_seed": 41, **overrides}))
+    trainer = Trainer(b, TrainConfig(stage=stage, seed=41))
+    masks = [trainer.mask_for(i) if stage == "align" else trainer.unmasked
+             for i in range(8)]
+    plan = b.plan(generate(41, 8, b.grid, b.vocab), masks)
+    n_targets = sum(len(m.target_union) for m in masks)
+
+    def loss():
+        return combine(*trainer._forward(plan), b.loss, n_targets)[0]
+
+    params = trainer.trainable
+    loss().backward()
+    assert all(p.grad is not None for p in params.values())
+    theta = {n: p.data.copy() for n, p in params.items()}
+    rng = np.random.default_rng(41)
+    check, control = [], []
+    for _ in range(n_dirs):
+        v = {n: rng.normal(size=t.shape) for n, t in theta.items()}
+        norm = np.sqrt(sum(np.vdot(x, x) for x in v.values()))
+        v = {n: x / norm for n, x in v.items()}
+        f = []
+        for step in (eps, -eps):
+            for n, p in params.items():
+                p.data[...] = theta[n] + step * v[n]
+            f.append(float(loss().data))
+        fd = (f[0] - f[1]) / (2 * eps)
+        dots = {n: np.vdot(p.grad, v[n]) for n, p in params.items()}
+        a = sum(dots.values())
+        for errs, got in ((check, a), (control, a + 0.01 * dots[skewed])):
+            errs.append(abs(got - fd) / max(abs(got), abs(fd)))
+    for n, p in params.items():
+        p.data[...] = theta[n]
+    return max(check), max(control)
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECTIONAL))
+def test_directional_derivative_matches_central_difference(name):
+    """v.grad L against central differences along 4 random unit directions
+    over every trainable entry of a benchmark training config; at sft-d64
+    B*S*d >= SPLIT_MIN, so it covers the split block's summed gradients.
+    A 1% skew in one tensor's gradient must fail the same bound."""
+    check, control = _directional_errors(name)
+    assert check < DIRECTIONAL_BOUND, check
+    assert control > DIRECTIONAL_BOUND, control
 
 
 def test_text_leakage_check_fails_when_visual_rows_see_text(monkeypatch):
