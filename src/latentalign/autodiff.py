@@ -25,9 +25,9 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _check_finite(arr: np.ndarray, what: str = "tensor") -> None:
+def _check_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite value in {what}")
+        raise NonFiniteError("non-finite value in tensor")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -153,9 +153,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def pow_const(a: Tensor, n: float) -> Tensor:
-    data = a.data ** n
-    _check_finite(data, "pow")
-    return _from_op(data, (a,), lambda g: (g * n * a.data ** (n - 1.0),))
+    return _from_op(a.data ** n, (a,),
+                    lambda g: (g * n * a.data ** (n - 1.0),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -245,12 +244,10 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray,
-               spare: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g * (Phi(x) + x * Phi'(x)), gelu's vjp for the tanh form, where
     Phi' = 2 Phi (1 - Phi) * c * (1 + 3 a x^2), in one fresh array.  It
-    overwrites ``g`` and ``spare``, an array of x's shape that may be
-    ``cdf`` itself.  Past +-10 Phi (1 - Phi) is exactly 0, and it is
+    overwrites ``g``.  Past +-10 Phi (1 - Phi) is exactly 0, and it is
     applied before x, so a huge x gives a gradient of g or 0, not NaN."""
     out = np.minimum(x, _CLAMP)
     np.maximum(out, -_CLAMP, out=out)
@@ -258,8 +255,7 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray,
     out *= 6.0 * _TANH_A * _TANH_C
     out += 2.0 * _TANH_C
     g *= cdf
-    np.subtract(1.0, cdf, out=spare)
-    out *= spare
+    out *= 1.0 - cdf
     out *= g
     out *= x
     out += g
@@ -271,7 +267,7 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = _normal_cdf(x)
     return _from_op(x * cdf, (a,), lambda g: (
-        _gelu_grad(x, cdf, g.copy(), np.empty_like(x)),))
+        _gelu_grad(x, cdf, g.copy()),))
 
 
 def _mlp(x, w1, b1, w2, b2) -> tuple:
@@ -281,21 +277,11 @@ def _mlp(x, w1, b1, w2, b2) -> tuple:
     return _affine(u * cdf, w2, b2), u, cdf
 
 
-def _mlp_vjp(g, x, w1, w2, u, cdf, wants, spare=None) -> tuple:
+def _mlp_vjp(g, x, w1, w2, u, cdf, wants) -> tuple:
     """``mlp``'s gradients for x, w1, b1, w2 and b2.  The hidden output
-    u * Phi(u) is rebuilt only when ``w2`` needs a gradient, and is then
-    ``_gelu_grad``'s spare array unless the caller gives one."""
-    gw2 = gu = None
-    if wants[3]:
-        hidden = u * cdf
-        gw2 = hidden.T @ g
-        if spare is None:
-            spare = hidden
-        del hidden      # unread once the caller's spare stands in for it
-    if any(wants[:3]):
-        if spare is None:
-            spare = np.empty_like(u)
-        gu = _gelu_grad(u, cdf, g @ w2.T, spare)
+    u * Phi(u) is rebuilt only when ``w2`` needs a gradient."""
+    gw2 = (u * cdf).T @ g if wants[3] else None
+    gu = _gelu_grad(u, cdf, g @ w2.T) if any(wants[:3]) else None
     return (*_affine_vjp(gu, x, w1, wants[:3]), gw2,
             g.sum(axis=0) if wants[4] else None)
 
@@ -416,15 +402,14 @@ def _attention(q, k, v, allow: np.ndarray, heads: int) -> tuple:
     return _merged(probs, vh), probs
 
 
-def _attention_vjp(g, q, k, v, probs, wants) -> tuple:
+def _attention_vjp(g, q, k, v, probs) -> tuple:
     """``_attention``'s gradients for q, k and v."""
     bsz, heads = probs.shape[:2]
     qh, kh, vh, gh = [_split_heads(a, bsz, heads) for a in (q, k, v, g)]
     gs = _masked_softmax_vjp(probs, gh @ vh.swapaxes(-1, -2))
     gs *= 1.0 / math.sqrt(qh.shape[-1])
-    return (_merged(gs, kh) if wants[0] else None,
-            _merged(gs.swapaxes(-1, -2), qh) if wants[1] else None,
-            _merged(probs.swapaxes(-1, -2), gh) if wants[2] else None)
+    return (_merged(gs, kh), _merged(gs.swapaxes(-1, -2), qh),
+            _merged(probs.swapaxes(-1, -2), gh))
 
 
 def _row_weights(weights, n: int) -> np.ndarray:
@@ -582,15 +567,14 @@ def _block_vjp(g, saved, arrays, wants) -> tuple:
     g1, _, wq, _, wk, wv, _, wo, _, g2, _, wu, _, wd, _ = arrays
     pop = saved.pop
     bsz, _, t, s = saved["probs"].shape
-    cdf = pop("cdf")    # spent here, so it is _gelu_grad's spare too
-    dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), cdf,
-                          (True,) + wants[12:], cdf)
+    dh2, *dmlp = _mlp_vjp(g, pop("h2"), wu, wd, pop("u"), pop("cdf"),
+                          (True,) + wants[12:])
     dx1, dg2, db2 = _layernorm_vjp(dh2, g2, pop("xhat2"), pop("inv2"),
                                    (True,) + wants[10:12])
     dx1 += g
     datt, dwo, dbo = _affine_vjp(dx1, pop("att"), wo, (True,) + wants[8:10])
     dq, dk, dv = _attention_vjp(datt, pop("q"), pop("k"), pop("v"),
-                                pop("probs"), (True,) * 3)
+                                pop("probs"))
     dhq, dwq, dbq = _affine_vjp(dq, pop("hq"), wq, (True,) + wants[3:5])
     h = pop("h")
     dh, dwk, _ = _affine_vjp(dk, h, wk, (True, wants[5], False))
@@ -681,8 +665,10 @@ def block(x: Tensor, blk: dict, allow: np.ndarray, heads: int,
     forward and vjp, the first on the worker of ``_split_pool`` if there
     is one.  Output and x's gradient are the halves' joined, and each
     tensor's gradient is the first half's plus the second's, so its float
-    sums are reordered (within rtol 1e-12 of the composition).  Whether
-    the worker runs changes no byte."""
+    sums are reordered: within rtol 1e-12 of the composition under the
+    SkylakeX and Sandybridge OpenBLAS kernels, not under Haswell, Nehalem
+    or Prescott, whose ``x @ w`` rounds a row by the matmul's row count.
+    Whether the worker runs changes no byte."""
     ps = _block_tensors(blk)
     arrays = [p.data for p in ps]
     allow = np.asarray(allow, dtype=bool)

@@ -148,15 +148,13 @@ def _run_train(args, stage: str) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not 0 < args.tolerance < float("inf"):
-        raise InputError("--tolerance must be finite and above 0")
     cfg = verify.gradcheck_config() if args.config is None \
         else config.load_config(args.config)
     _print_resolved(cfg)
     results = run_gradcheck(cfg, negative_control=args.negative_control)
     ok = True
     for dist, err in results.items():
-        passed = err < args.tolerance
+        passed = err < verify.GRADCHECK_TOL
         ok = ok and passed
         print(f"gradcheck[{dist}]: max relative error {err:.3e} "
               f"{'PASS' if passed else 'FAIL'}")
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient check")
     gc.add_argument("--config")
-    gc.add_argument("--tolerance", type=float, default=1e-4)
     gc.add_argument("--negative-control", action="store_true",
                     help=argparse.SUPPRESS)
     gc.set_defaults(fn=cmd_gradcheck)

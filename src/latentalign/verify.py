@@ -45,12 +45,11 @@ def _random_batch(rng: random.Random):
     return grid, specs, caption_lens
 
 
-def check_mask_oracle(n_configs: int = 200, seed: int = 0,
-                      negative_control: bool = False):
+def check_mask_oracle(n_configs: int = 200, negative_control: bool = False):
     """Packs each batch as training does and compares every sequence of its
     mask with the oracle's.  ``negative_control`` flips one cell of every
     built mask, so the check must fail."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for i in range(n_configs):
         grid, specs, caption_lens = _random_batch(rng)
         variant = AttnVariant(tgt_cross_block=rng.random() < 0.5,
@@ -71,11 +70,11 @@ def _round_half_up(x: float) -> int:
     return int(x + 0.5)
 
 
-def check_sampler(n_draws: int = 2000, seed: int = 0):
+def check_sampler(n_draws: int = 2000):
     grid = PatchGrid(24, 24)
     for overlap in (True, False):
         cfg = SamplerConfig(allow_overlap=overlap)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         for i in range(n_draws):
             spec = sample_mask(grid, cfg, rng)
             if spec.context & spec.target_union:
@@ -101,16 +100,15 @@ def check_sampler(n_draws: int = 2000, seed: int = 0):
     return True, f"{n_draws} draws per variant satisfy the contracts"
 
 
-def check_text_leakage(n_models: int = 5, seed: int = 0):
+def check_text_leakage(n_models: int = 5):
     for trial in range(n_models):
         cfg = config.default_config()
-        cfg["model_seed"] = seed + trial
+        cfg["model_seed"] = trial
         bundle = config.bundle_from(cfg)
-        samples = generate(seed + trial, 2, bundle.grid, bundle.vocab)
-        mrng = random.Random(seed + trial)
-        mask = sample_mask(bundle.grid, bundle.sampler, mrng)
+        samples = generate(trial, 2, bundle.grid, bundle.vocab)
+        mask = sample_mask(bundle.grid, bundle.sampler, random.Random(trial))
         taps = []
-        rng = np.random.default_rng(seed + trial)
+        rng = np.random.default_rng(trial)
         for caption in (samples[0].caption,
                         np.concatenate([[bundle.vocab.bos],
                                         rng.integers(3, bundle.vocab.size,
@@ -125,15 +123,14 @@ def check_text_leakage(n_models: int = 5, seed: int = 0):
     return True, f"{n_models} parameterizations leak-free"
 
 
-def check_lambda_equivalence(n_samples: int = 24, seed: int = 0):
+def check_lambda_equivalence(n_samples: int = 24):
     base = config.default_config()
-    base["train"]["seed"] = seed
     base["train"]["batch_size"] = 4
     base["loss"]["lam"] = 1.0
     with_jepa = config.bundle_from(base)
     ctrl_cfg = dict(base, jepa=False)
     control = config.bundle_from(ctrl_cfg)
-    data = generate(seed, n_samples, with_jepa.grid, with_jepa.vocab)
+    data = generate(0, n_samples, with_jepa.grid, with_jepa.vocab)
     r1 = run_stage(with_jepa, config.train_config_from(base), data)
     r2 = run_stage(control, config.train_config_from(ctrl_cfg), data)
     # a step the gate lets through packs a masked image, so its caption
@@ -147,9 +144,8 @@ def check_lambda_equivalence(n_samples: int = 24, seed: int = 0):
     return True, f"{len(t1)} steps bit-identical to the control run"
 
 
-def check_checkpoint_roundtrip(seed: int = 0):
+def check_checkpoint_roundtrip():
     cfg = config.default_config()
-    cfg["model_seed"] = seed
     bundle = config.bundle_from(cfg)
     params = bundle.named_parameters()
     before = {n: p.data.copy() for n, p in params.items()}
@@ -189,6 +185,9 @@ def run_checks(names=None, negative_control: bool = False):
 
 # gradient checking over a full training objective --------------------
 
+# a gradcheck passes when each distance's largest relative error is below it
+GRADCHECK_TOL = 1e-4
+
 
 def gradcheck_config() -> dict:
     cfg = config.default_config()
@@ -218,30 +217,30 @@ def run_gradcheck(cfg: dict | None = None, distances=("cosine", "smooth_l1"),
     if not cfg["jepa"]:
         raise InputError("gradcheck checks the latent objective, "
                          "so it wants jepa: true")
+    bundle = config.bundle_from(cfg)
+    sample = config._build(generate, {
+        "seed": 0, "n": 1, "grid": bundle.grid, "vocab": bundle.vocab})[0]
+    trainer = Trainer(bundle, TrainConfig(stage="align", batch_size=1, seed=0))
+    mask = trainer.mask_for(0)
+    plan = bundle.plan([sample], [mask])
+
+    def total(ntp, jepa):
+        loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
+        return _skewed_identity(loss) if negative_control else loss
+
+    # proj_tgt reads only the tap, so its entries are checked against one
+    # predictor run, with the caption loss and the tap held fixed
+    params = trainer.trainable.items()
+    head = [p for n, p in params if n.startswith("proj_tgt.")]
+    fed = [p for n, p in params if not n.startswith("proj_tgt.")]
+    logits, tap = bundle.forward(plan)
+    ntp0 = Tensor(ntp_loss(logits, *plan.ntp).data)
+    tap0 = Tensor(tap.data)
     results = {}
+    # fd_check puts back every entry it perturbs, so each distance is
+    # checked at the same parameters
     for dist in distances:
-        c = dict(cfg)
-        c["loss"] = dict(cfg["loss"], distance=dist)
-        bundle = config.bundle_from(c)
-        sample = config._build(generate, {
-            "seed": 0, "n": 1, "grid": bundle.grid, "vocab": bundle.vocab})[0]
-        trainer = Trainer(bundle, TrainConfig(stage="align",
-                                              batch_size=1, seed=0))
-        mask = trainer.mask_for(0)
-        plan = bundle.plan([sample], [mask])
-
-        def total(ntp, jepa):
-            loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
-            return _skewed_identity(loss) if negative_control else loss
-
-        # proj_tgt reads only the tap, so its entries are checked against
-        # one predictor run, with the caption loss and the tap held fixed
-        params = trainer.trainable.items()
-        head = [p for n, p in params if n.startswith("proj_tgt.")]
-        fed = [p for n, p in params if not n.startswith("proj_tgt.")]
-        logits, tap = bundle.forward(plan)
-        ntp0 = Tensor(ntp_loss(logits, *plan.ntp).data)
-        tap0 = Tensor(tap.data)
+        bundle.loss = dataclasses.replace(bundle.loss, distance=dist)
         results[dist] = max(
             fd_check(lambda: total(*trainer._forward(plan)), fed, eps=1e-5),
             fd_check(lambda: total(ntp0, trainer._latent(tap0, plan)), head,

@@ -16,8 +16,10 @@ def attention_node(q, k, v, allow, heads):
     query row i of sequence b reads key row j of the same sequence only
     where ``allow[b, i, j]``, and head i owns columns i*dh:(i+1)*dh."""
     data, probs = ad._attention(q.data, k.data, v.data, allow, heads)
-    return ad._from_op(data, (q, k, v), lambda g: ad._attention_vjp(
-        g, q.data, k.data, v.data, probs, ad._wants(q, k, v)))
+    return ad._from_op(data, (q, k, v), lambda g: tuple(
+        grad if want else None for grad, want in zip(
+            ad._attention_vjp(g, q.data, k.data, v.data, probs),
+            ad._wants(q, k, v))))
 
 
 class LivePool:

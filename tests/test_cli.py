@@ -20,6 +20,7 @@ from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
 from latentalign.data import MAX_CAPTION_LEN, generate
 from latentalign.masking import MaskSpec, PatchGrid
 from latentalign.model import load_checkpoint
+from latentalign.verify import GRADCHECK_TOL
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
 
@@ -518,17 +519,15 @@ def test_overflowing_target_aspect_trains(tmp_path, capsys):
     assert (tmp_path / "align_ckpt.bin").exists()
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
-def test_bad_gradcheck_tolerance_exit_code(tolerance, monkeypatch, capsys):
-    """A tolerance no error can be checked against is rejected before the
-    check spends its run."""
-    def not_reached(*args, **kwargs):
-        raise AssertionError("run_gradcheck ran")
-
-    monkeypatch.setattr(cli, "run_gradcheck", not_reached)
-    assert main(["gradcheck", f"--tolerance={tolerance}"]) == EXIT_USAGE
-    assert _bad_input_lines(capsys.readouterr().err) == \
-        ["bad input: --tolerance must be finite and above 0"]
+def test_gradcheck_fails_at_the_bar(monkeypatch, capsys):
+    """An error equal to GRADCHECK_TOL fails; the next float below passes."""
+    monkeypatch.setattr(cli, "run_gradcheck", lambda *a, **k: {
+        "cosine": GRADCHECK_TOL,
+        "smooth_l1": np.nextafter(GRADCHECK_TOL, 0)})
+    assert main(["gradcheck"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines() == [
+        "gradcheck[cosine]: max relative error 1.000e-04 FAIL",
+        "gradcheck[smooth_l1]: max relative error 1.000e-04 PASS"]
 
 
 @pytest.mark.parametrize("doc", [

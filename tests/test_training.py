@@ -615,9 +615,10 @@ def test_plan_then_run_equals_the_unsplit_forward(seed, lengths, mode, dist,
     assert np.array_equal(tap.data, full_tap.data)
 
 
-def test_gradcheck_builds_one_attention_mask_per_distance(monkeypatch):
-    """run_gradcheck plans its batch once per distance, so the thousands
-    of loss evaluations fd_check makes build no mask of their own."""
+def test_gradcheck_builds_one_attention_mask_per_call(monkeypatch):
+    """run_gradcheck plans its batch once per call, so neither the second
+    distance nor the thousands of loss evaluations fd_check makes build a
+    mask of their own."""
     calls = []
     build = training.build_mask
 
@@ -628,7 +629,7 @@ def test_gradcheck_builds_one_attention_mask_per_distance(monkeypatch):
     monkeypatch.setattr(training, "build_mask", counting)
     errors = run_gradcheck()
     assert set(errors) == {"cosine", "smooth_l1"}
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _tiny_gradcheck_config():
@@ -703,18 +704,16 @@ def test_gradcheck_triples_equal_the_single_closure_check(monkeypatch):
     monkeypatch.setattr(verify, "fd_check", _recording_fd_check(record))
     dists = ("cosine", "smooth_l1")
     run_gradcheck(cfg, distances=dists)
-    assert len(bundles) == 2
-    for dist, bundle in zip(dists, bundles):
-        names = {id(p): n for n, p in bundle.named_parameters().items()}
-        got = {names[id(p)]: rest for p, *rest in record
-               if id(p) in names}
+    assert len(bundles) == 1 and len(record) == 18
+    names = {id(p): n for n, p in bundles[0].named_parameters().items()}
+    for dist, triples in zip(dists, (record[:9], record[9:])):
+        got = {names[id(p)]: rest for p, *rest in triples}
         want = _single_closure_triples(cfg, dist)
         assert set(got) == set(want) and len(want) == 9
         assert np.any(want["proj_tgt.w1"][2])    # the head has a gradient
         for name, triple in want.items():
             assert all(np.array_equal(a, b)
                        for a, b in zip(got[name], triple)), (dist, name)
-    assert len(record) == 18
 
 
 def test_proj_tgt_does_not_reach_the_predictor():
