@@ -7,8 +7,8 @@ token ever sees text.  Two flags expose the ablation variants.  A sequence
 padded to the length of a longer one in its batch ends in pad tokens: a pad
 token sees only itself and no other token sees it.
 
-``build_mask`` reads a batch as columns, one entry per row; ``oracle_mask``
-re-derives one sequence cell by cell from ``TokenRole`` objects.
+``build_mask`` reads a packed batch, each caption's rows in caption order;
+``oracle_mask`` re-derives a sequence cell by cell from ``TokenRole`` objects.
 """
 
 from __future__ import annotations
@@ -57,12 +57,14 @@ def _validate_order(roles) -> None:
         raise ValueError("tokens out of order: visual, then text, then pad")
 
 
-def build_mask(roles, blocks, text_pos,
-               variant: AttnVariant = AttnVariant()) -> AttentionMask:
-    """The B x S x S mask of B sequences in layout order, in one pass over
-    their columns: ``roles`` (B x S role codes), ``blocks`` (B x S x K bool,
-    row i in target block j; only target rows are in a block) and
-    ``text_pos`` (B x S, the caption position of each caption row)."""
+def build_mask(layout, variant: AttnVariant = AttnVariant()) -> AttentionMask:
+    """The B x S x S mask of the B sequences of ``layout``, a
+    ``model.PackedBatch``, in one pass over its role codes (B x S) and
+    target blocks (B x S x K; only target rows are in a block).  A caption's
+    rows lie in caption order, so causal text is row order in a sequence."""
+    s = layout.seq_len
+    roles = layout.roles.reshape(-1, s)
+    blocks = layout.blocks.reshape(roles.shape + layout.blocks.shape[1:])
     ctx, tgt, text = (roles == kind for kind in (CONTEXT, TARGET, TEXT))
 
     def sees(q, k):
@@ -76,7 +78,7 @@ def build_mask(roles, blocks, text_pos,
         allow |= member @ member.transpose(0, 2, 1) > 0
     if variant.text_sees_targets:
         allow |= sees(text, tgt)
-    allow |= sees(text, text) & (text_pos[:, None, :] <= text_pos[:, :, None])
+    allow |= sees(text, text) & np.tri(s, dtype=bool)
     b, i = np.nonzero(roles == PAD)
     allow[b, i, i] = True                      # a pad sees only itself
     return AttentionMask(allow)

@@ -80,7 +80,7 @@ def cmd_mask_attn(args) -> int:
     grid = PatchGrid(1, len(rank))
     check_extents(grid)
     layout = pack([spec], grid, [range(args.caption_len)])
-    payload = dump_mask(build_mask(*layout.columns(), variant), args.format)
+    payload = dump_mask(build_mask(layout, variant), args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)

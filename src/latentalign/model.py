@@ -197,32 +197,23 @@ class Predictor:
 @dataclass
 class PackedBatch:
     """The layout of B sequences padded to one length S and stacked:
-    sequence b owns rows ``b*S:(b+1)*S``, pad rows last.  Three columns hold
-    one entry per row: its role code, the target blocks it belongs to (a
-    B*S x K bool, K the most targets of any mask) and the caption position
-    of a caption row (-1 elsewhere).  ``text_rows`` and ``target_rows`` list
-    caption and latent target rows in row order; ``context_patches`` and
+    sequence b owns rows ``b*S:(b+1)*S``, pad rows last, and a caption's
+    rows lie in caption order.  Two columns hold one entry per row: its role
+    code and the target blocks it belongs to (a B*S x K bool, K the most
+    targets of any mask).  ``text_rows`` and ``target_rows`` list caption
+    and latent target rows in row order; ``context_patches`` and
     ``target_patches`` address each context and target row's patch p of
     sample b as ``b*N + p`` in the batch's stacked ``(B*N, ...)`` per-patch
     arrays.  Row i reads row ``order[i]`` of the stack [context rows,
     target rows, caption tokens, one zero row]."""
     roles: np.ndarray           # B*S role codes, PAD on pad rows
     blocks: np.ndarray
-    text_pos: np.ndarray
     seq_len: int                # S
     text_rows: np.ndarray
     target_rows: np.ndarray
     context_patches: np.ndarray
     target_patches: np.ndarray
     order: np.ndarray
-
-    def columns(self) -> tuple:
-        """The role, block and caption-position columns as B x S (x K)
-        arrays, ``build_mask``'s input."""
-        shape = (len(self.roles) // self.seq_len, self.seq_len)
-        return (self.roles.reshape(shape),
-                self.blocks.reshape(shape + self.blocks.shape[1:]),
-                self.text_pos.reshape(shape))
 
 
 def pack(masks, grid, captions) -> PackedBatch:
@@ -265,8 +256,6 @@ def pack(masks, grid, captions) -> PackedBatch:
     roles[text_rows] = TEXT
     blocks = np.zeros((bsz * s, k), dtype=bool)
     blocks[visual_rows] = member[visual]
-    text_pos = np.full(bsz * s, -1, dtype=np.int64)
-    text_pos[text_rows] = position
 
     ctx_rows = np.flatnonzero(roles == CONTEXT)
     target_rows = np.flatnonzero(roles == TARGET)
@@ -275,8 +264,8 @@ def pack(masks, grid, captions) -> PackedBatch:
     order = np.full(bsz * s, real.size)
     order[real] = np.arange(real.size)
     # rows keep the patches' order, so the addresses are the patches' own
-    return PackedBatch(roles, blocks, text_pos, s, text_rows,
-                       target_rows, np.flatnonzero(kind == CONTEXT),
+    return PackedBatch(roles, blocks, s, text_rows, target_rows,
+                       np.flatnonzero(kind == CONTEXT),
                        np.flatnonzero(kind == TARGET), order)
 
 

@@ -37,11 +37,6 @@ class LossReport:
     skipped: bool
     n_target_tokens: int
 
-    def to_json_obj(self, step: int) -> dict:
-        return {"step": step, "ntp": self.ntp, "jepa": self.jepa,
-                "total": self.total, "skipped": self.skipped,
-                "n_target_tokens": self.n_target_tokens}
-
 
 def mean_of_means(sizes) -> np.ndarray:
     """Row weights under which a weighted sum over rows, grouped in runs of

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -230,7 +230,7 @@ class ModelBundle:
         captions = [s.caption for s in samples]
         layout = pack(masks, self.grid, captions)
         s, bsz = layout.seq_len, len(samples)
-        allow = build_mask(*layout.columns(), self.attn).allow
+        allow = build_mask(layout, self.attn).allow
         # visual rows come first in every sequence, so the window from the
         # earliest caption row on holds every caption; a tap at the last
         # block reads every row
@@ -415,9 +415,9 @@ def run_stage(bundle: ModelBundle, cfg: TrainConfig, dataset,
                 report = trainer.step(batch, step_idx, total_steps)
                 reports.append(report)
                 if log_fh:
-                    row = report.to_json_obj(step_idx)
-                    row.update(epoch=epoch,
-                               lr=lr_at(step_idx, total_steps, cfg))
+                    row = {"step": step_idx, "epoch": epoch,
+                           "lr": lr_at(step_idx, total_steps, cfg),
+                           **asdict(report)}
                     log_fh.write(json.dumps(row, sort_keys=True) + "\n")
                 step_idx += 1
         if ckpt_path:

@@ -55,7 +55,7 @@ def check_mask_oracle(n_configs: int = 200, negative_control: bool = False):
         variant = AttnVariant(tgt_cross_block=rng.random() < 0.5,
                               text_sees_targets=rng.random() < 0.5)
         layout = pack(specs, grid, [range(n) for n in caption_lens])
-        allow = build_mask(*layout.columns(), variant).allow
+        allow = build_mask(layout, variant).allow
         if negative_control:
             allow[0, 0, 0] = not allow[0, 0, 0]
         for spec, n, a in zip(specs, caption_lens, allow):

@@ -64,7 +64,7 @@ def test_criterion_1_mask_oracle_equivalence():
         variant = AttnVariant(tgt_cross_block=bool(rng.getrandbits(1)),
                               text_sees_targets=bool(rng.getrandbits(1)))
         layout = pack(masks, grid, [range(n) for n in caption_lens])
-        allow = build_mask(*layout.columns(), variant).allow
+        allow = build_mask(layout, variant).allow
         for mask, n, a in zip(masks, caption_lens, allow):
             roles = roles_for_mask(mask, grid, n)
             roles += [PAD_ROLE] * (layout.seq_len - len(roles))

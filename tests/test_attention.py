@@ -1,6 +1,7 @@
 """Hybrid attention mask: exact hand-built matrices and the cell oracle."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,17 +13,21 @@ from latentalign.masking import PatchGrid, SamplerConfig, sample_mask
 from latentalign.model import pack
 
 
-def _mask(roles, blocks, text_pos, variant=AttnVariant()):
-    """build_mask's S x S mask of one sequence given as its columns: a role
-    code, a row of target-block flags and a caption position per row."""
-    return build_mask(np.array([roles], dtype=np.int8),
-                      np.array([blocks], dtype=bool), np.array([text_pos]),
-                      variant).allow[0]
+def _layout(roles, blocks):
+    """One sequence as the layout build_mask reads, B = 1: a role code and a
+    row of target-block flags per row, caption rows in caption order."""
+    return SimpleNamespace(roles=np.array(roles, dtype=np.int8),
+                           blocks=np.array(blocks, dtype=bool),
+                           seq_len=len(roles))
+
+
+def _mask(roles, blocks, variant=AttnVariant()):
+    """build_mask's S x S mask of one sequence given as its columns."""
+    return build_mask(_layout(roles, blocks), variant).allow[0]
 
 
 # [ctx, ctx, tgt(block 0), text, text] — the worked reference layout
-CCTT = ([CONTEXT, CONTEXT, TARGET, TEXT, TEXT], [[0], [0], [1], [0], [0]],
-        [-1, -1, -1, 0, 1])
+CCTT = ([CONTEXT, CONTEXT, TARGET, TEXT, TEXT], [[0], [0], [1], [0], [0]])
 
 
 def _roles_cctt():
@@ -34,10 +39,9 @@ def _roles_cctt():
             TokenRole(TEXT, text_position=1)]
 
 
-def _text_columns(n):
-    """A caption of ``n`` tokens alone as build_mask's columns, B = 1."""
-    return (np.full((1, n), TEXT, dtype=np.int8),
-            np.zeros((1, n, 0), dtype=bool), np.arange(n)[None])
+def _text_layout(n):
+    """A caption of ``n`` tokens alone as build_mask's layout, B = 1."""
+    return _layout([TEXT] * n, [[]] * n)
 
 
 def test_hand_built_matrix_default_variant():
@@ -60,8 +64,7 @@ def test_text_blind_to_targets_variant():
 
 
 def test_targets_in_different_blocks_are_mutually_blind():
-    columns = ([CONTEXT, TARGET, TARGET], [[0, 0], [1, 0], [0, 1]],
-               [-1, -1, -1])
+    columns = ([CONTEXT, TARGET, TARGET], [[0, 0], [1, 0], [0, 1]])
     allow = _mask(*columns)
     assert not allow[1, 2] and not allow[2, 1]
     cross = _mask(*columns, AttnVariant(tgt_cross_block=True))
@@ -69,7 +72,7 @@ def test_targets_in_different_blocks_are_mutually_blind():
 
 
 def test_targets_sharing_a_block_see_each_other():
-    allow = _mask([TARGET, TARGET], [[1, 1], [0, 1]], [-1, -1])
+    allow = _mask([TARGET, TARGET], [[1, 1], [0, 1]])
     assert allow[0, 1] and allow[1, 0]
 
 
@@ -82,7 +85,7 @@ def test_context_never_attends_forward_to_targets_or_text():
 
 
 def test_text_is_strictly_causal():
-    allow = build_mask(*_text_columns(4)).allow[0]
+    allow = build_mask(_text_layout(4)).allow[0]
     assert np.array_equal(allow, np.tril(np.ones((4, 4), bool)))
 
 
@@ -94,8 +97,8 @@ def test_visual_after_text_rejected():
 
 def test_pad_tokens_see_only_themselves():
     roles = _roles_cctt() + [PAD_ROLE, PAD_ROLE]
-    kinds, blocks, text_pos = CCTT
-    padded = (kinds + [PAD, PAD], blocks + [[0], [0]], text_pos + [-1, -1])
+    kinds, blocks = CCTT
+    padded = (kinds + [PAD, PAD], blocks + [[0], [0]])
     for variant in (AttnVariant(), AttnVariant(True, False)):
         allow = _mask(*padded, variant)
         assert np.array_equal(allow[:5, :5], _mask(*CCTT, variant))
@@ -130,19 +133,19 @@ def test_oracle_agreement_randomized():
         variant = AttnVariant(bool(rng.getrandbits(1)),
                               bool(rng.getrandbits(1)))
         layout = pack([mask], grid, [range(caption_len)])
-        a = build_mask(*layout.columns(), variant).allow[0]
+        a = build_mask(layout, variant).allow[0]
         b = oracle_mask(roles_for_mask(mask, grid, caption_len),
                         variant).allow
         assert np.array_equal(a, b)
 
 
 def test_dump_text_format():
-    out = dump_mask(build_mask(*_text_columns(3)), fmt="text")
+    out = dump_mask(build_mask(_text_layout(3)), fmt="text")
     assert out == b"1..\n11.\n111\n"
 
 
 def test_dump_pgm_format():
-    out = dump_mask(build_mask(*_text_columns(3)), fmt="pgm")
+    out = dump_mask(build_mask(_text_layout(3)), fmt="pgm")
     assert out.startswith(b"P5\n3 3\n255\n")
     body = out[len(b"P5\n3 3\n255\n"):]
     assert len(body) == 9

@@ -47,14 +47,18 @@ def _packed(seed=0, grid=PatchGrid(3, 3), masked=True):
 
 
 def _allow(seq, variant=AttnVariant()):
-    return build_mask(*seq.columns(), variant).allow
+    return build_mask(seq, variant).allow
 
 
 def _roles(seq):
-    """The layout's columns read back as one TokenRole per row."""
+    """The layout's columns read back as one TokenRole per row; a caption
+    row's position is its offset after its sequence's first caption row."""
+    s = seq.seq_len
+    first = (seq.roles == TEXT).reshape(-1, s).argmax(axis=1).repeat(s)
+    offset = np.arange(len(seq.roles)) % s - first
     return [TokenRole(int(kind), frozenset(np.flatnonzero(blocks).tolist()),
-                      None if t < 0 else int(t))
-            for kind, blocks, t in zip(seq.roles, seq.blocks, seq.text_pos)]
+                      int(t) if kind == TEXT else None)
+            for kind, blocks, t in zip(seq.roles, seq.blocks, offset)]
 
 
 def _patches(seq, grid=PatchGrid(3, 3)):
@@ -371,8 +375,12 @@ def test_columnar_layout_and_mask_equal_the_object_path(
     assert layout.seq_len == s
     k = max(len(m.targets) for m in masks)
     assert layout.roles.tolist() == [r.kind for r in roles]
-    assert layout.text_pos.tolist() == [
-        -1 if r.text_position is None else r.text_position for r in roles]
+    # causal text is row order: a caption role's position is its row's
+    # offset after its sequence's first caption row
+    for start in range(0, len(roles), s):
+        rows = [i for i in range(start, start + s) if roles[i].kind == TEXT]
+        assert [roles[i].text_position for i in rows] == \
+            [i - rows[0] for i in rows]
     assert layout.blocks.tolist() == [[j in r.blocks for j in range(k)]
                                       for r in roles]
     for name, want in lists.items():
@@ -380,7 +388,7 @@ def test_columnar_layout_and_mask_equal_the_object_path(
 
     want = np.stack([oracle_mask(roles[i:i + s], variant).allow
                      for i in range(0, len(roles), s)])
-    assert np.array_equal(build_mask(*layout.columns(), variant).allow, want)
+    assert np.array_equal(build_mask(layout, variant).allow, want)
 
 
 def test_block_membership_past_63_blocks():
@@ -391,7 +399,7 @@ def test_block_membership_past_63_blocks():
     layout = pack([MaskSpec(context=frozenset({0}), targets=blocks)], grid,
                   [np.zeros(2, dtype=np.int64)])
     assert layout.blocks.shape == (6, 66)
-    allow = build_mask(*layout.columns()).allow[0]
+    allow = build_mask(layout).allow[0]
     # rows 1..3 hold patches 1..3: patch 1 in blocks 0..63, patch 2 in
     # block 64, patch 3 in blocks 64 and 65
     assert allow[1:4, 1:4].tolist() == [[True, False, False],
@@ -404,9 +412,8 @@ def test_pack_reads_no_parameter():
     alone: pack takes no tensor and builds no graph node."""
     plan, *_, masks, samples = _packed_batch([0, 1, 2])
     again = pack(masks, PatchGrid(3, 3), [s.caption for s in samples])
-    for name in ("roles", "blocks", "text_pos", "text_rows",
-                 "target_rows", "context_patches", "target_patches",
-                 "order"):
+    for name in ("roles", "blocks", "text_rows", "target_rows",
+                 "context_patches", "target_patches", "order"):
         assert np.array_equal(getattr(again, name),
                               getattr(plan.layout, name)), name
     assert not any(isinstance(v, Tensor) for v in vars(again).values())

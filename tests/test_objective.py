@@ -154,11 +154,3 @@ def test_loss_config_rejects_bad_jepa_weight(weight):
 def test_loss_config_accepts_finite_nonnegative_jepa_weight():
     for weight in (0, 0.0, 2, 1e308):
         assert LossConfig(jepa_weight=weight).jepa_weight == weight
-
-
-def test_report_json_shape():
-    rep = LossReport(ntp=1.0, jepa=None, total=1.0, skipped=True,
-                     n_target_tokens=0)
-    obj = rep.to_json_obj(step=4)
-    assert obj == {"step": 4, "ntp": 1.0, "jepa": None, "total": 1.0,
-                   "skipped": True, "n_target_tokens": 0}

@@ -220,6 +220,7 @@ def test_log_lines_are_json_with_expected_keys(tmp_path):
         assert obj["epoch"] == i // 2
         assert obj["lr"] == lr_at(i, 4, cfg)
         assert (obj["n_target_tokens"] == 0) == obj["skipped"]
+        assert (obj["jepa"] is None) == obj["skipped"]
 
 
 def test_sft_resumes_from_checkpoint_and_updates_predictor(tmp_path):
@@ -808,8 +809,9 @@ def test_text_leakage_check_fails_when_visual_rows_see_text(monkeypatch):
     assert verify.check_text_leakage(n_models=1)[0]
     build = training.build_mask
 
-    def leaky(roles, blocks, text_pos, variant):
-        mask = build(roles, blocks, text_pos, variant)
+    def leaky(layout, variant):
+        mask = build(layout, variant)
+        roles = layout.roles.reshape(mask.allow.shape[:2])
         visual = (roles == CONTEXT) | (roles == TARGET)
         mask.allow |= visual[:, :, None] & (roles == TEXT)[:, None, :]
         return mask
