@@ -151,7 +151,7 @@ def cmd_gradcheck(args) -> int:
     cfg = verify.gradcheck_config() if args.config is None \
         else config.load_config(args.config)
     _print_resolved(cfg)
-    results = run_gradcheck(cfg, negative_control=args.negative_control)
+    results = run_gradcheck(cfg)
     ok = True
     for dist, err in results.items():
         passed = err < verify.GRADCHECK_TOL
@@ -162,9 +162,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _print_resolved({"checks": args.checks or "all",
-                     "negative_control": args.negative_control})
-    results = verify.run_checks(args.checks, args.negative_control)
+    _print_resolved({"checks": args.checks or "all"})
+    results = verify.run_checks(args.checks)
     ok = True
     for name, passed, detail in results:
         ok = ok and passed
@@ -224,14 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient check")
     gc.add_argument("--config")
-    gc.add_argument("--negative-control", action="store_true",
-                    help=argparse.SUPPRESS)
     gc.set_defaults(fn=cmd_gradcheck)
 
     vf = sub.add_parser("verify", help="run the invariant suite")
     vf.add_argument("--checks", nargs="*", choices=sorted(verify.CHECKS))
-    vf.add_argument("--negative-control", action="store_true",
-                    help=argparse.SUPPRESS)
     vf.set_defaults(fn=cmd_verify)
     return p
 

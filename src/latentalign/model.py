@@ -329,6 +329,14 @@ def load_checkpoint(path):
             header = None
         if not _is_header(header):
             raise ValueError("not a checkpoint file")
+        version = header.get("version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        names = set()
+        for name, _ in header["params"]:
+            if name in names:
+                raise ValueError(f"parameter {name!r} listed twice")
+            names.add(name)
         # sized before any read, which could not hold a huge declared shape
         counts = [math.prod(shape) for _, shape in header["params"]]
         left = os.fstat(fh.fileno()).st_size - fh.tell()

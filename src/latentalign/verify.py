@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from . import attention, autodiff, config
+from . import attention, config
 from .attention import (PAD_ROLE, AttnVariant, build_mask, oracle_mask,
                         roles_for_mask)
 from .autodiff import Tensor, fd_check
@@ -45,10 +45,9 @@ def _random_batch(rng: random.Random):
     return grid, specs, caption_lens
 
 
-def check_mask_oracle(n_configs: int = 200, negative_control: bool = False):
+def check_mask_oracle(n_configs: int = 200):
     """Packs each batch as training does and compares every sequence of its
-    mask with the oracle's.  ``negative_control`` flips one cell of every
-    built mask, so the check must fail."""
+    mask with the oracle's."""
     rng = random.Random(0)
     for i in range(n_configs):
         grid, specs, caption_lens = _random_batch(rng)
@@ -56,8 +55,6 @@ def check_mask_oracle(n_configs: int = 200, negative_control: bool = False):
                               text_sees_targets=rng.random() < 0.5)
         layout = pack(specs, grid, [range(n) for n in caption_lens])
         allow = build_mask(layout, variant).allow
-        if negative_control:
-            allow[0, 0, 0] = not allow[0, 0, 0]
         for spec, n, a in zip(specs, caption_lens, allow):
             roles = roles_for_mask(spec, grid, n)
             roles += [PAD_ROLE] * (layout.seq_len - len(roles))
@@ -168,17 +165,13 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, negative_control: bool = False):
-    """Runs the named checks (all by default).  ``negative_control`` injects
-    a fault into the mask-oracle check, which must then fail."""
+def run_checks(names=None):
+    """Runs the named checks (all by default)."""
     results = []
     for name, fn in CHECKS.items():
         if names and name not in names:
             continue
-        if negative_control and fn is check_mask_oracle:
-            ok, detail = fn(negative_control=True)
-        else:
-            ok, detail = fn()
+        ok, detail = fn()
         results.append((name, ok, detail))
     return results
 
@@ -198,19 +191,13 @@ def gradcheck_config() -> dict:
     return cfg
 
 
-def _skewed_identity(x: Tensor) -> Tensor:
-    """Identity whose vjp is 1% off: a fault gradcheck must catch."""
-    return autodiff._from_op(x.data, (x,), lambda g: (1.01 * g,))
-
-
-def run_gradcheck(cfg: dict | None = None, distances=("cosine", "smooth_l1"),
-                  negative_control: bool = False) -> dict:
+def run_gradcheck(cfg: dict | None = None,
+                  distances=("cosine", "smooth_l1")) -> dict:
     """fd_check over every stage-1 trainable parameter of a tiny model,
     for the combined caption + latent objective, per distance kind: the
     largest error of two checks, one over the parameters the predictor
     reads (``proj``, ``latent.z``) and one over ``proj_tgt``, whose loss
-    runs only the latent head on a fixed tap.  ``negative_control`` ends
-    both losses in a skewed identity node, so every distance must fail."""
+    runs only the latent head on a fixed tap."""
     cfg = cfg or gradcheck_config()
     if cfg["predictor"]["d"] > 16 or cfg["predictor"]["L"] > 2:
         raise InputError("gradcheck wants a tiny config (d <= 16, L <= 2)")
@@ -226,7 +213,7 @@ def run_gradcheck(cfg: dict | None = None, distances=("cosine", "smooth_l1"),
 
     def total(ntp, jepa):
         loss, _ = combine(ntp, jepa, bundle.loss, len(mask.target_union))
-        return _skewed_identity(loss) if negative_control else loss
+        return loss
 
     # proj_tgt reads only the tap, so its entries are checked against one
     # predictor run, with the caption loss and the tap held fixed

@@ -22,6 +22,11 @@ def attention_node(q, k, v, allow, heads):
             ad._wants(q, k, v))))
 
 
+def skewed_identity(x):
+    """Identity whose vjp is 1% off: a fault a gradient check must catch."""
+    return ad._from_op(x.data, (x,), lambda g: (1.01 * g,))
+
+
 class LivePool:
     """A one-worker pool that stands in for ``autodiff._split_pool()``'s on
     any host.  It counts the halves handed to it, and a wait for one gives

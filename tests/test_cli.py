@@ -1,8 +1,9 @@
-"""CLI surface: subcommands, artifacts, exit codes, negative controls."""
+"""CLI surface: subcommands, artifacts, exit codes."""
 
 import importlib
 import itertools
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentalign import cli, config, training
+from latentalign import cli, config, training, verify
 from latentalign.attention import (CONTEXT, TARGET, TEXT, AttnVariant,
                                    TokenRole, dump_mask, oracle_mask,
                                    roles_for_mask)
@@ -23,6 +24,8 @@ from latentalign.model import load_checkpoint
 from latentalign.verify import GRADCHECK_TOL
 from latentalign.cli import (EXIT_CHECK_FAILED, EXIT_NUMERIC, EXIT_OK,
                              EXIT_USAGE, main)
+
+from conftest import skewed_identity
 
 
 TINY_CONFIG = {
@@ -169,16 +172,21 @@ def test_gradcheck_passes_by_default(capsys):
     assert out.count("PASS") == 2
 
 
-def test_gradcheck_negative_control_fails(capsys):
-    assert main(["gradcheck", "--negative-control"]) == EXIT_CHECK_FAILED
-    assert "FAIL" in capsys.readouterr().out
+def test_gradcheck_negative_control_fails(monkeypatch, capsys):
+    """A checked loss whose vjp is 1% off fails both distances: each FAIL
+    line says its error is at or above GRADCHECK_TOL."""
+    combine = verify.combine
 
+    def skewed(*args):
+        loss, report = combine(*args)
+        return skewed_identity(loss), report
 
-def test_negative_control_leaves_no_state_behind(capsys):
-    assert main(["gradcheck", "--negative-control"]) == EXIT_CHECK_FAILED
-    assert "FAIL" in capsys.readouterr().out
-    assert main(["gradcheck"]) == EXIT_OK
-    assert capsys.readouterr().out.count("PASS") == 2
+    monkeypatch.setattr(verify, "combine", skewed)
+    assert main(["gradcheck"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "gradcheck[cosine]", "gradcheck[smooth_l1]"]
+    assert all(line.endswith(" FAIL") for line in lines)
 
 
 def test_verify_subset(capsys):
@@ -187,17 +195,32 @@ def test_verify_subset(capsys):
     assert len(lines) == 1 and lines[0].startswith("verify[checkpoint]: PASS")
 
 
-def test_verify_negative_control_fails(capsys):
-    code = main(["verify", "--checks", "mask", "--negative-control"])
+def test_verify_negative_control_fails(monkeypatch, capsys):
+    """A mask builder that flips one cell of every mask fails the check."""
+    build = verify.build_mask
+
+    def flipped(layout, variant):
+        mask = build(layout, variant)
+        mask.allow[0, 0, 0] = not mask.allow[0, 0, 0]
+        return mask
+
+    monkeypatch.setattr(verify, "build_mask", flipped)
+    code = main(["verify", "--checks", "mask"])
     assert code == EXIT_CHECK_FAILED
     assert "verify[mask]: FAIL" in capsys.readouterr().out
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     proc = _run(["mask", "sample", "--rows", "4"])   # missing --cols
     assert proc.returncode == EXIT_USAGE
     proc = _run(["no-such-command"])
     assert proc.returncode == EXIT_USAGE
+    for command in ("gradcheck", "verify"):   # no fault switch is left
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--negative-control"])
+        assert exited.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --negative-control" in \
+            capsys.readouterr().err
 
 
 def _assert_input_error(capsys, argv):
@@ -551,7 +574,8 @@ def test_malformed_mask_spec_exit_code(tmp_path, doc, capsys):
                                   "header-not-object", "params-not-pairs",
                                   "no-config", "predictor-not-object",
                                   "trailing-bytes", "huge-declared-shape",
-                                  "nested-too-deep"])
+                                  "nested-too-deep", "version-7",
+                                  "name-twice"])
 def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
@@ -559,8 +583,10 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     headers = {"header-not-object": [1],
                "params-not-pairs": {"format": "latentalign-ckpt",
                                     "params": 5},
-               "no-config": {"format": "latentalign-ckpt", "params": []},
+               "no-config": {"format": "latentalign-ckpt", "version": 1,
+                             "params": []},
                "predictor-not-object": {"format": "latentalign-ckpt",
+                                        "version": 1,
                                         "config": {"predictor": [16]},
                                         "params": []},
                # 8e12 bytes declared, 64 present
@@ -578,7 +604,7 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     if init == "other-tensors":
         cfg.write_text(json.dumps({**TINY_CONFIG, "proj_kind": "linear"}))
     if init in ("other-config", "other-tensors", "other-heads",
-                "trailing-bytes"):
+                "trailing-bytes", "version-7", "name-twice"):
         assert main(["train", "align", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
     if init in ("other-config", "other-heads"):
@@ -594,6 +620,17 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
     if init == "huge-declared-shape":
         with open(out / "align_ckpt.bin", "ab") as fh:
             fh.write(b"\0" * 64)
+    if init in ("version-7", "name-twice"):
+        ckpt = out / "align_ckpt.bin"
+        head, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        if init == "version-7":
+            header["version"] = 7
+        else:   # the first tensor listed, and stored, twice
+            first, shape = header["params"][0]
+            header["params"].insert(0, [first, shape])
+            payload = payload[:8 * math.prod(shape)] + payload
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     def tree(root):
         return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -616,6 +653,10 @@ def test_bad_init_checkpoint_exit_code(tmp_path, init, capsys):
             assert line.endswith(": checkpoint header has no config object")
         if init == "predictor-not-object":
             assert ": checkpoint predictor rejected: " in line
+        if init == "version-7":
+            assert line.endswith(": unsupported checkpoint version 7")
+        if init == "name-twice":
+            assert line.endswith(f": parameter '{first}' listed twice")
     assert (tree(out) if out.exists() else None) == before
     assert not (tmp_path / "new").exists()
 

@@ -596,30 +596,43 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_into(small.named_parameters(), loaded)
 
 
-@pytest.mark.parametrize("header", [
-    pytest.param([1], id="not-an-object"),
-    pytest.param({"params": []}, id="no-format"),
-    pytest.param({"format": "latentalign-ckpt"}, id="no-params"),
+NOT_A_CHECKPOINT = "^not a checkpoint file$"
+
+
+@pytest.mark.parametrize("header, message", [
+    pytest.param([1], NOT_A_CHECKPOINT, id="not-an-object"),
+    pytest.param({"params": []}, NOT_A_CHECKPOINT, id="no-format"),
+    pytest.param({"format": "latentalign-ckpt"}, NOT_A_CHECKPOINT,
+                 id="no-params"),
     pytest.param({"format": "latentalign-ckpt", "params": 5},
-                 id="params-not-a-list"),
+                 NOT_A_CHECKPOINT, id="params-not-a-list"),
     pytest.param({"format": "latentalign-ckpt", "params": [["w"]]},
-                 id="entry-not-a-pair"),
+                 NOT_A_CHECKPOINT, id="entry-not-a-pair"),
     pytest.param({"format": "latentalign-ckpt", "params": [[1, [2]]]},
-                 id="name-not-a-string"),
+                 NOT_A_CHECKPOINT, id="name-not-a-string"),
     pytest.param({"format": "latentalign-ckpt", "params": [["w", [-1]]]},
-                 id="negative-extent"),
+                 NOT_A_CHECKPOINT, id="negative-extent"),
+    pytest.param({"format": "latentalign-ckpt", "params": []},
+                 "^unsupported checkpoint version None$", id="no-version"),
+    pytest.param({"format": "latentalign-ckpt", "version": 7, "params": []},
+                 "^unsupported checkpoint version 7$", id="version-7"),
+    # a duplicate would load, and its second payload would win
+    pytest.param({"format": "latentalign-ckpt", "version": 1,
+                  "params": [["a", [2]], ["a", [2]]]},
+                 "^parameter 'a' listed twice$", id="name-twice"),
 ])
-def test_checkpoint_rejects_malformed_header(tmp_path, header):
+def test_checkpoint_rejects_malformed_header(tmp_path, header, message):
     path = tmp_path / "m.ckpt"
     path.write_bytes(json.dumps(header).encode() + b"\n")
-    with pytest.raises(ValueError, match="not a checkpoint file"):
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
 
 def test_checkpoint_header_read_is_capped_at_one_mib(tmp_path):
     """A header line of 1 MiB, newline included, loads; one byte longer is
     not a checkpoint file."""
-    header = json.dumps({"format": "latentalign-ckpt", "params": []})
+    header = json.dumps({"format": "latentalign-ckpt", "version": 1,
+                         "params": []})
     path = tmp_path / "m.ckpt"
     path.write_bytes(header.ljust((1 << 20) - 1).encode() + b"\n")
     assert load_checkpoint(path)[0]["params"] == []
