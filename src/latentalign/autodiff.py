@@ -21,22 +21,31 @@ class NonFiniteError(ArithmeticError):
     """An op produced (or was fed) a NaN or Inf."""
 
 
+# ndarray.sum/.max/.min/.all reach these C reducers through Python
+# wrappers in numpy's _methods module, whose cost per call rules at a
+# gradcheck evaluation's sizes; without an axis they reduce axis 0
+_sum = np.add.reduce
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+_all = np.logical_and.reduce
+
+
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+    if not _all(np.isfinite(arr), axis=None):
         raise NonFiniteError("non-finite value in tensor")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape of a broadcast operand."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = _sum(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = _sum(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -193,7 +202,7 @@ def _affine_vjp(g, x, w, wants) -> tuple:
     says none is needed."""
     return (g @ w.T if wants[0] else None,
             x.T @ g if wants[1] else None,
-            g.sum(axis=0) if wants[2] else None)
+            _sum(g, axis=0) if wants[2] else None)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -283,7 +292,7 @@ def _mlp_vjp(g, x, w1, w2, u, cdf, wants) -> tuple:
     gw2 = (u * cdf).T @ g if wants[3] else None
     gu = _gelu_grad(u, cdf, g @ w2.T) if any(wants[:3]) else None
     return (*_affine_vjp(gu, x, w1, wants[:3]), gw2,
-            g.sum(axis=0) if wants[4] else None)
+            _sum(g, axis=0) if wants[4] else None)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -306,9 +315,9 @@ def _layernorm(x: np.ndarray, gain, bias) -> tuple:
     """``layernorm`` on arrays: (output, xhat, 1 / std)."""
     d = x.shape[-1]
     # centred, then scaled in place; sum / d is how np.mean and np.var divide
-    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    xhat = x - _sum(x, axis=-1, keepdims=True) / d
     data = xhat * xhat              # the squared deviations, then the output
-    var = data.sum(axis=-1, keepdims=True) / d
+    var = _sum(data, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain, out=data)
@@ -324,13 +333,13 @@ def _layernorm_vjp(g, gain, xhat, inv, wants) -> tuple:
         d = xhat.shape[-1]
         dx = g * gain
         proj = dx * xhat
-        np.multiply(xhat, proj.sum(-1, keepdims=True) / d, out=proj)
-        dx -= dx.sum(axis=-1, keepdims=True) / d
+        np.multiply(xhat, _sum(proj, axis=-1, keepdims=True) / d, out=proj)
+        dx -= _sum(dx, axis=-1, keepdims=True) / d
         dx -= proj
         dx *= inv
     axes = tuple(range(g.ndim - 1))
-    return (dx, (g * xhat).sum(axis=axes) if wants[1] else None,
-            g.sum(axis=axes) if wants[2] else None)
+    return (dx, _sum(g * xhat, axis=axes) if wants[1] else None,
+            _sum(g, axis=axes) if wants[2] else None)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -349,22 +358,27 @@ def _masked_softmax(logits: np.ndarray, allow: np.ndarray) -> np.ndarray:
     leading axes of ``logits``.
 
     Bit-identical to adding -inf to denied logits before normalizing, but
-    ``exp`` never sees an infinity: denied cells are zeroed after it.
+    ``exp`` never sees an infinity: denied cells are zeroed after it.  An
+    empty row raises ValueError: for finite logits its row sum is exactly
+    0, and any other row's at least exp(0) = 1.
     """
-    if not allow.any(axis=-1).all():
-        raise ValueError("attention row with zero permitted columns")
     e = np.where(allow, logits, -np.inf)
-    np.subtract(logits, e.max(axis=-1, keepdims=True), out=e)
+    # from -inf, so that a row of no columns has a max too
+    np.subtract(logits, _max(e, axis=-1, keepdims=True, initial=-np.inf),
+                out=e)
     np.minimum(e, 0.0, out=e)   # a denied cell may sit above the allowed max
     np.exp(e, out=e)
     e *= allow
-    e /= e.sum(axis=-1, keepdims=True)
+    total = _sum(e, axis=-1, keepdims=True)
+    if not _all(total, axis=None):
+        raise ValueError("attention row with zero permitted columns")
+    e /= total
     return e
 
 
 def _masked_softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     out = g * y
-    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+    np.subtract(g, _sum(out, axis=-1, keepdims=True), out=out)
     out *= y
     return out
 
@@ -426,17 +440,17 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     n, v = logits.data.shape
     if t.shape != (n,):
         raise ValueError("targets must have one id per logits row")
-    if t.min(initial=0) < 0 or (t.size and t.max() >= v):
+    if _min(t, initial=0) < 0 or (t.size and _max(t) >= v):
         raise ValueError("target id out of vocabulary range")
     w = _row_weights(weights, n)
     rows = logits.data
-    m = rows.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
+    m = _max(rows, axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(_sum(np.exp(rows - m), axis=-1))
     data = w @ (lse - rows[np.arange(n), t])
 
     def vjp(g):
         p = np.exp(rows - m)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= _sum(p, axis=-1, keepdims=True)
         p[np.arange(n), t] -= 1.0
         return (p * (float(g) * w)[:, None],)
 
@@ -453,11 +467,13 @@ def smooth_l1(pred: Tensor, target: Tensor, weights) -> Tensor:
     w = _row_weights(weights, n)
     a = np.abs(e)
     per = np.where(a < 1.0, 0.5 * e * e, a - 0.5).reshape(n, -1)
-    data = w @ per.mean(axis=1)
+    data = w @ (_sum(per, axis=1) / per.shape[1])    # as np.mean divides
 
     def vjp(g):
         row = (float(g) / per.shape[1]) * w
-        ge = np.clip(e, -1.0, 1.0) * row.reshape((n,) + (1,) * (e.ndim - 1))
+        ge = np.minimum(e, 1.0)     # two ufunc calls cost less than np.clip
+        np.maximum(ge, -1.0, out=ge)
+        ge *= row.reshape((n,) + (1,) * (e.ndim - 1))
         return (ge if pred.requires_grad else None,
                 -ge if target.requires_grad else None)
 
@@ -475,12 +491,12 @@ def cosine_distance(pred: Tensor, tgt: Tensor, weights) -> Tensor:
         raise ValueError("cosine_distance operands must share an n x d shape")
     p, t = pred.data, tgt.data
     w = _row_weights(weights, p.shape[0])
-    norm_p = np.sqrt((p * p).sum(axis=1))
-    norm_t = np.sqrt((t * t).sum(axis=1))
-    if norm_p.min() < NORM_FLOOR or norm_t.min() < NORM_FLOOR:
+    norm_p = np.sqrt(_sum(p * p, axis=1))
+    norm_t = np.sqrt(_sum(t * t, axis=1))
+    if _min(norm_p) < NORM_FLOOR or _min(norm_t) < NORM_FLOOR:
         raise NonFiniteError("near-zero norm in cosine distance")
     inv = 1.0 / (norm_p * norm_t)
-    cos = (p * t).sum(axis=1) * inv
+    cos = _sum(p * t, axis=1) * inv
     data = -(w @ cos)
 
     def vjp(g):
@@ -519,10 +535,9 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=axis)
-    extents = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + extents)
 
     def vjp(g):
+        bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
         return tuple(np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
                      if p.requires_grad else None
                      for i, p in enumerate(parts))

@@ -32,6 +32,8 @@ from .objective import (LossConfig, LossReport, combine, jepa_loss,
 STAGE_LR = {"align": 1e-3, "sft": 2e-5}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# ndarray.all without numpy's Python wrapper, as in autodiff
+_all = np.logical_and.reduce
 MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
 # the most a run may ask for of each size, by config key; each is far
 # above any size the project runs (the widest is d=64 on an 8x8 grid)
@@ -139,8 +141,9 @@ class AdamW:
         self.t = 0
 
     def update(self, lr: float) -> None:
-        """One step per parameter with a grad; a non-finite update raises
-        NonFiniteError naming its parameter before it is applied."""
+        """One step per parameter with a grad; a non-finite second moment
+        or update raises NonFiniteError naming its parameter before any of
+        that parameter's state changes."""
         self.t += 1
         with np.errstate(over="ignore", invalid="ignore"):
             for name, p in self.params.items():
@@ -149,10 +152,13 @@ class AdamW:
                 g = p.grad
                 m = self.b1 * self.m[name] + (1 - self.b1) * g
                 v = self.b2 * self.v[name] + (1 - self.b2) * g * g
+                # an overflowed g * g would make the step mhat / inf = 0
+                if not _all(np.isfinite(v), axis=None):
+                    raise NonFiniteError(f"non-finite update of {name}")
                 mhat = m / (1 - self.b1 ** self.t)
                 vhat = v / (1 - self.b2 ** self.t)
                 step = lr * (mhat / (np.sqrt(vhat) + self.eps))
-                if not np.isfinite(step).all():
+                if not _all(np.isfinite(step), axis=None):
                     raise NonFiniteError(f"non-finite update of {name}")
                 self.m[name], self.v[name] = m, v
                 p.data -= step
@@ -355,7 +361,8 @@ class Trainer:
             with np.errstate(all="ignore"):
                 total.backward()
             for name, p in self.trainable.items():
-                if p.grad is not None and not np.isfinite(p.grad).all():
+                if p.grad is not None and not _all(
+                        np.isfinite(p.grad), axis=None):
                     raise NonFiniteError(f"non-finite gradient of {name}")
             self.opt.update(lr_at(step_idx, total_steps, self.cfg))
             return report

@@ -62,8 +62,12 @@ def test_softmax_denied_column_is_exact_zero():
 
 
 def test_softmax_all_denied_row_rejected():
-    with pytest.raises(ValueError):
-        ad.softmax_masked(Tensor(np.zeros((1, 2))), np.zeros((1, 2), bool))
+    """Alone, beside a permitted row, or with no columns at all."""
+    for allow in (np.zeros((1, 2), bool), np.array([[True, False],
+                                                    [False, False]]),
+                  np.zeros((2, 0), bool)):
+        with pytest.raises(ValueError, match="zero permitted columns"):
+            ad.softmax_masked(Tensor(np.zeros(allow.shape)), allow)
 
 
 def test_gelu_hand_value():

@@ -3,6 +3,9 @@
 import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -100,6 +103,20 @@ def test_adamw_rejects_nonfinite_update_and_names_the_parameter():
     with pytest.raises(NonFiniteError, match="^non-finite update of bad$"):
         opt.update(0.5)
     np.testing.assert_array_equal(bad.data, [2.0, 3.0])
+
+
+def test_adamw_rejects_overflowing_second_moment_and_names_the_parameter():
+    """A finite grad of 1e200 overflows g * g: stored, the second moment
+    would be inf and every later step of that entry mhat / inf = 0.  It
+    raises before the parameter or its moments change."""
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p.grad = np.array([0.5, 1e200])
+    opt = AdamW({"p": p})
+    with pytest.raises(NonFiniteError, match="^non-finite update of p$"):
+        opt.update(0.5)
+    np.testing.assert_array_equal(p.data, [1.0, 2.0])
+    np.testing.assert_array_equal(opt.m["p"], [0.0, 0.0])
+    np.testing.assert_array_equal(opt.v["p"], [0.0, 0.0])
 
 
 def test_trainable_scopes_per_stage():
@@ -287,20 +304,39 @@ def _has_mallopt() -> bool:
         return False
 
 
+# ``_wide_sft_trainer`` in a fresh interpreter: six warm-up steps, then
+# the minor page faults of three more
+_WARMED_FAULTS = """
+import resource
+from latentalign.config import bundle_from, default_config
+from latentalign.data import generate
+from latentalign.training import TrainConfig, Trainer
+cfg = default_config()
+b = bundle_from(dict(cfg, grid={"rows": 8, "cols": 8},
+                     predictor=dict(cfg["predictor"], d=64)))
+batch = list(enumerate(generate(0, 8, b.grid, b.vocab)))
+trainer = Trainer(b, TrainConfig(stage="sft"))
+for step in range(6):
+    trainer.step(batch, step, 9)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for step in range(6, 9):
+    trainer.step(batch, step, 9)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
 def test_warmed_sft_steps_take_few_page_faults():
     """A step's freed arrays stay in the process heap for the next step:
     three 8x8/d=64 sft steps take fewer than 100 minor page faults once
     six steps have grown the heap (7,500 to 15,000 when glibc unmaps and
-    trims them)."""
-    import resource     # POSIX only, like mallopt
-    trainer, batch = _wide_sft_trainer()
-    for step in range(6):
-        trainer.step(batch, step, 9)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for step in range(6, 9):
-        trainer.step(batch, step, 9)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    trims them).  The steps run in a fresh interpreter, so what earlier
+    tests left in this one's heap cannot add faults to the count."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _WARMED_FAULTS],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 class _NoMallopt:
@@ -911,6 +947,49 @@ def test_nodes_per_step_are_the_ones_the_readme_states(monkeypatch):
                 f"one of the latent head alone.")
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert sentence in " ".join(readme.split())
+
+
+def _numpy_method_calls(fn):
+    """(fn(), the names of the calls made into numpy's ``_methods`` module
+    meanwhile): its Python wrappers behind ndarray.sum, .max, .min, .all,
+    .any and .mean, in numpy 2 (``_core``) and 1.x (``core``)."""
+    calls = []
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename.replace(os.sep, "/")
+        if event == "call" and path.endswith(("numpy/_core/_methods.py",
+                                              "numpy/core/_methods.py")):
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, calls
+
+
+def test_loss_evaluation_calls_no_numpy_method_wrappers():
+    """One whole-graph gradcheck evaluation, its backward and one AdamW
+    update reach numpy's reducers without the Python wrappers of
+    ``numpy/_core/_methods.py`` (an evaluation alone made 49 such calls
+    while the hot path called the ndarray methods)."""
+    b = bundle_from(verify.gradcheck_config())
+    trainer = Trainer(b, TrainConfig(stage="align", batch_size=1, seed=0))
+    mask = trainer.mask_for(0)
+    plan = b.plan([generate(0, 1, b.grid, b.vocab)[0]], [mask])
+
+    def evaluation():
+        total, _ = combine(*trainer._forward(plan), b.loss,
+                           len(mask.target_union))
+        return total
+
+    total, calls = _numpy_method_calls(evaluation)
+    assert calls == []
+    assert _numpy_method_calls(total.backward)[1] == []
+    assert any(p.grad is not None for p in trainer.trainable.values())
+    assert _numpy_method_calls(lambda: trainer.opt.update(1e-3))[1] == []
 
 
 def test_default_align_step_feeds_exp_only_finite_values(monkeypatch):
