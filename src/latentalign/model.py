@@ -205,7 +205,8 @@ class PackedBatch:
     ``target_patches`` address each context and target row's patch p of
     sample b as ``b*N + p`` in the batch's stacked ``(B*N, ...)`` per-patch
     arrays.  Row i reads row ``order[i]`` of the stack [context rows,
-    target rows, caption tokens, one zero row]."""
+    target rows, one zero row, ``tok_emb``'s V rows]: a caption row reads
+    its token's embedding, a pad row the zero row."""
     roles: np.ndarray           # B*S role codes, PAD on pad rows
     blocks: np.ndarray
     seq_len: int                # S
@@ -220,7 +221,7 @@ def pack(masks, grid, captions) -> PackedBatch:
     """Lay out each sample in ``roles_for_mask`` order (visual tokens in
     raster order, context and latent targets where the mask puts them, then
     the caption), pad every sequence to the longest and stack them.  Reads
-    no parameter and only ``len`` of a caption.  The unmasked path passes
+    no parameter, only captions' lengths and ids.  The unmasked path passes
     ``MaskSpec(context=frozenset(range(grid.n)))``: no latent tokens."""
     if not masks:
         raise ValueError("empty batch")
@@ -259,10 +260,11 @@ def pack(masks, grid, captions) -> PackedBatch:
 
     ctx_rows = np.flatnonzero(roles == CONTEXT)
     target_rows = np.flatnonzero(roles == TARGET)
-    # the source stack groups [context, targets, text], each in row order
-    real = np.concatenate([ctx_rows, target_rows, text_rows])
+    # the source stack: [context, targets] in row order, zero row, tok_emb
+    real = np.concatenate([ctx_rows, target_rows])
     order = np.full(bsz * s, real.size)
     order[real] = np.arange(real.size)
+    order[text_rows] = real.size + 1 + np.concatenate(captions)
     # rows keep the patches' order, so the addresses are the patches' own
     return PackedBatch(roles, blocks, s, text_rows, target_rows,
                        np.flatnonzero(kind == CONTEXT),

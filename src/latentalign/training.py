@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import AttnVariant, build_mask
-from .autodiff import NonFiniteError, Tensor, concat, gather_rows
+from .autodiff import NonFiniteError, Tensor, _all, concat, gather_rows
 from .data import MAX_CAPTION_LEN, SyntheticVocab
 from .encoders import CTX_SEED, TGT_SEED, StubEncoder
 from .masking import (InputError, MaskSpec, PatchGrid, SamplerConfig,
@@ -32,8 +32,6 @@ from .objective import (LossConfig, LossReport, combine, jepa_loss,
 STAGE_LR = {"align": 1e-3, "sft": 2e-5}
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# ndarray.all without numpy's Python wrapper, as in autodiff
-_all = np.logical_and.reduce
 MAX_SEQ = 256       # the most rows of a sequence: visual tokens + caption
 # the most a run may ask for of each size, by config key; each is far
 # above any size the project runs (the widest is d=64 on an 8x8 grid)
@@ -168,12 +166,11 @@ class AdamW:
 class BatchPlan:
     """What no parameter touches in a batch: its layout, B x S x S mask,
     position rows, encoder rows at the layout's patch addresses (``tgt``
-    None without targets), the latent tokens' rows of ``phi``, caption ids,
-    caption after caption, and the zero pad row.  ``window`` is T, the tail
-    rows of each sequence whose logits the forward computes.  ``ntp`` is
-    ``ntp_targets``' rows of those logits, next tokens and weights, and
-    ``jepa_weights`` the latent loss's row weights (None without
-    targets)."""
+    None without targets), the latent tokens' rows of ``phi`` and the zero
+    pad row.  ``window`` is T, the tail rows of each sequence whose logits
+    the forward computes.  ``ntp`` is ``ntp_targets``' rows of those
+    logits, next tokens and weights, and ``jepa_weights`` the latent loss's
+    row weights (None without targets)."""
     layout: PackedBatch
     allow: np.ndarray
     window: int
@@ -181,7 +178,6 @@ class BatchPlan:
     ctx: Tensor
     tgt: Tensor | None
     phi: Tensor | None
-    ids: np.ndarray
     pad: Tensor
     ntp: tuple
     jepa_weights: np.ndarray | None
@@ -202,6 +198,8 @@ class ModelBundle:
                  jepa: bool = True):
         if min(ctx_dim, tgt_dim) < 1:
             raise ValueError("ctx_dim and tgt_dim must be at least 1")
+        if model_seed < 0:
+            raise ValueError("model_seed must be at least 0")
         self.sampler = sampler or SamplerConfig()
         check_extents(grid, self.sampler.k, {
             "ctx_dim": ctx_dim, "tgt_dim": tgt_dim, "predictor.d": predictor.d,
@@ -253,10 +251,9 @@ class ModelBundle:
             phi = Tensor(self.latent.phi[layout.target_patches % self.grid.n])
             per_seq = np.bincount(layout.target_rows // s)
             jepa_weights = mean_of_means(per_seq[per_seq > 0])
-        ids = np.concatenate(captions).astype(np.int64)
         return BatchPlan(layout, allow, window,
                          Tensor(np.tile(sincos_1d(s, cfg.d), (bsz, 1))), ctx,
-                         tgt, phi, ids, Tensor(np.zeros((1, cfg.d))),
+                         tgt, phi, Tensor(np.zeros((1, cfg.d))),
                          ntp_targets(captions, window_text_rows),
                          jepa_weights)
 
@@ -266,7 +263,7 @@ class ModelBundle:
         parts = [self.proj(plan.ctx)]
         if plan.phi is not None:
             parts.append(self.latent.z + plan.phi)
-        parts += [gather_rows(self.predictor.tok_emb, plan.ids), plan.pad]
+        parts += [plan.pad, self.predictor.tok_emb]
         return gather_rows(concat(parts, axis=0), plan.layout.order)
 
     def forward(self, plan: BatchPlan):

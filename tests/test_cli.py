@@ -268,6 +268,7 @@ def test_truncated_config_exit_code(tmp_path, capsys):
     pytest.param('{"data": {"n": 0}}', id="data-n-zero"),
     pytest.param('{"data": {"n": "x"}}', id="data-n-not-int"),
     pytest.param('{"data": {"seed": -1}}', id="data-seed-negative"),
+    pytest.param('{"model_seed": -1}', id="model-seed-negative"),
     pytest.param('{"grid": {"rows": 1}}', id="grid-too-small-for-scenes"),
     pytest.param('{"predictor": {"max_seq": 256}}', id="removed-max-seq"),
     pytest.param('{"tgt_nonlinear": false}', id="removed-tgt-nonlinear"),
@@ -306,8 +307,12 @@ def test_bad_config_exit_code(tmp_path, text, capsys):
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
-    _assert_input_error(capsys, ["train", "align", "--config", str(cfg),
-                                 "--out", str(tmp_path / "run")])
+    line = _assert_input_error(capsys, ["train", "align", "--config",
+                                        str(cfg), "--out",
+                                        str(tmp_path / "run")])
+    # a seed numpy rejects names no key unless ModelBundle checks it first
+    if text == '{"model_seed": -1}':
+        assert "model_seed" in line
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 124), (3000, 3000)])

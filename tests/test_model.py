@@ -273,14 +273,63 @@ def test_pack_pads_each_sample_to_the_longest():
         assert not rows[n:].any()
 
 
+def _two_gathers(b, plan, captions):
+    """The padded input rows as a caption-id gather of ``tok_emb`` and a
+    gather by the old ``order`` built them: the source stack was [context
+    rows, target rows, caption rows, one zero row]."""
+    roles = plan.layout.roles
+    real = np.concatenate([np.flatnonzero(roles == CONTEXT),
+                           plan.layout.target_rows, plan.layout.text_rows])
+    order = np.full(roles.size, real.size)
+    order[real] = np.arange(real.size)
+    parts = [b.proj(plan.ctx)]
+    if plan.phi is not None:
+        parts.append(b.latent.z + plan.phi)
+    parts += [ad.gather_rows(b.predictor.tok_emb, np.concatenate(captions)),
+              plan.pad]
+    return ad.gather_rows(ad.concat(parts), order)
+
+
+@pytest.mark.parametrize("masked", [True, False], ids=["align", "sft"])
+def test_one_gather_equals_the_caption_id_gather_then_the_layout_gather(
+        masked):
+    """On a ragged batch, masked or unmasked, ``tokens``' one gather by
+    ``order`` gives the rows of the two-gather composition, and every
+    parameter it reads, ``tok_emb`` among them, the same gradient, bit for
+    bit: caption rows lie in caption order, so each ``tok_emb`` row gets
+    the same additions in the same order."""
+    plan, tokens, b, _, samples = _packed_batch([0, 1, 2], masked=masked)
+    captions = [sample.caption for sample in samples]
+    ids = np.concatenate(captions)
+    assert PAD in plan.layout.roles and len(set(ids)) < ids.size, \
+        "fixture must be ragged and repeat a token"
+    assert (plan.phi is not None) == masked
+    upstream = Tensor(np.random.default_rng(0).normal(size=tokens.shape))
+    params = {"tok_emb": b.predictor.tok_emb, **b.proj.named_parameters()}
+    if masked:
+        params["z"] = b.latent.z
+    grads = []
+    for rows in (tokens, _two_gathers(b, plan, captions)):
+        for p in params.values():
+            p.zero_grad()
+        ad.tsum(ad.mul(rows, upstream)).backward()
+        grads.append({n: p.grad for n, p in params.items()})
+    assert np.array_equal(tokens.data, rows.data)
+    for name in params:
+        assert grads[0][name] is not None, name
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
 def test_pack_lists_rows_and_target_patch_addresses():
     """On a ragged, masked batch the row lists hold exactly the TEXT and
     TARGET rows, each context and target row addresses its sample's patch
     in the stacked (B*N, ...) per-patch arrays as b*N + p, and ``order``
-    reads context, target and caption rows from the source stack in row
-    order and the zero row after them on pad rows."""
+    reads context and target rows from the source stack in row order, the
+    zero row after them on pad rows and, on caption rows, the row of
+    ``tok_emb`` after the zero row that the caption's token id names."""
     grid = PatchGrid(3, 3)
-    seq = _packed_batch([0, 1, 2], grid)[0].layout
+    plan, _, _, _, samples = _packed_batch([0, 1, 2], grid)
+    seq = plan.layout
     s, roles, patches = seq.seq_len, _roles(seq), _patches(seq, grid)
     assert PAD in seq.roles, "fixture must be ragged"
     for rows, kind in ((seq.text_rows, TEXT), (seq.target_rows, TARGET)):
@@ -293,10 +342,13 @@ def test_pack_lists_rows_and_target_patch_addresses():
                             (seq.target_rows, seq.target_patches)):
         assert [(row // s) * grid.n + patches[row]
                 for row in rows] == addresses.tolist()
-    source = [*ctx_rows, *seq.target_rows, *seq.text_rows]
+    source = [*ctx_rows, *seq.target_rows]
     pads = [i for i, r in enumerate(roles) if r.kind == PAD]
     assert seq.order[source].tolist() == list(range(len(source)))
     assert seq.order[pads].tolist() == [len(source)] * len(pads)
+    ids = [int(t) for sample in samples for t in sample.caption]
+    assert seq.order[seq.text_rows].tolist() == \
+        [len(source) + 1 + t for t in ids]
 
 
 def _object_pack(masks, grid, captions):
@@ -316,9 +368,16 @@ def _object_pack(masks, grid, captions):
         return rows // s * grid.n + np.array(
             [visual[i // s][i % s] for i in rows], dtype=np.int64)
 
-    real = np.concatenate([ctx_rows, target_rows, text_rows])
-    order = np.full(len(roles), real.size)
-    order[real] = np.arange(real.size)
+    # the stack [context, targets, zero row, one row per token id]
+    stacked = [*ctx_rows, *target_rows]
+
+    def source(i):
+        r = roles[i]
+        if r.kind == TEXT:
+            return len(stacked) + 1 + int(captions[i // s][r.text_position])
+        return len(stacked) if r.kind == PAD else stacked.index(i)
+
+    order = np.array([source(i) for i in range(len(roles))])
     return roles, s, {"text_rows": text_rows, "target_rows": target_rows,
                       "context_patches": address(ctx_rows),
                       "target_patches": address(target_rows),
@@ -367,7 +426,8 @@ def test_columnar_layout_and_mask_equal_the_object_path(
         if kind == "all-context":
             spec = MaskSpec(context=frozenset(range(grid.n)))
         masks.append(spec or _hand_built_spec(grid, rng))
-    captions = [np.zeros(n, dtype=np.int64) for n in caption_lens[:len(kinds)]]
+    captions = [np.array([rng.randrange(64) for _ in range(n)],
+                         dtype=np.int64) for n in caption_lens[:len(kinds)]]
     variant = AttnVariant(cross_block, text_sees_targets)
 
     layout = pack(masks, grid, captions)
